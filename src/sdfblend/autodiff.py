@@ -257,8 +257,11 @@ def sqrt(a: Var):
 def relu(a: Var):
     av = a.value
     mask = av > 0.0
-    a.tape.note_branch(np.asarray(mask, dtype=np.int8))
-    out = np.where(mask, av, 0.0) if not np.isscalar(av) else (av if mask else 0.0)
+    if a.tape.record_branches:
+        a.tape.note_branch(np.asarray(mask, dtype=np.int8))
+    # fmax(x, 0) equals where(x > 0, x, 0) bit for bit (NaN and -0.0 give
+    # +0.0) without where's data-dependent branch per element
+    out = np.fmax(av, 0.0) if not np.isscalar(av) else (av if mask else 0.0)
     if a.tape.no_grad:
         return a.tape._push(_Node(out))
 
@@ -271,7 +274,8 @@ def relu(a: Var):
 def absolute(a: Var):
     av = a.value
     s = np.sign(av)  # sign(0) == 0: derivative 0 at the kink
-    a.tape.note_branch(np.asarray(s, dtype=np.int8))
+    if a.tape.record_branches:
+        a.tape.note_branch(np.asarray(s, dtype=np.int8))
     if a.tape.no_grad:
         return a.tape._push(_Node(np.abs(av)))
 
@@ -306,7 +310,8 @@ def maximum(a, b):
 
     def make(tape, av, bv):
         left = av >= bv  # ties: left argument wins
-        tape.note_branch(np.asarray(left, dtype=np.int8))
+        if tape.record_branches:
+            tape.note_branch(np.asarray(left, dtype=np.int8))
         return left
 
     if isinstance(a, Var):
@@ -326,7 +331,8 @@ def minimum(a, b):
 
     def make(tape, av, bv):
         left = av <= bv  # ties: left argument wins
-        tape.note_branch(np.asarray(left, dtype=np.int8))
+        if tape.record_branches:
+            tape.note_branch(np.asarray(left, dtype=np.int8))
         return left
 
     if isinstance(a, Var):

@@ -34,6 +34,12 @@ CHECKPOINT_SCHEMA_VERSION = 1
 # Surfacing / evaluation domain used when a field must declare bounds.
 DEFAULT_FIELD_BOUNDS = (np.full(3, -0.55), np.full(3, 0.55))
 
+# Inference block sizing (BasisField.inference_block): a decoder activation
+# of about a core's L2 cache, 2048 points at width 48; never below the floor,
+# where per-block tape overhead would dominate.
+INFERENCE_BLOCK_BYTES = 3 * 2 ** 19  # 1.5 MiB
+MIN_INFERENCE_BLOCK = 256
+
 
 # ---------------------------------------------------------------------------
 # Rotations
@@ -131,6 +137,11 @@ class Decoder:
         else:
             self.weights = [np.asarray(w, dtype=np.float64) for w in weights]
             self.biases = [np.asarray(b, dtype=np.float64) for b in biases]
+            if not len(self.weights) == len(self.biases) == len(self.layer_in):
+                raise FieldError(
+                    f"decoder needs {len(self.layer_in)} layers, got "
+                    f"{len(self.weights)} weights and {len(self.biases)} biases"
+                )
             for w, b, i, o in zip(self.weights, self.biases, self.layer_in, self.layer_out):
                 if w.shape != (i, o) or b.shape != (o,):
                     raise FieldError(
@@ -207,18 +218,6 @@ class BasisField:
     def basis(self, i: int) -> LocalBasis:
         return LocalBasis(self.centers[i], self.latents[i], self.log_scales[i],
                           self.rot6s[i], self.offsets[i])
-
-    @property
-    def bases(self) -> list[LocalBasis]:
-        return [self.basis(i) for i in range(self.n_bases)]
-
-    @classmethod
-    def from_bases(cls, bases: list[LocalBasis], decoder: Decoder) -> "BasisField":
-        return cls(np.stack([b.center for b in bases]),
-                   np.stack([b.latent for b in bases]),
-                   np.stack([b.log_scale for b in bases]),
-                   np.stack([b.rot6 for b in bases]),
-                   np.stack([b.offset for b in bases]), decoder)
 
     @property
     def effective_centers(self) -> np.ndarray:
@@ -332,23 +331,43 @@ class BasisField:
             q[fallback] = nearest[fallback]
         return p.astype(np.int64), q.astype(np.int64), fallback, nearest
 
-    def sdf_batch_diag(self, pts: np.ndarray, chunk: int = 65536
+    def inference_block(self) -> int:
+        """Points per inference block: one decoder activation (two blend
+        rows per point, widest layer, float64) stays near INFERENCE_BLOCK_BYTES,
+        so each block's activations are reused from cache, not memory."""
+        widest = max(self.decoder.layer_in + self.decoder.layer_out)
+        return max(MIN_INFERENCE_BLOCK,
+                   INFERENCE_BLOCK_BYTES // (2 * widest * 8))
+
+    def sdf_batch_diag(self, pts: np.ndarray, chunk: int | None = None
                        ) -> tuple[np.ndarray, int]:
-        """Blended signed distance for (B, 3) points plus fallback count."""
+        """Blended signed distance for (B, 3) points plus fallback count.
+
+        Evaluates the blend on a no-grad tape, `chunk` points at a time
+        (default: `inference_block()`, sized to stay in cache).
+        """
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+        chunk = self.inference_block() if chunk is None else int(chunk)
+        if chunk < 1:
+            raise ValueError(f"chunk must be >= 1, got {chunk}")
         out = np.empty(len(pts))
         n_fallback = 0
         pv = self.to_params()
         for lo in range(0, len(pts), chunk):
             sl = slice(lo, min(lo + chunk, len(pts)))
-            tape = Tape()
+            tape = Tape(no_grad=True)
             prog = FieldProgram(tape, pv.leaves(tape, trainable=set()), self)
             blend = prog.blend(pts[sl])
             out[sl] = blend.sdf.value
             n_fallback += blend.n_fallback
         return out, n_fallback
 
-    def sdf_batch(self, pts: np.ndarray, chunk: int = 65536) -> np.ndarray:
+    def sdf_batch(self, pts: np.ndarray, chunk: int | None = None) -> np.ndarray:
+        """Blended signed distance for (B, 3) points.
+
+        Inference runs on a no-grad tape in cache-sized blocks of points;
+        see sdf_batch_diag.
+        """
         return self.sdf_batch_diag(pts, chunk)[0]
 
     # alias used by metric/surfacing code that accepts scene or field
@@ -382,25 +401,42 @@ class BasisField:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "BasisField":
+        """Field from a checkpoint document, validated where it is loaded.
+
+        Raises CheckpointError on an unknown version, a decoder with the
+        wrong number of layers, an array of the wrong shape, or any
+        non-finite value.
+        """
         version = doc.get("version")
         if version != CHECKPOINT_SCHEMA_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version!r}")
         d_z = int(doc["d_z"])
         dd = doc["decoder"]
         dec = Decoder(d_z, tuple(dd["widths"]), tuple(dd.get("skip_at", ())))
+        for key in ("weights", "biases"):
+            if len(dd[key]) != dec.n_layers:
+                raise CheckpointError(
+                    f"checkpoint decoder has {len(dd[key])} {key} layers, "
+                    f"expected {dec.n_layers}"
+                )
         weights = [
-            np.asarray(w, dtype=np.float64).reshape(i, o)
-            for w, i, o in zip(dd["weights"], dec.layer_in, dec.layer_out)
+            _checkpoint_array(w, (i * o,), f"decoder weights[{k}]").reshape(i, o)
+            for k, (w, i, o) in enumerate(zip(dd["weights"], dec.layer_in,
+                                              dec.layer_out))
         ]
-        biases = [np.asarray(b, dtype=np.float64) for b in dd["biases"]]
-        dec = Decoder(d_z, tuple(dd["widths"]), tuple(dd.get("skip_at", ())),
-                      weights, biases)
+        biases = [
+            _checkpoint_array(b, (o,), f"decoder biases[{k}]")
+            for k, (b, o) in enumerate(zip(dd["biases"], dec.layer_out))
+        ]
+        dec = Decoder(d_z, dec.widths, dec.skip_at, weights, biases)
         bases = doc["bases"]
-        return cls(np.array([b["mu"] for b in bases]),
-                   np.array([b["z"] for b in bases]),
-                   np.array([b["s_raw"] for b in bases]),
-                   np.array([b["r_raw"] for b in bases]),
-                   np.array([b["delta"] for b in bases]), dec)
+        n = len(bases)
+        arrays = [
+            _checkpoint_array([b[key] for b in bases], (n, width), f"bases {key!r}")
+            for key, width in (("mu", 3), ("z", d_z), ("s_raw", 3),
+                               ("r_raw", 6), ("delta", 3))
+        ]
+        return cls(*arrays, dec)
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -417,6 +453,21 @@ class BasisField:
         except json.JSONDecodeError as e:
             raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}") from e
         return cls.from_json_dict(doc)
+
+
+def _checkpoint_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """`value` as a finite float64 array of exactly `shape`, else CheckpointError."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint {what} is not a numeric array: {e}") from e
+    if arr.shape != shape:
+        raise CheckpointError(
+            f"checkpoint {what} has shape {arr.shape}, expected {shape}"
+        )
+    if not np.all(np.isfinite(arr)):
+        raise CheckpointError(f"checkpoint {what} holds non-finite values")
+    return arr
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,7 @@ def refine(field: BasisField, surface_pts: PointCloud, pos_pts: PointCloud,
     trace: dict[str, list[float]] = {
         "total": [], "face": [], "pos": [], "adj": [], "stable": [],
     }
+    n_fallback = 0
     t0 = time.perf_counter()
     for step in range(config.refine_steps):
         current = field.with_params(pv)
@@ -285,6 +286,7 @@ def refine(field: BasisField, surface_pts: PointCloud, pos_pts: PointCloud,
         value = float(total.value)
         if not np.isfinite(value):
             raise NonFiniteError(f"non-finite refinement loss at step {step}")
+        n_fallback += prog.n_fallback_total
         trace["total"].append(value)
         for k, v in parts.items():
             trace[k].append(v)
@@ -297,7 +299,8 @@ def refine(field: BasisField, surface_pts: PointCloud, pos_pts: PointCloud,
         wall_time_s=wall,
         param_norms={name: float(np.linalg.norm(pv.view(name)))
                      for name in pv.names()},
-        diagnostics={"underflow_fallbacks": 0, "excluded_grad_coords": 0},
+        diagnostics={"underflow_fallbacks": n_fallback,
+                     "excluded_grad_coords": 0},
     )
     return refined, report
 

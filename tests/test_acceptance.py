@@ -3,7 +3,8 @@
 Each test prints one PASS line (visible with `pytest -s`); a failed
 assertion marks the criterion failed. The fitted-sphere benchmark and the
 chair fits use the hyperparameters frozen by the calibration runs committed
-under calibration/.
+under calibration/. Every test here carries the `acceptance` marker:
+`pytest -m "not acceptance"` runs the quick unit and property suite alone.
 """
 
 import json
@@ -22,6 +23,8 @@ from sdfblend.gradcheck import random_field, run_gradcheck
 from sdfblend.metrics import EvalProtocol, chamfer_l2, evaluate, f_score, iou
 from sdfblend.objective import Anchor, LossWeights
 from sdfblend.surface import GridSpec, marching_cubes
+
+pytestmark = pytest.mark.acceptance
 
 # Hyperparameters frozen by calibration/results.json
 SPHERE_BENCH = dict(n_bases=8, d_z=16, decoder_widths=(48, 48, 48),

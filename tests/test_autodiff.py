@@ -110,6 +110,36 @@ def test_subgradient_conventions():
     assert g["a"] == 1.0 and g["b"] == 0.0
 
 
+def test_relu_forward_matches_where_bit_for_bit():
+    # NaN and -0.0 map to +0.0, as np.where(x > 0, x, 0) does
+    x = np.tile([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-310, -1e-310, -1.5, 2.5],
+                50)
+    expected = np.where(x > 0.0, x, 0.0)
+    for tape in (Tape(), Tape(no_grad=True)):
+        out = ad.relu(tape.constant(x)).value
+        np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+    assert ad.relu(Tape().constant(-0.0)).value == 0.0
+
+
+@pytest.mark.parametrize("no_grad", [False, True])
+def test_kinked_ops_note_branches_only_when_recording(no_grad):
+    x = np.array([-1.0, 0.0, 2.0])
+    y = np.array([0.5, 0.0, 3.0])
+    ops = [
+        lambda t: ad.relu(t.constant(x)),
+        lambda t: ad.absolute(t.constant(x)),
+        lambda t: ad.maximum(t.constant(x), t.constant(y)),
+        lambda t: ad.minimum(t.constant(x), y),
+    ]
+    for op in ops:
+        recording = Tape(record_branches=True, no_grad=no_grad)
+        op(recording)
+        assert len(recording.branch_signature()) == x.size  # one int8 per entry
+        silent = Tape(no_grad=no_grad)
+        op(silent)
+        assert silent.branch_signature() == b""
+
+
 # ---------------------------------------------------------------------------
 # Adam
 

@@ -146,6 +146,45 @@ def test_mesh_empty_field_warns_but_succeeds(tmp_path, capsys):
     assert read_obj(out).is_empty()
 
 
+def _drop_last_layer(doc):
+    doc["decoder"]["weights"].pop()
+    doc["decoder"]["biases"].pop()
+
+
+def _bad_weight_shape(doc):
+    doc["decoder"]["weights"][1].append(0.5)
+
+
+def _bad_bias_shape(doc):
+    doc["decoder"]["biases"][0].pop()
+
+
+def _nan_latent(doc):
+    doc["bases"][1]["z"][0] = float("nan")
+
+
+def _inf_weight(doc):
+    doc["decoder"]["weights"][0][3] = float("inf")
+
+
+@pytest.mark.parametrize("corrupt", [_drop_last_layer, _bad_weight_shape,
+                                     _bad_bias_shape, _nan_latent, _inf_weight])
+def test_mesh_rejects_malformed_checkpoint_at_load(tmp_path, capsys, corrupt):
+    from sdfblend.errors import CheckpointError
+    from sdfblend.gradcheck import random_field
+    doc = random_field(np.random.default_rng(5), n_bases=3).to_json_dict()
+    corrupt(doc)
+    with pytest.raises(CheckpointError):
+        BasisField.from_json_dict(doc)
+    ck = tmp_path / "bad.json"
+    ck.write_text(json.dumps(doc))
+    out = tmp_path / "m.obj"
+    rc = main(["mesh", str(ck), "--resolution", "8", "--out", str(out)])
+    assert rc == 1
+    assert "checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mesh_is_byte_deterministic(tmp_path, checkpoint_path):
     a, b = tmp_path / "a.obj", tmp_path / "b.obj"
     for out in (a, b):

@@ -284,6 +284,63 @@ def test_underflow_fallback_uses_nearest_basis():
     assert vals[0] == pytest.approx(2.0)
 
 
+def _fallback_probe_points(rng, n):
+    """Uniform points in the box plus far ones whose top-2 weights underflow."""
+    near = rng.uniform(-0.5, 0.5, (n - n // 10, 3))
+    far = rng.uniform(-40.0, 40.0, (n // 10, 3))
+    far[:, 0] = 30.0  # g < exp(-(30 * 0.8)**2): underflows for every basis
+    return np.concatenate([near, far])
+
+
+@pytest.mark.parametrize("n_bases", [1, 3, 6])
+def test_no_grad_blend_equals_recording_tape(n_bases):
+    from sdfblend.autodiff import Tape
+    from sdfblend.field import FieldProgram
+    rng = np.random.default_rng(30 + n_bases)
+    f = random_field(rng, n_bases=n_bases)
+    X = _fallback_probe_points(rng, 300)
+    pv = f.to_params()
+    results = []
+    for tape in (Tape(), Tape(no_grad=True)):
+        prog = FieldProgram(tape, pv.leaves(tape, set()), f)
+        blend, nearest = prog.blend_with_nearest(X)
+        results.append((blend, nearest, prog.n_fallback_total))
+    (grad, grad_k, grad_nf), (free, free_k, free_nf) = results
+    for name in ("sdf", "f_p", "f_q", "g_p", "g_q", "a_p", "a_q"):
+        np.testing.assert_array_equal(getattr(free, name).value,
+                                      getattr(grad, name).value, err_msg=name)
+    np.testing.assert_array_equal(free_k.value, grad_k.value)
+    assert free_nf == grad_nf == free.n_fallback
+    assert n_bases == 1 or free.n_fallback > 0
+
+
+def test_sdf_batch_block_size_does_not_change_values():
+    rng = np.random.default_rng(31)
+    f = random_field(rng, n_bases=5)
+    X = _fallback_probe_points(rng, 3000)
+    ref, ref_fallback = f.sdf_batch_diag(X)
+    assert ref_fallback > 0
+    for chunk in (1, 7, 2048, 65536):
+        vals, n_fallback = f.sdf_batch_diag(X, chunk=chunk)
+        # BLAS kernels for tiny blocks (1 and 7 points) sum in another
+        # order: within 4 ulp of max(|value|, 1), since a value near the
+        # zero crossing carries the rounding of its O(1) terms
+        eps = np.finfo(np.float64).eps
+        np.testing.assert_allclose(vals, ref, rtol=4 * eps, atol=4 * eps)
+        np.testing.assert_array_equal(np.sign(vals), np.sign(ref))
+        assert n_fallback == ref_fallback
+    with pytest.raises(ValueError):
+        f.sdf_batch_diag(X, chunk=0)
+
+
+def test_inference_block_follows_decoder_width():
+    rng = np.random.default_rng(32)
+    f = random_field(rng, n_bases=2, d_z=16, widths=(48, 48, 48))
+    assert f.inference_block() == 2048  # 2 rows x 2048 x 48 x 8 B = 1.5 MiB
+    wide = random_field(rng, n_bases=2, d_z=16, widths=(512, 512))
+    assert wide.inference_block() == 256  # the floor
+
+
 # ---------------------------------------------------------------------------
 # domain_downsample
 

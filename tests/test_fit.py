@@ -190,6 +190,23 @@ def test_refine_noop_when_objective_already_zero():
     assert report.trace["total"][-1] == 0.0
 
 
+def test_refine_counts_underflow_fallbacks():
+    dec = Decoder(d_z=1, widths=())
+    dec.weights[0][3, 0] = 1.0  # reads latent[0]
+    f = BasisField(centers=np.array([[-0.3, 0, 0], [0.3, 0, 0]]),
+                   latents=np.array([[1.0], [2.0]]),
+                   log_scales=np.full((2, 3), 40.0),  # astronomically narrow
+                   rot6s=np.tile([1, 0, 0, 0, 1, 0], (2, 1)),
+                   offsets=np.zeros((2, 3)), decoder=dec)
+    rng = np.random.default_rng(6)
+    surf = PointCloud(rng.uniform(-0.4, 0.4, (16, 3)))
+    pos = PointCloud(rng.uniform(-0.4, 0.4, (16, 3)))
+    cfg = FitConfig(n_bases=2, d_z=1, refine_steps=3, seed=1, n_refine_adj=16)
+    _, report = refine(f, surf, pos, Anchor.from_field(f), cfg)
+    # every surface and positive point is far from both domains, every step
+    assert report.diagnostics["underflow_fallbacks"] >= 3 * (16 + 16)
+
+
 def test_refine_freezes_everything_but_centers_and_latents():
     rng = np.random.default_rng(3)
     from sdfblend.gradcheck import random_field
