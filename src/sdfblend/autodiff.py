@@ -9,7 +9,7 @@ the leaf parameters.
 Subgradient conventions at non-differentiable points are fixed so results
 are reproducible:
 
-* ``abs`` at 0 and ``relu`` at 0 have derivative 0,
+* ``abs`` at 0 and the ``relu`` of :func:`dense` at 0 have derivative 0,
 * elementwise ``maximum``/``minimum`` ties route the gradient to the left
   argument.
 
@@ -85,6 +85,14 @@ class Tape:
 
     def leaf(self, value, name: str) -> "Var":
         return self._push(_Node(_as_value(value), leaf_name=name))
+
+    def truncate(self, n: int) -> None:
+        """Drop every node after the first `n` (their Vars become invalid);
+        only a no-grad tape that records no branch tokens can be cut back."""
+        if not self.no_grad or self.record_branches:
+            raise ValueError("only a no-grad tape without branch tokens "
+                             "can be truncated")
+        del self.nodes[n:]
 
     def note_branch(self, token: np.ndarray | bytes) -> None:
         """Record an evaluation-path token (e.g. selected basis indices)."""
@@ -254,23 +262,6 @@ def sqrt(a: Var):
     return _unary(a, np.sqrt, lambda x, o: 0.5 / o)
 
 
-def relu(a: Var):
-    av = a.value
-    mask = av > 0.0
-    if a.tape.record_branches:
-        a.tape.note_branch(np.asarray(mask, dtype=np.int8))
-    # fmax(x, 0) equals where(x > 0, x, 0) bit for bit (NaN and -0.0 give
-    # +0.0) without where's data-dependent branch per element
-    out = np.fmax(av, 0.0) if not np.isscalar(av) else (av if mask else 0.0)
-    if a.tape.no_grad:
-        return a.tape._push(_Node(out))
-
-    def vjp(g):
-        return (g * mask,)
-
-    return a.tape._push(_Node(out, (a.idx,), vjp))
-
-
 def absolute(a: Var):
     av = a.value
     s = np.sign(av)  # sign(0) == 0: derivative 0 at the kink
@@ -364,6 +355,32 @@ def matmul(a, b):
         lambda g, x, y: g @ y.T,
         lambda g, x, y: x.T @ g,
     )
+
+
+def dense(h: Var, w: Var, b: Var, relu: bool) -> Var:
+    """One decoder layer, relu(h @ w + b) or h @ w + b, as one node whose
+    values, gradients and branch tokens equal add(matmul(h, w), b) and a
+    ReLU bit for bit. The mask is built only when a backward pass or
+    `record_branches` needs it."""
+    tape = h.tape
+    hv, wv = h.value, w.value
+    out = hv @ wv
+    out += b.value
+    if relu:
+        # fmax(x, 0) equals where(x > 0, x, 0) bit for bit (NaN and -0.0
+        # give +0.0) without where's data-dependent branch per element
+        np.fmax(out, 0.0, out=out)
+        if tape.record_branches:
+            tape.note_branch(np.asarray(out > 0.0, dtype=np.int8))
+    if tape.no_grad:
+        return tape._push(_Node(out))
+
+    def vjp(g):
+        if relu:
+            g = g * (out > 0.0)
+        return g @ wv.T, hv.T @ g, g.sum(axis=0)
+
+    return tape._push(_Node(out, (h.idx, w.idx, b.idx), vjp))
 
 
 def vsum(a: Var, axis=None, keepdims: bool = False):

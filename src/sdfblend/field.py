@@ -166,17 +166,6 @@ class Decoder:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def forward(self, inp: np.ndarray) -> np.ndarray:
-        """Plain numpy forward pass over (B, 3 + d_z) inputs."""
-        h = inp
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            if i in self.skip_at:
-                h = np.concatenate([h, inp], axis=1)
-            h = h @ w + b
-            if i < self.n_layers - 1:
-                h = np.where(h > 0.0, h, 0.0)
-        return h[:, 0]
-
     def copy(self) -> "Decoder":
         return Decoder(self.d_z, self.widths, self.skip_at,
                        [w.copy() for w in self.weights],
@@ -274,10 +263,10 @@ class BasisField:
         c_mapped = np.einsum("nij,nj->ni", A, self.effective_centers)
         return a_stack, c_mapped
 
-    def rbf_matrix(self, pts: np.ndarray) -> np.ndarray:
-        """All domain weights: out[b, i] = g_i(pts[b]). Shape (B, N)."""
+    def rbf_matrix(self, pts: np.ndarray, maps=None) -> np.ndarray:
+        """All domain weights out[b, i] = g_i(pts[b]), (B, N); `maps`: _domain_maps()."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        a_stack, c_mapped = self._domain_maps()
+        a_stack, c_mapped = self._domain_maps() if maps is None else maps
         w = (pts @ a_stack).reshape(len(pts), self.n_bases, 3)
         w -= c_mapped[None, :, :]
         w *= w
@@ -307,16 +296,17 @@ class BasisField:
         p, q, fallback, _ = self.select_top2_nearest(pts)
         return p, q, fallback
 
-    def select_top2_nearest(self, pts: np.ndarray
+    def select_top2_nearest(self, pts: np.ndarray, maps=None
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                        np.ndarray]:
-        """select_top2 plus the Euclidean-nearest index, sharing the work."""
+        """select_top2 plus the Euclidean-nearest index, sharing the work;
+        `maps` as in rbf_matrix."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         n_pts = len(pts)
         if self.n_bases == 1:
             zeros = np.zeros(n_pts, dtype=np.int64)
             return zeros, zeros.copy(), np.zeros(n_pts, dtype=bool), zeros.copy()
-        g = self.rbf_matrix(pts)
+        g = self.rbf_matrix(pts, maps)
         nearest = np.argmin(self._center_dist2(pts), axis=1).astype(np.int64)
         p = np.argmax(g, axis=1)
         rows = np.arange(n_pts)
@@ -343,24 +333,23 @@ class BasisField:
                        ) -> tuple[np.ndarray, int]:
         """Blended signed distance for (B, 3) points plus fallback count.
 
-        Evaluates the blend on a no-grad tape, `chunk` points at a time
-        (default: `inference_block()`, sized to stay in cache).
+        Evaluates the blend on one no-grad tape, `chunk` points at a time
+        (default: `inference_block()`, sized to stay in cache), cutting the
+        tape back to its per-field nodes after each block.
         """
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         chunk = self.inference_block() if chunk is None else int(chunk)
         if chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
         out = np.empty(len(pts))
-        n_fallback = 0
-        pv = self.to_params()
+        tape = Tape(no_grad=True)
+        prog = FieldProgram(tape, self.to_params().leaves(tape, trainable=set()), self)
+        mark = len(tape.nodes)
         for lo in range(0, len(pts), chunk):
             sl = slice(lo, min(lo + chunk, len(pts)))
-            tape = Tape(no_grad=True)
-            prog = FieldProgram(tape, pv.leaves(tape, trainable=set()), self)
-            blend = prog.blend(pts[sl])
-            out[sl] = blend.sdf.value
-            n_fallback += blend.n_fallback
-        return out, n_fallback
+            out[sl] = prog.blend(pts[sl]).sdf.value
+            tape.truncate(mark)
+        return out, prog.n_fallback_total
 
     def sdf_batch(self, pts: np.ndarray, chunk: int | None = None) -> np.ndarray:
         """Blended signed distance for (B, 3) points.
@@ -403,16 +392,24 @@ class BasisField:
     def from_json_dict(cls, doc: dict) -> "BasisField":
         """Field from a checkpoint document, validated where it is loaded.
 
-        Raises CheckpointError on an unknown version, a decoder with the
+        Raises CheckpointError on an unknown version, an object or list
+        where the schema has the other kind or a number, a decoder with the
         wrong number of layers, an array of the wrong shape, or any
         non-finite value.
         """
+        _checkpoint_json(doc, dict, "document")
         version = doc.get("version")
         if version != CHECKPOINT_SCHEMA_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version!r}")
-        d_z = int(doc["d_z"])
-        dd = doc["decoder"]
-        dec = Decoder(d_z, tuple(dd["widths"]), tuple(dd.get("skip_at", ())))
+        dd = _checkpoint_json(doc["decoder"], dict, "decoder")
+        for key in ("widths", "skip_at", "weights", "biases"):
+            _checkpoint_json(dd.get(key, []), list, f"decoder {key}")
+        try:
+            d_z = int(doc["d_z"])
+            dec = Decoder(d_z, tuple(dd["widths"]), tuple(dd.get("skip_at", ())))
+        except TypeError as e:
+            raise CheckpointError(f"checkpoint d_z, widths or skip_at is not "
+                                  f"an integer: {e}") from e
         for key in ("weights", "biases"):
             if len(dd[key]) != dec.n_layers:
                 raise CheckpointError(
@@ -429,7 +426,9 @@ class BasisField:
             for k, (b, o) in enumerate(zip(dd["biases"], dec.layer_out))
         ]
         dec = Decoder(d_z, dec.widths, dec.skip_at, weights, biases)
-        bases = doc["bases"]
+        bases = _checkpoint_json(doc["bases"], list, "bases")
+        for k, b in enumerate(bases):
+            _checkpoint_json(b, dict, f"bases[{k}]")
         n = len(bases)
         arrays = [
             _checkpoint_array([b[key] for b in bases], (n, width), f"bases {key!r}")
@@ -453,6 +452,16 @@ class BasisField:
         except json.JSONDecodeError as e:
             raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}") from e
         return cls.from_json_dict(doc)
+
+
+def _checkpoint_json(value, kind: type, what: str):
+    """`value` if it is a `kind` (dict: JSON object, or list), else CheckpointError."""
+    if not isinstance(value, kind):
+        raise CheckpointError(
+            f"checkpoint {what} is a {type(value).__name__}, expected a "
+            f"{'JSON object' if kind is dict else 'list'}"
+        )
+    return value
 
 
 def _checkpoint_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -494,10 +503,10 @@ def top2(field: BasisField, x) -> tuple[int, int]:
 
 def decoder_eval(field: BasisField, i: int, x) -> float:
     """Local signed distance of basis i at x (decoder sees x - c_i)."""
+    tape = Tape(no_grad=True)
+    prog = FieldProgram(tape, field.to_params().leaves(tape, trainable=set()), field)
     x = np.asarray(x, dtype=np.float64).reshape(1, 3)
-    d = x - field.effective_centers[i][None, :]
-    inp = np.concatenate([d, field.latents[i][None, :]], axis=1)
-    return float(field.decoder.forward(inp)[0])
+    return float(prog.decode(x, np.array([i])).value[0])
 
 
 def sdf_eval(field: BasisField, x) -> float:
@@ -564,10 +573,12 @@ class FieldProgram:
         self.tape = tape
         self.leaves = leaves
         self.field = field
+        # per-field values, built once per program ahead of any per-point node
         self.eff_centers = ad.add(leaves["centers"], leaves["offsets"])
+        self.rot_cols = _rotation_columns(leaves["rot6s"])
+        self.scales = ad.exp(leaves["log_scales"])
+        self.maps = field._domain_maps() if field.n_bases > 1 else None
         self.n_fallback_total = 0
-        self._rot_cols: tuple[Var, Var, Var] | None = None
-        self._scales: Var | None = None
 
     def decode(self, pts: np.ndarray, idx: np.ndarray) -> Var:
         """Decoder output of basis idx[b] at pts[b]; shape (B,)."""
@@ -580,35 +591,13 @@ class FieldProgram:
         for i in range(dec.n_layers):
             if i in dec.skip_at:
                 h = ad.concat([h, inp], axis=1)
-            h = ad.add(ad.matmul(h, self.leaves[f"dec_w{i}"]), self.leaves[f"dec_b{i}"])
-            if i < dec.n_layers - 1:
-                h = ad.relu(h)
+            h = ad.dense(h, self.leaves[f"dec_w{i}"], self.leaves[f"dec_b{i}"],
+                         relu=i < dec.n_layers - 1)
         return ad.vsum(h, axis=1)  # (B, 1) -> (B,)
-
-    def _rotation_columns(self) -> tuple[Var, Var, Var]:
-        """Per-basis rotation columns (N, 3) each; built once per tape."""
-        if self._rot_cols is None:
-            r = self.leaves["rot6s"]
-            a1 = ad.cols(r, 0, 3)
-            a2 = ad.cols(r, 3, 6)
-            n1 = ad.sqrt(ad.vsum(ad.mul(a1, a1), axis=1, keepdims=True))
-            b1 = ad.div(a1, n1)
-            proj = ad.vsum(ad.mul(b1, a2), axis=1, keepdims=True)
-            res = ad.sub(a2, ad.mul(proj, b1))
-            n2 = ad.sqrt(ad.vsum(ad.mul(res, res), axis=1, keepdims=True))
-            b2 = ad.div(res, n2)
-            b3 = _cross_rows(b1, b2)
-            self._rot_cols = (b1, b2, b3)
-        return self._rot_cols
-
-    def _scale_factors(self) -> Var:
-        if self._scales is None:
-            self._scales = ad.exp(self.leaves["log_scales"])
-        return self._scales
 
     def domain_quadratic(self, pts: np.ndarray, idx: np.ndarray) -> Var:
         """u = ||A (x - c)||^2 of basis idx[b] at pts[b]; g = exp(-u)."""
-        b1, b2, b3 = self._rotation_columns()
+        b1, b2, b3 = self.rot_cols
         c = ad.gather_rows(self.eff_centers, idx)
         d = ad.sub(self.tape.constant(pts), c)
         dx = ad.cols(d, 0, 1)
@@ -617,7 +606,7 @@ class FieldProgram:
         rd = ad.add(ad.add(ad.mul(dx, ad.gather_rows(b1, idx)),
                            ad.mul(dy, ad.gather_rows(b2, idx))),
                     ad.mul(dz, ad.gather_rows(b3, idx)))
-        w = ad.mul(ad.gather_rows(self._scale_factors(), idx), rd)
+        w = ad.mul(ad.gather_rows(self.scales, idx), rd)
         return ad.vsum(ad.mul(w, w), axis=1)
 
     def rbf(self, pts: np.ndarray, idx: np.ndarray) -> Var:
@@ -636,7 +625,7 @@ class FieldProgram:
                     ) -> tuple[BlendResult, Var | None]:
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         n = len(pts)
-        p, q, fallback, nearest = self.field.select_top2_nearest(pts)
+        p, q, fallback, nearest = self.field.select_top2_nearest(pts, self.maps)
         self.n_fallback_total += int(fallback.sum())
         tape = self.tape
         tape.note_branch(p)
@@ -673,6 +662,19 @@ class FieldProgram:
                             a_p=a_p, a_q=a_q, p=p, q=q, fallback=fallback,
                             n_fallback=int(fallback.sum()))
         return blend, f_k
+
+
+def _rotation_columns(r: Var) -> tuple[Var, Var, Var]:
+    """Rotation columns (N, 3) each of an (N, 6) stack, as rotations_from_6d."""
+    a1 = ad.cols(r, 0, 3)
+    a2 = ad.cols(r, 3, 6)
+    n1 = ad.sqrt(ad.vsum(ad.mul(a1, a1), axis=1, keepdims=True))
+    b1 = ad.div(a1, n1)
+    proj = ad.vsum(ad.mul(b1, a2), axis=1, keepdims=True)
+    res = ad.sub(a2, ad.mul(proj, b1))
+    n2 = ad.sqrt(ad.vsum(ad.mul(res, res), axis=1, keepdims=True))
+    b2 = ad.div(res, n2)
+    return b1, b2, _cross_rows(b1, b2)
 
 
 def _cross_rows(a: Var, b: Var) -> Var:

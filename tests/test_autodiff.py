@@ -110,15 +110,101 @@ def test_subgradient_conventions():
     assert g["a"] == 1.0 and g["b"] == 0.0
 
 
-def test_relu_forward_matches_where_bit_for_bit():
+def _relu_layer(t, x):
+    """dense(x, 1, -0.0, relu=True): adding -0.0 keeps every x, -0.0 too."""
+    return ad.dense(t.constant(np.reshape(x, (-1, 1))), t.constant(np.ones((1, 1))),
+                    t.constant(np.array([-0.0])), relu=True)
+
+
+def test_dense_relu_special_values_bit_for_bit():
     # NaN and -0.0 map to +0.0, as np.where(x > 0, x, 0) does
     x = np.tile([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-310, -1e-310, -1.5, 2.5],
                 50)
     expected = np.where(x > 0.0, x, 0.0)
     for tape in (Tape(), Tape(no_grad=True)):
-        out = ad.relu(tape.constant(x)).value
+        out = _relu_layer(tape, x).value[:, 0]
         np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
-    assert ad.relu(Tape().constant(-0.0)).value == 0.0
+
+
+def test_dense_relu_has_derivative_zero_at_the_kink():
+    t = Tape()
+    h = t.leaf(np.array([[0.0], [2.0]]), "h")
+    w = t.leaf(np.ones((1, 1)), "w")
+    b = t.leaf(np.zeros(1), "b")
+    g = backward(t, ad.vsum(ad.dense(h, w, b, relu=True)))
+    np.testing.assert_array_equal(g["h"], [[0.0], [1.0]])
+    np.testing.assert_array_equal(g["w"], [[2.0]])
+    np.testing.assert_array_equal(g["b"], [1.0])
+
+
+def _unfused_layer(h, w, b, relu):
+    """matmul -> add -> the ReLU that dense replaced, as separate nodes."""
+    out = ad.add(ad.matmul(h, w), b)
+    if not relu:
+        return out
+    mask = out.value > 0.0
+    out.tape.note_branch(np.asarray(mask, dtype=np.int8))
+    return ad.where(mask, out, 0.0)
+
+
+@pytest.mark.parametrize("relu", [True, False])
+def test_dense_equals_unfused_chain_bit_for_bit(relu):
+    rng = np.random.default_rng(3)
+    h0 = rng.normal(size=(40, 6))
+    h0[::5] = 0.0  # rows that land exactly on the kink
+    w0, b0 = rng.normal(size=(6, 4)), rng.normal(size=4)
+    b0[1] = 0.0
+    r = rng.normal(size=(40, 4))
+    results = []
+    for layer in (ad.dense, _unfused_layer):
+        t = Tape(record_branches=True)
+        h, w, b = t.leaf(h0, "h"), t.leaf(w0, "w"), t.leaf(b0, "b")
+        out = layer(h, w, b, relu=relu)
+        # a second layer reuses h's layer output and w: gradients accumulate
+        out2 = layer(out, t.leaf(np.eye(4), "w2"), b, relu=relu)
+        loss = ad.vsum(ad.mul(ad.add(out, out2), r))
+        results.append((out.value, out2.value, backward(t, loss),
+                        t.branch_signature()))
+    (fv, fv2, fg, fsig), (uv, uv2, ug, usig) = results
+    np.testing.assert_array_equal(fv.view(np.int64), uv.view(np.int64))
+    np.testing.assert_array_equal(fv2.view(np.int64), uv2.view(np.int64))
+    assert fg.keys() == ug.keys()
+    for name in fg:
+        np.testing.assert_array_equal(fg[name].view(np.int64),
+                                      ug[name].view(np.int64), err_msg=name)
+    assert fsig == usig and (len(fsig) > 0) == relu
+
+
+def test_dense_finite_difference():
+    rng = np.random.default_rng(4)
+    pv = ParamVector.from_arrays({
+        "h": rng.normal(size=(5, 3)), "w0": rng.normal(size=(3, 4)),
+        "b0": rng.normal(size=4), "w1": rng.normal(size=(4, 2)),
+        "b1": rng.normal(size=2),
+    })
+
+    def objective(tape, p):
+        v = p.leaves(tape)
+        h = ad.dense(v["h"], v["w0"], v["b0"], relu=True)
+        h = ad.dense(h, v["w1"], v["b1"], relu=False)
+        return ad.vsum(ad.mul(h, h))
+
+    res = finite_diff_check(objective, pv, h=1e-6)
+    assert res.n_checked > 0.9 * len(pv)
+    assert res.max_rel_err < 1e-6
+
+
+def test_truncate_only_on_silent_no_grad_tapes():
+    t = Tape(no_grad=True)
+    t.constant(1.0)
+    mark = len(t.nodes)
+    for _ in range(3):
+        ad.exp(t.constant(2.0))
+    t.truncate(mark)
+    assert len(t.nodes) == mark
+    for recording in (Tape(), Tape(no_grad=True, record_branches=True)):
+        with pytest.raises(ValueError):
+            recording.truncate(0)
 
 
 @pytest.mark.parametrize("no_grad", [False, True])
@@ -126,7 +212,7 @@ def test_kinked_ops_note_branches_only_when_recording(no_grad):
     x = np.array([-1.0, 0.0, 2.0])
     y = np.array([0.5, 0.0, 3.0])
     ops = [
-        lambda t: ad.relu(t.constant(x)),
+        lambda t: _relu_layer(t, x),
         lambda t: ad.absolute(t.constant(x)),
         lambda t: ad.maximum(t.constant(x), t.constant(y)),
         lambda t: ad.minimum(t.constant(x), y),

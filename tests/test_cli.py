@@ -185,6 +185,42 @@ def test_mesh_rejects_malformed_checkpoint_at_load(tmp_path, capsys, corrupt):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("path, value", [
+    (("decoder", "weights"), 3.0),
+    (("decoder", "biases"), 2.0),
+    (("decoder", "widths"), 48),
+    (("decoder", "skip_at"), 1),
+    (("decoder", "widths", 0), [8]),
+    (("decoder",), [1, 2]),
+    (("bases",), {"mu": [0.0, 0.0, 0.0]}),
+    (("bases", 1), 7.0),
+    ((), None),  # the document itself becomes a list
+], ids=["weights", "biases", "widths", "skip_at", "width_entry", "decoder",
+        "bases", "basis_entry", "document"])
+def test_mesh_rejects_checkpoint_of_wrong_structure(tmp_path, capsys, path,
+                                                    value):
+    from sdfblend.errors import CheckpointError
+    from sdfblend.gradcheck import random_field
+    doc = random_field(np.random.default_rng(6), n_bases=3).to_json_dict()
+    if path:
+        *parents, last = path
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+    else:
+        doc = [doc]
+    with pytest.raises(CheckpointError):
+        BasisField.from_json_dict(doc)
+    ck = tmp_path / "bad.json"
+    ck.write_text(json.dumps(doc))
+    out = tmp_path / "m.obj"
+    rc = main(["mesh", str(ck), "--resolution", "8", "--out", str(out)])
+    assert rc == 1
+    assert "checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_mesh_is_byte_deterministic(tmp_path, checkpoint_path):
     a, b = tmp_path / "a.obj", tmp_path / "b.obj"
     for out in (a, b):

@@ -314,6 +314,36 @@ def test_no_grad_blend_equals_recording_tape(n_bases):
     assert n_bases == 1 or free.n_fallback > 0
 
 
+def test_sdf_batch_keeps_per_field_nodes_and_one_block(monkeypatch):
+    import sdfblend.field as field_mod
+    tapes, n_maps = [], []
+
+    class SpyTape(field_mod.Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.peak, self.marks = 0, set()
+            tapes.append(self)
+
+        def truncate(self, n):
+            self.peak = max(self.peak, len(self.nodes))
+            self.marks.add(n)
+            super().truncate(n)
+
+    domain_maps = BasisField._domain_maps
+    monkeypatch.setattr(field_mod, "Tape", SpyTape)
+    monkeypatch.setattr(BasisField, "_domain_maps",
+                        lambda self: n_maps.append(1) or domain_maps(self))
+    rng = np.random.default_rng(32)
+    f = random_field(rng, n_bases=5)
+    X = _fallback_probe_points(rng, 1000)
+    f.sdf_batch_diag(X, chunk=len(X))
+    f.sdf_batch_diag(X, chunk=37)  # 28 blocks
+    (one, many) = tapes
+    assert len(n_maps) == 2  # domain maps built once per call
+    assert one.marks == many.marks == {len(many.nodes)}
+    assert many.peak == one.peak > len(many.nodes)
+
+
 def test_sdf_batch_block_size_does_not_change_values():
     rng = np.random.default_rng(31)
     f = random_field(rng, n_bases=5)
