@@ -141,9 +141,6 @@ class Var:
     def shape(self):
         return _shape(self.value)
 
-    def _lift(self, other) -> "Var | None":
-        return other if isinstance(other, Var) else None
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
@@ -402,16 +399,6 @@ def vmean(a: Var, axis=None, keepdims: bool = False):
     av = a.value
     n = av.size if axis is None else av.shape[axis]
     return vsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
-def dot(a: Var, b) -> Var:
-    """Full inner product of two same-shape arrays."""
-    return vsum(mul(a, b))
-
-
-def norm(a: Var, axis=None) -> Var:
-    """Euclidean norm, optionally per-row."""
-    return sqrt(vsum(mul(a, a), axis=axis))
 
 
 def concat(parts: Sequence[Var], axis: int = 1) -> Var:

@@ -272,42 +272,32 @@ class BasisField:
         w *= w
         return np.exp(-w.sum(axis=2))
 
-    def _center_dist2(self, pts: np.ndarray) -> np.ndarray:
-        """Squared Euclidean distance to every effective center, shape (B, N)."""
+    def nearest_center_index(self, pts: np.ndarray) -> np.ndarray:
+        """Index of the Euclidean-nearest effective center per point."""
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         c = self.effective_centers
         d2 = pts @ (-2.0 * c.T)
         d2 += np.sum(c * c, axis=1)[None, :]
         d2 += np.sum(pts * pts, axis=1)[:, None]
-        return d2
-
-    def nearest_center_index(self, pts: np.ndarray) -> np.ndarray:
-        """Index of the Euclidean-nearest effective center per point."""
-        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        return np.argmin(self._center_dist2(pts), axis=1)
-
-    def select_top2(self, pts: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Top-2 basis indices per point plus the underflow-fallback mask.
-
-        Ties break to the lower index. For N == 1 both slots are 0. On
-        fallback rows (g_p + g_q underflowed to zero) both slots hold the
-        Euclidean-nearest basis.
-        """
-        p, q, fallback, _ = self.select_top2_nearest(pts)
-        return p, q, fallback
+        return np.argmin(d2, axis=1)
 
     def select_top2_nearest(self, pts: np.ndarray, maps=None
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                        np.ndarray]:
-        """select_top2 plus the Euclidean-nearest index, sharing the work;
-        `maps` as in rbf_matrix."""
+        """Top-2 basis indices per point, the underflow-fallback mask and the
+        Euclidean-nearest basis index; `maps` as in rbf_matrix.
+
+        Ties break to the lower index. For N == 1 every slot is 0. On
+        fallback rows (g_p + g_q underflowed to zero) both top-2 slots hold
+        the Euclidean-nearest basis.
+        """
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         n_pts = len(pts)
         if self.n_bases == 1:
             zeros = np.zeros(n_pts, dtype=np.int64)
             return zeros, zeros.copy(), np.zeros(n_pts, dtype=bool), zeros.copy()
         g = self.rbf_matrix(pts, maps)
-        nearest = np.argmin(self._center_dist2(pts), axis=1).astype(np.int64)
+        nearest = self.nearest_center_index(pts).astype(np.int64)
         p = np.argmax(g, axis=1)
         rows = np.arange(n_pts)
         gp = g[rows, p]
@@ -497,7 +487,8 @@ def rbf_weight(basis: LocalBasis, x) -> float:
 
 def top2(field: BasisField, x) -> tuple[int, int]:
     """Indices of the two largest domain weights (ties to lower index)."""
-    p, q, _ = field.select_top2(np.asarray(x, dtype=np.float64).reshape(1, 3))
+    p, q, _, _ = field.select_top2_nearest(
+        np.asarray(x, dtype=np.float64).reshape(1, 3))
     return int(p[0]), int(q[0])
 
 
@@ -558,7 +549,7 @@ class BlendResult:
     p: np.ndarray
     q: np.ndarray
     fallback: np.ndarray
-    n_fallback: int
+    f_k: Var | None  # Euclidean-nearest basis value, with_nearest only
 
 
 class FieldProgram:
@@ -613,16 +604,10 @@ class FieldProgram:
         """Domain weight of basis idx[b] at pts[b]; shape (B,)."""
         return ad.exp(ad.neg(self.domain_quadratic(pts, idx)))
 
-    def blend(self, pts: np.ndarray) -> BlendResult:
-        """Top-2 blended field value over a batch of points."""
-        return self._blend_impl(pts, with_nearest=False)[0]
-
-    def blend_with_nearest(self, pts: np.ndarray) -> tuple[BlendResult, Var]:
-        """Blend plus the Euclidean-nearest basis value (one stacked pass)."""
-        return self._blend_impl(pts, with_nearest=True)
-
-    def _blend_impl(self, pts: np.ndarray, with_nearest: bool
-                    ) -> tuple[BlendResult, Var | None]:
+    def blend(self, pts: np.ndarray, with_nearest: bool = False) -> BlendResult:
+        """Top-2 blended field value over a batch of points. `with_nearest`
+        also decodes the Euclidean-nearest basis (`f_k`) in the same stacked
+        decoder pass."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         n = len(pts)
         p, q, fallback, nearest = self.field.select_top2_nearest(pts, self.maps)
@@ -638,10 +623,9 @@ class FieldProgram:
             g_p = self.rbf(pts, p)
             one = tape.constant(np.ones(n))
             zero = tape.constant(np.zeros(n))
-            blend = BlendResult(sdf=f_p, f_p=f_p, f_q=f_p, g_p=g_p, g_q=g_p,
-                                a_p=one, a_q=zero, p=p, q=q,
-                                fallback=fallback, n_fallback=0)
-            return blend, (f_p if with_nearest else None)
+            return BlendResult(sdf=f_p, f_p=f_p, f_q=f_p, g_p=g_p, g_q=g_p,
+                               a_p=one, a_q=zero, p=p, q=q, fallback=fallback,
+                               f_k=f_p if with_nearest else None)
         # one stacked pass through decoder and domains for all slots
         reps = 3 if with_nearest else 2
         pts_r = np.concatenate([pts] * reps, axis=0)
@@ -658,10 +642,9 @@ class FieldProgram:
         a_p = ad.where(fallback, 1.0, ad.sigmoid(gap))
         a_q = ad.where(fallback, 0.0, ad.sigmoid(ad.neg(gap)))
         sdf = ad.add(ad.mul(a_p, f_p), ad.mul(a_q, f_q))
-        blend = BlendResult(sdf=sdf, f_p=f_p, f_q=f_q, g_p=g_p, g_q=g_q,
-                            a_p=a_p, a_q=a_q, p=p, q=q, fallback=fallback,
-                            n_fallback=int(fallback.sum()))
-        return blend, f_k
+        return BlendResult(sdf=sdf, f_p=f_p, f_q=f_q, g_p=g_p, g_q=g_q,
+                           a_p=a_p, a_q=a_q, p=p, q=q, fallback=fallback,
+                           f_k=f_k)
 
 
 def _rotation_columns(r: Var) -> tuple[Var, Var, Var]:

@@ -24,8 +24,6 @@ from .geom import (
 )
 from .objective import Anchor, LossWeights, RefineInputs, loss_inte_t, loss_opt_t
 
-TRAINABLE_ALL = None  # sentinel: every registered parameter
-
 
 @dataclass
 class FitConfig:
@@ -57,6 +55,10 @@ class FitConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.refine_steps < 1:
+            raise ValueError("refine_steps must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.n_bases < 1:
             raise ValueError("n_bases must be >= 1")
         if self.lr <= 0 or self.refine_lr <= 0:
@@ -165,6 +167,42 @@ def _batch_indices(n_samples: int, batch_size: int, steps: int, seed: int
     return out
 
 
+def _optimize(field: BasisField, trainable: set[str] | None, lr: float,
+              steps: int, step_loss) -> tuple[BasisField, FitReport]:
+    """Adam on the `trainable` parameters of `field` (None: all), one
+    FieldProgram per step; `step_loss(prog, step)` returns the loss Var and
+    its named float terms. Aborts with the step index on non-finite loss."""
+    pv = field.to_params()
+    state = AdamState.init(len(pv), lr=lr)
+    trace: dict[str, list[float]] = {"total": []}
+    n_fallback = 0
+    t0 = time.perf_counter()
+    for step in range(steps):
+        tape = Tape()
+        prog = FieldProgram(tape, pv.leaves(tape, trainable),
+                            field.with_params(pv))
+        total, parts = step_loss(prog, step)
+        value = float(total.value)
+        if not np.isfinite(value):
+            raise NonFiniteError(f"non-finite loss at step {step}")
+        n_fallback += prog.n_fallback_total
+        trace["total"].append(value)
+        for k, v in parts.items():
+            trace.setdefault(k, []).append(v)
+        grads = pv.flatten_grads(backward(tape, total))
+        pv.data, state = adam_step(pv.data, grads, state)
+    wall = time.perf_counter() - t0
+    report = FitReport(
+        trace=trace,
+        wall_time_s=wall,
+        param_norms={name: float(np.linalg.norm(pv.view(name)))
+                     for name in pv.names()},
+        diagnostics={"underflow_fallbacks": n_fallback,
+                     "excluded_grad_coords": 0},
+    )
+    return field.with_params(pv), report
+
+
 def fit_field(field: BasisField, samples: SampleSet, config: FitConfig
               ) -> tuple[BasisField, FitReport]:
     """Adam over the field parameters minimizing the integrated objective
@@ -176,41 +214,13 @@ def fit_field(field: BasisField, samples: SampleSet, config: FitConfig
     (s_batch,) = _spawn_seeds(config.seed, 1)
     batches = _batch_indices(len(samples), config.batch_size, config.steps, s_batch)
 
-    pv = field.to_params()
-    state = AdamState.init(len(pv), lr=config.lr)
-    trace: dict[str, list[float]] = {
-        "total": [], "sdf": [], "sdf_euc": [], "smooth": [], "reg": [],
-    }
-    n_fallback = 0
-    t0 = time.perf_counter()
-    for step, idx in enumerate(batches):
-        current = field.with_params(pv)
-        tape = Tape()
-        prog = FieldProgram(tape, pv.leaves(tape, trainable), current)
+    def step_loss(prog, step):
+        idx = batches[step]
         epoch = 0 if step < reg_boundary else 1
-        total, parts, nf = loss_inte_t(prog, samples.points[idx],
-                                       samples.targets[idx],
-                                       config.weights, epoch)
-        value = float(total.value)
-        if not np.isfinite(value):
-            raise NonFiniteError(f"non-finite loss at step {step}")
-        n_fallback += nf
-        trace["total"].append(value)
-        for k, v in parts.items():
-            trace[k].append(v)
-        grads = pv.flatten_grads(backward(tape, total))
-        pv.data, state = adam_step(pv.data, grads, state)
-    wall = time.perf_counter() - t0
-    fitted = field.with_params(pv)
-    report = FitReport(
-        trace=trace,
-        wall_time_s=wall,
-        param_norms={name: float(np.linalg.norm(pv.view(name)))
-                     for name in pv.names()},
-        diagnostics={"underflow_fallbacks": n_fallback,
-                     "excluded_grad_coords": 0},
-    )
-    return fitted, report
+        return loss_inte_t(prog, samples.points[idx], samples.targets[idx],
+                           config.weights, epoch)
+
+    return _optimize(field, trainable, config.lr, config.steps, step_loss)
 
 
 def compact_fit(scene: SceneSpec, config: FitConfig
@@ -269,40 +279,10 @@ def refine(field: BasisField, surface_pts: PointCloud, pos_pts: PointCloud,
     (s_adj,) = _spawn_seeds(config.seed, 1)
     adj = adjacency_points(field, config.n_refine_adj, config.adj_spread, s_adj)
     inputs = RefineInputs(surface=surface_pts, positive=pos_pts, adjacency=adj)
-
-    trainable = {"centers", "latents"}
-    pv = field.to_params()
-    state = AdamState.init(len(pv), lr=config.refine_lr)
-    trace: dict[str, list[float]] = {
-        "total": [], "face": [], "pos": [], "adj": [], "stable": [],
-    }
-    n_fallback = 0
-    t0 = time.perf_counter()
-    for step in range(config.refine_steps):
-        current = field.with_params(pv)
-        tape = Tape()
-        prog = FieldProgram(tape, pv.leaves(tape, trainable), current)
-        total, parts = loss_opt_t(prog, inputs, config.weights, anchor)
-        value = float(total.value)
-        if not np.isfinite(value):
-            raise NonFiniteError(f"non-finite refinement loss at step {step}")
-        n_fallback += prog.n_fallback_total
-        trace["total"].append(value)
-        for k, v in parts.items():
-            trace[k].append(v)
-        grads = pv.flatten_grads(backward(tape, total))
-        pv.data, state = adam_step(pv.data, grads, state)
-    wall = time.perf_counter() - t0
-    refined = field.with_params(pv)
-    report = FitReport(
-        trace=trace,
-        wall_time_s=wall,
-        param_norms={name: float(np.linalg.norm(pv.view(name)))
-                     for name in pv.names()},
-        diagnostics={"underflow_fallbacks": n_fallback,
-                     "excluded_grad_coords": 0},
-    )
-    return refined, report
+    return _optimize(field, {"centers", "latents"}, config.refine_lr,
+                     config.refine_steps,
+                     lambda prog, step: loss_opt_t(prog, inputs, config.weights,
+                                                   anchor))
 
 
 def refine_from_scene(field: BasisField, scene: SceneSpec, config: FitConfig,

@@ -15,6 +15,10 @@ from scipy.spatial import cKDTree
 from .geom import PointCloud, sample_mesh_surface
 from .surface import GridSpec, marching_cubes
 
+# Samples per IoU draw; bounds a scene oracle's memory
+# (SceneSpec.sdf is not blocked, unlike BasisField.sdf_batch).
+IOU_CHUNK = 262144
+
 
 @dataclass
 class EvalProtocol:
@@ -66,7 +70,7 @@ def _union_bounds(a, b) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(lo_a, lo_b), np.maximum(hi_a, hi_b)
 
 
-def iou(a, b, n: int, seed: int, chunk: int = 262144) -> float:
+def iou(a, b, n: int, seed: int) -> float:
     """Occupancy IoU over uniform samples in the union bounding box.
 
     `a` and `b` expose sdf(points) and bounds(); occupancy is sdf < 0.
@@ -80,7 +84,7 @@ def iou(a, b, n: int, seed: int, chunk: int = 262144) -> float:
     n_either = 0
     remaining = n
     while remaining > 0:
-        m = min(remaining, chunk)
+        m = min(remaining, IOU_CHUNK)
         pts = rng.uniform(lo, hi, size=(m, 3))
         occ_a = a.sdf(pts) < 0.0
         occ_b = b.sdf(pts) < 0.0

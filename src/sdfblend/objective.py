@@ -138,12 +138,12 @@ def loss_reg_t(prog: FieldProgram) -> Var:
 
 def loss_inte_t(prog: FieldProgram, pts: np.ndarray, targets: np.ndarray,
                 weights: LossWeights, epoch: int
-                ) -> tuple[Var, dict[str, float], int]:
-    """Integrated fitting objective; also returns per-term floats and the
-    underflow-fallback count for diagnostics."""
-    blend, f_k = prog.blend_with_nearest(pts)
+                ) -> tuple[Var, dict[str, float]]:
+    """Integrated fitting objective; also returns per-term floats for
+    diagnostics."""
+    blend = prog.blend(pts, with_nearest=True)
     l_sdf = _sdf_from_blend(blend, targets)
-    l_euc = ad.vmean(ad.absolute(ad.sub(f_k, targets)))
+    l_euc = ad.vmean(ad.absolute(ad.sub(blend.f_k, targets)))
     if prog.field.n_bases == 1:
         l_smooth = prog.tape.constant(0.0)
     else:
@@ -158,7 +158,7 @@ def loss_inte_t(prog: FieldProgram, pts: np.ndarray, targets: np.ndarray,
         "smooth": float(l_smooth.value),
         "reg": float(l_reg.value),
     }
-    return total, parts, blend.n_fallback
+    return total, parts
 
 
 def loss_face_t(prog: FieldProgram, pts: np.ndarray, eps: float,
@@ -254,8 +254,8 @@ def loss_reg(field: BasisField) -> float:
 
 def loss_inte(field: BasisField, samples: SampleSet, weights: LossWeights,
               epoch: int) -> float:
-    total, _, _ = loss_inte_t(_const_prog(field), samples.points,
-                              samples.targets, weights, epoch)
+    total, _ = loss_inte_t(_const_prog(field), samples.points,
+                           samples.targets, weights, epoch)
     return float(total.value)
 
 

@@ -18,6 +18,10 @@ from .errors import GridError
 from .geom import TriMesh
 from .mc_tables import EDGE_AXIS, EDGE_ORIGIN, EDGE_TABLE, TRI_TABLE
 
+# Grid corners per `evaluable.sdf` call; bounds a scene oracle's memory
+# (SceneSpec.sdf is not blocked, unlike BasisField.sdf_batch).
+GRID_CHUNK = 65536
+
 
 @dataclass
 class GridSpec:
@@ -50,13 +54,13 @@ class GridSpec:
         return (self.hi - self.lo) / np.asarray(self.resolution, dtype=np.float64)
 
 
-def _sample_grid(evaluable, grid: GridSpec, chunk: int) -> np.ndarray:
+def _sample_grid(evaluable, grid: GridSpec) -> np.ndarray:
     xs, ys, zs = grid.axes()
     nx, ny, nz = len(xs), len(ys), len(zs)
     vals = np.empty(nx * ny * nz)
     pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
-    for lo in range(0, len(pts), chunk):
-        sl = slice(lo, min(lo + chunk, len(pts)))
+    for lo in range(0, len(pts), GRID_CHUNK):
+        sl = slice(lo, min(lo + GRID_CHUNK, len(pts)))
         vals[sl] = evaluable.sdf(pts[sl])
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
@@ -66,13 +70,13 @@ def _sample_grid(evaluable, grid: GridSpec, chunk: int) -> np.ndarray:
     return vals.reshape(nx, ny, nz)
 
 
-def marching_cubes(evaluable, grid: GridSpec, chunk: int = 65536) -> TriMesh:
+def marching_cubes(evaluable, grid: GridSpec) -> TriMesh:
     """Extract the zero level set of `evaluable.sdf` as a triangle mesh.
 
     Returns an empty mesh when the field has no sign change on the grid.
     Raises GridError if any grid corner evaluates non-finite.
     """
-    vals = _sample_grid(evaluable, grid, chunk)
+    vals = _sample_grid(evaluable, grid)
     nx, ny, nz = vals.shape  # corner counts
 
     inside = vals < 0.0

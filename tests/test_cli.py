@@ -90,6 +90,20 @@ def test_fit_rejects_bad_config_version(tmp_path, scene_path):
     assert main(["fit", str(cfg_path)]) == 1
 
 
+@pytest.mark.parametrize("batch_size", [0, -3])
+def test_fit_rejects_bad_batch_size(tmp_path, scene_path, capsys, batch_size):
+    cfg_path = tmp_path / "fit.json"
+    cfg_path.write_text(json.dumps({
+        "version": 1, "scene": str(scene_path),
+        "fit": {**SMALL_FIT, "batch_size": batch_size},
+        "out_checkpoint": str(tmp_path / "field.json"),
+        "out_report": str(tmp_path / "report.json"),
+    }))
+    assert main(["fit", str(cfg_path)]) == 1
+    assert "batch_size must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "field.json").exists()
+
+
 def test_downsample_keep_all_and_wrapper_contract(tmp_path, checkpoint_path,
                                                   capsys):
     out = tmp_path / "down.json"
@@ -266,6 +280,30 @@ def test_refine_cli_defaults_and_freezing(tmp_path, checkpoint_path,
         np.testing.assert_array_equal(w1, w2)
     trace = json.loads(rep.read_text())["trace"]["total"]
     assert trace[-1] <= trace[0]
+
+
+@pytest.mark.parametrize("steps", ["0", "-1"])
+def test_refine_rejects_bad_step_count(tmp_path, checkpoint_path, scene_path,
+                                       capsys, steps):
+    out = tmp_path / "refined.json"
+    rc = main(["refine", str(checkpoint_path), str(scene_path),
+               "--out", str(out), "--steps", steps])
+    assert rc == 1
+    assert "refine_steps must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_refine_non_finite_loss_exits_2(tmp_path, scene_path, capsys):
+    from tests.test_fit import overflowing_field
+    ck = tmp_path / "overflow.json"
+    overflowing_field().save(ck)
+    out = tmp_path / "refined.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["refine", str(ck), str(scene_path), "--out", str(out),
+                   "--steps", "3", "--n-surface", "64", "--n-positive", "64"])
+    assert rc == 2
+    assert "non-finite loss at step 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_gradcheck_cli_pass_and_corrupt(capsys):

@@ -265,6 +265,7 @@ def test_partition_of_unity():
     pv = f.to_params()
     tape = Tape()
     blend = FieldProgram(tape, pv.leaves(tape, set()), f).blend(X)
+    assert blend.f_k is None  # the nearest basis is decoded only on request
     a_p, a_q = blend.a_p.value, blend.a_q.value
     np.testing.assert_allclose(a_p + a_q, 1.0, atol=1e-12)
     assert np.all(a_p >= 0) and np.all(a_q >= 0)
@@ -303,15 +304,13 @@ def test_no_grad_blend_equals_recording_tape(n_bases):
     results = []
     for tape in (Tape(), Tape(no_grad=True)):
         prog = FieldProgram(tape, pv.leaves(tape, set()), f)
-        blend, nearest = prog.blend_with_nearest(X)
-        results.append((blend, nearest, prog.n_fallback_total))
-    (grad, grad_k, grad_nf), (free, free_k, free_nf) = results
-    for name in ("sdf", "f_p", "f_q", "g_p", "g_q", "a_p", "a_q"):
+        results.append((prog.blend(X, with_nearest=True), prog.n_fallback_total))
+    (grad, grad_nf), (free, free_nf) = results
+    for name in ("sdf", "f_p", "f_q", "g_p", "g_q", "a_p", "a_q", "f_k"):
         np.testing.assert_array_equal(getattr(free, name).value,
                                       getattr(grad, name).value, err_msg=name)
-    np.testing.assert_array_equal(free_k.value, grad_k.value)
-    assert free_nf == grad_nf == free.n_fallback
-    assert n_bases == 1 or free.n_fallback > 0
+    assert free_nf == grad_nf == int(free.fallback.sum())
+    assert n_bases == 1 or free_nf > 0
 
 
 def test_sdf_batch_keeps_per_field_nodes_and_one_block(monkeypatch):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from sdfblend.autodiff import NonFiniteError
 from sdfblend.field import BasisField, Decoder, domain_downsample
 from sdfblend.fit import (
     FitConfig, _batch_indices, _spawn_seeds, compact_fit, fit_field,
@@ -32,6 +33,12 @@ def test_config_validation():
         FitConfig(n_bases=4, n_init=2)
     with pytest.raises(ValueError):
         FitConfig.from_json_dict({"bogus_field": 1})
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="batch_size"):
+            FitConfig(batch_size=bad)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="refine_steps"):
+            FitConfig(refine_steps=bad)
 
 
 def test_config_json_round_trip():
@@ -116,6 +123,30 @@ def test_fit_trace_entries_match_recomputed_losses():
     epoch = 0 if check_at < cfg.reg_boundary_frac * steps else 1
     recomputed = loss_inte(f_partial, batch, cfg.weights, epoch)
     assert report.trace["total"][check_at] == pytest.approx(recomputed, rel=1e-12)
+
+
+def overflowing_field():
+    """A valid (finite) checkpoint whose decoder overflows to inf everywhere:
+    every weight is 1e300 and every latent 1, so each first-layer ReLU input
+    is positive near the unit box and the second layer overflows."""
+    from sdfblend.gradcheck import random_field
+    f = random_field(np.random.default_rng(9), n_bases=3)
+    f.latents[:] = 1.0
+    for w in f.decoder.weights:
+        w[:] = 1e300
+    return BasisField.from_json_dict(f.to_json_dict())
+
+
+def test_fit_and_refine_stop_at_non_finite_loss():
+    f = overflowing_field()
+    cfg = small_config(n_bases=3, steps=5, n_refine_adj=64, refine_steps=5)
+    samples = sample_training_set(SPHERE, 90, 10, cfg.noise_stds, seed=1)
+    cloud = PointCloud(np.random.default_rng(2).uniform(-0.4, 0.4, (32, 3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteError, match="non-finite loss at step 0$"):
+            fit_field(f, samples, cfg)
+        with pytest.raises(NonFiniteError, match="non-finite loss at step 0$"):
+            refine(f, cloud, cloud, Anchor.from_field(f), cfg)
 
 
 def test_fit_loss_decreases_on_small_problem():
