@@ -22,6 +22,7 @@ exclude coordinates whose +h/-h probes crossed a kink.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -61,19 +62,25 @@ class _Node:
         self.vjp = vjp
         self.leaf_name = leaf_name
 
+    @property
+    def differentiable(self) -> bool:
+        """A trainable leaf, or an op that a trainable leaf reaches."""
+        return self.vjp is not None or self.leaf_name is not None
+
 
 class Tape:
     """Creation-ordered list of primitive ops; inputs always precede users.
 
-    `no_grad` skips recording parents and vector-Jacobian closures; such a
-    tape evaluates values (and branch tokens) only and cannot be
-    differentiated.
+    An op records as parents only the operands that a trainable leaf
+    reaches, with one vector-Jacobian closure for them; an op on constants
+    is itself a constant. A tape without trainable leaves (`has_leaves`
+    false) therefore evaluates values (and branch tokens) only.
     """
 
-    def __init__(self, record_branches: bool = False, no_grad: bool = False):
+    def __init__(self, record_branches: bool = False):
         self.nodes: list[_Node] = []
         self.record_branches = record_branches
-        self.no_grad = no_grad
+        self.has_leaves = False
         self._branches: list[bytes] = []
 
     def _push(self, node: _Node) -> "Var":
@@ -84,13 +91,15 @@ class Tape:
         return self._push(_Node(_as_value(value)))
 
     def leaf(self, value, name: str) -> "Var":
+        self.has_leaves = True
         return self._push(_Node(_as_value(value), leaf_name=name))
 
     def truncate(self, n: int) -> None:
         """Drop every node after the first `n` (their Vars become invalid);
-        only a no-grad tape that records no branch tokens can be cut back."""
-        if not self.no_grad or self.record_branches:
-            raise ValueError("only a no-grad tape without branch tokens "
+        only a tape without trainable leaves, and so without differentiable
+        nodes, that records no branch tokens can be cut back."""
+        if self.record_branches or self.has_leaves:
+            raise ValueError("only a tape of constants without branch tokens "
                              "can be truncated")
         del self.nodes[n:]
 
@@ -178,41 +187,48 @@ class Var:
         return f"Var(idx={self.idx}, shape={self.shape})"
 
 
+def _record(tape: Tape, out, grads, pre=None) -> Var:
+    """Push `out`, computed from the operands of the (operand, vjp) pairs in
+    `grads`. Only operands that a trainable leaf reaches become parents, and
+    only their VJPs run, after `pre(g)` if given; with none, the node is a
+    constant and no closure is kept."""
+    parents, fns = [], []
+    if tape.has_leaves:
+        for v, f in grads:
+            if isinstance(v, Var) and tape.nodes[v.idx].differentiable:
+                parents.append(v.idx)
+                fns.append(f)
+    if not parents:
+        return tape._push(_Node(out))
+
+    def vjp(g):
+        if pre is not None:
+            g = pre(g)
+        return [f(g) for f in fns]
+
+    return tape._push(_Node(out, tuple(parents), vjp))
+
+
 def _binary(a, b, fwd, vjp_a, vjp_b):
     """Build a binary op; either side may be a plain constant."""
-    if isinstance(a, Var):
-        tape = a.tape
-    else:
-        tape = b.tape
+    tape = a.tape if isinstance(a, Var) else b.tape
     av = a.value if isinstance(a, Var) else _as_value(a)
     bv = b.value if isinstance(b, Var) else _as_value(b)
     out = fwd(av, bv)
-    if tape.no_grad:
+    if not tape.has_leaves:  # skip building closures nothing would keep
         return tape._push(_Node(out))
-    parents, vjps = [], []
-    if isinstance(a, Var):
-        parents.append(a.idx)
-        vjps.append(lambda g: _unbroadcast(vjp_a(g, av, bv), _shape(av)))
-    if isinstance(b, Var):
-        parents.append(b.idx)
-        vjps.append(lambda g: _unbroadcast(vjp_b(g, av, bv), _shape(bv)))
-
-    def vjp(g):
-        return tuple(f(g) for f in vjps)
-
-    return tape._push(_Node(out, tuple(parents), vjp))
+    return _record(tape, out, [
+        (a, lambda g: _unbroadcast(vjp_a(g, av, bv), _shape(av))),
+        (b, lambda g: _unbroadcast(vjp_b(g, av, bv), _shape(bv))),
+    ])
 
 
 def _unary(a: Var, fwd, dfwd):
     av = a.value
     out = fwd(av)
-    if a.tape.no_grad:
+    if not a.tape.has_leaves:
         return a.tape._push(_Node(out))
-
-    def vjp(g):
-        return (g * dfwd(av, out),)
-
-    return a.tape._push(_Node(out, (a.idx,), vjp))
+    return _record(a.tape, out, [(a, lambda g: g * dfwd(av, out))])
 
 
 def add(a, b):
@@ -264,13 +280,7 @@ def absolute(a: Var):
     s = np.sign(av)  # sign(0) == 0: derivative 0 at the kink
     if a.tape.record_branches:
         a.tape.note_branch(np.asarray(s, dtype=np.int8))
-    if a.tape.no_grad:
-        return a.tape._push(_Node(np.abs(av)))
-
-    def vjp(g):
-        return (g * s,)
-
-    return a.tape._push(_Node(np.abs(av), (a.idx,), vjp))
+    return _record(a.tape, np.abs(av), [(a, lambda g: g * s)])
 
 
 def sigmoid(a: Var):
@@ -283,13 +293,7 @@ def sigmoid(a: Var):
     out[~pos] = e / (1.0 + e)
     if np.ndim(a.value) == 0:
         out = float(out[0])
-    if a.tape.no_grad:
-        return a.tape._push(_Node(out))
-
-    def vjp(g):
-        return (g * out * (1.0 - out),)
-
-    return a.tape._push(_Node(out, (a.idx,), vjp))
+    return _record(a.tape, out, [(a, lambda g: g * out * (1.0 - out))])
 
 
 def maximum(a, b):
@@ -358,7 +362,8 @@ def dense(h: Var, w: Var, b: Var, relu: bool) -> Var:
     """One decoder layer, relu(h @ w + b) or h @ w + b, as one node whose
     values, gradients and branch tokens equal add(matmul(h, w), b) and a
     ReLU bit for bit. The mask is built only when a backward pass or
-    `record_branches` needs it."""
+    `record_branches` needs it, and each of the three gradients only for
+    an operand that a trainable leaf reaches."""
     tape = h.tape
     hv, wv = h.value, w.value
     out = hv @ wv
@@ -369,30 +374,24 @@ def dense(h: Var, w: Var, b: Var, relu: bool) -> Var:
         np.fmax(out, 0.0, out=out)
         if tape.record_branches:
             tape.note_branch(np.asarray(out > 0.0, dtype=np.int8))
-    if tape.no_grad:
-        return tape._push(_Node(out))
-
-    def vjp(g):
-        if relu:
-            g = g * (out > 0.0)
-        return g @ wv.T, hv.T @ g, g.sum(axis=0)
-
-    return tape._push(_Node(out, (h.idx, w.idx, b.idx), vjp))
+    return _record(tape, out, [
+        (h, lambda g: g @ wv.T),
+        (w, lambda g: hv.T @ g),
+        (b, lambda g: g.sum(axis=0)),
+    ], pre=(lambda g: g * (out > 0.0)) if relu else None)
 
 
 def vsum(a: Var, axis=None, keepdims: bool = False):
     av = a.value
     out = np.sum(av, axis=axis, keepdims=keepdims)
-    if a.tape.no_grad:
-        return a.tape._push(_Node(out))
 
-    def vjp(g):
+    def grad(g):
         if axis is None:
-            return (np.broadcast_to(g, _shape(av)).copy() if not np.isscalar(av) else g,)
+            return np.broadcast_to(g, _shape(av)).copy() if not np.isscalar(av) else g
         ge = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(ge, av.shape).copy(),)
+        return np.broadcast_to(ge, av.shape).copy()
 
-    return a.tape._push(_Node(out, (a.idx,), vjp))
+    return _record(a.tape, out, [(a, grad)])
 
 
 def vmean(a: Var, axis=None, keepdims: bool = False):
@@ -402,76 +401,62 @@ def vmean(a: Var, axis=None, keepdims: bool = False):
 
 
 def concat(parts: Sequence[Var], axis: int = 1) -> Var:
-    tape = parts[0].tape
     values = [p.value for p in parts]
-    out = np.concatenate(values, axis=axis)
-    if tape.no_grad:
-        return tape._push(_Node(out))
-    sizes = [v.shape[axis] for v in values]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(
-            np.take(g, np.arange(offsets[i], offsets[i + 1]), axis=axis)
-            for i in range(len(values))
-        )
-
-    return tape._push(_Node(out, tuple(p.idx for p in parts), vjp))
+    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
+    return _record(parts[0].tape, np.concatenate(values, axis=axis), [
+        (p, lambda g, lo=lo, hi=hi: np.take(g, np.arange(lo, hi), axis=axis))
+        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])
+    ])
 
 
 def cols(a: Var, start: int, stop: int) -> Var:
     """Column slice [:, start:stop] of a 2-D array."""
     av = a.value
-    out = av[:, start:stop]
-    if a.tape.no_grad:
-        return a.tape._push(_Node(out.copy()))
 
-    def vjp(g):
+    def grad(g):
         full = np.zeros_like(av)
         full[:, start:stop] = g
-        return (full,)
+        return full
 
-    return a.tape._push(_Node(out.copy(), (a.idx,), vjp))
+    return _record(a.tape, av[:, start:stop].copy(), [(a, grad)])
 
 
 def rows(a: Var, start: int, stop: int) -> Var:
     """Row slice [start:stop] along axis 0."""
     av = a.value
-    out = av[start:stop]
-    if a.tape.no_grad:
-        return a.tape._push(_Node(out.copy()))
 
-    def vjp(g):
+    def grad(g):
         full = np.zeros_like(av)
         full[start:stop] = g
-        return (full,)
+        return full
 
-    return a.tape._push(_Node(out.copy(), (a.idx,), vjp))
+    return _record(a.tape, av[start:stop].copy(), [(a, grad)])
 
 
 def gather_rows(a: Var, idx: np.ndarray) -> Var:
-    """Select rows by an integer index array; backward scatter-adds."""
+    """Select rows by a non-negative integer index array. Backward
+    scatter-adds with one bincount per column: each row's sum starts at 0.0
+    and adds its gradients in index order, as an unbuffered scatter-add
+    does, so the sums are equal bit for bit."""
     idx = np.asarray(idx)
     av = a.value
-    out = av[idx]
-    if a.tape.no_grad:
-        return a.tape._push(_Node(out))
 
-    def vjp(g):
-        full = np.zeros_like(av)
-        np.add.at(full, idx, g)
-        return (full,)
+    def scatter(g):
+        flat = g.reshape(idx.size, math.prod(av.shape[1:]))
+        full = np.empty((len(av), flat.shape[1]))
+        for j, col in enumerate(flat.T):
+            full[:, j] = np.bincount(idx.ravel(), weights=col, minlength=len(av))
+        return full.reshape(av.shape)
 
-    return a.tape._push(_Node(out, (a.idx,), vjp))
+    return _record(a.tape, av[idx], [(a, scatter)])
 
 
 def backward(tape: Tape, output: Var) -> dict[str, np.ndarray]:
     """Gradients of a scalar output w.r.t. every leaf on the tape.
 
-    Leaves not reachable from `output` get exact-zero gradients.
+    Leaves not reachable from `output` get exact-zero gradients, and so do
+    all leaves when no trainable leaf reaches `output`.
     """
-    if tape.no_grad:
-        raise ValueError("cannot differentiate a no_grad tape")
     out_val = tape.nodes[output.idx].value
     if not np.isscalar(out_val) and np.ndim(out_val) != 0:
         raise ValueError("backward() requires a scalar output node")
@@ -622,6 +607,14 @@ class FdCheckResult:
         return self.max_rel_err
 
 
+class _ConstantTape(Tape):
+    """A tape that puts every leaf on as a constant: a central-difference
+    probe needs values and branch tokens only, never a gradient closure."""
+
+    def leaf(self, value, name: str) -> Var:
+        return self.constant(value)
+
+
 def finite_diff_check(objective: Callable[[Tape, ParamVector], Var],
                       params: ParamVector, h: float = 1e-5) -> FdCheckResult:
     """Compare backward() gradients with central differences per coordinate.
@@ -644,7 +637,7 @@ def finite_diff_check(objective: Callable[[Tape, ParamVector], Var],
     def probe(data_mut: np.ndarray) -> tuple[float, bytes]:
         p = params.copy()
         p.data = data_mut
-        t = Tape(record_branches=True, no_grad=True)
+        t = _ConstantTape(record_branches=True)
         v = _scalar(objective(t, p).value)
         if not np.isfinite(v):
             raise NonFiniteError("objective returned a non-finite value")

@@ -56,10 +56,9 @@ def cmd_sample(args) -> int:
 
 def cmd_fit(args) -> int:
     doc = _load_json(args.config)
-    if doc.get("version") != FIT_CONFIG_SCHEMA_VERSION:
-        raise SdfBlendError(
-            f"unsupported fit config version {doc.get('version')!r}"
-        )
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if version != FIT_CONFIG_SCHEMA_VERSION:
+        raise SdfBlendError(f"unsupported fit config version {version!r}")
     config = FitConfig.from_json_dict(doc["fit"])
     scene = SceneSpec.load(doc["scene"])
     if config.n_init is not None and config.n_init > config.n_bases:

@@ -323,16 +323,17 @@ class BasisField:
                        ) -> tuple[np.ndarray, int]:
         """Blended signed distance for (B, 3) points plus fallback count.
 
-        Evaluates the blend on one no-grad tape, `chunk` points at a time
-        (default: `inference_block()`, sized to stay in cache), cutting the
-        tape back to its per-field nodes after each block.
+        Evaluates the blend on one tape of constants, which keeps no
+        gradient closures, `chunk` points at a time (default:
+        `inference_block()`, sized to stay in cache), cutting the tape back
+        to its per-field nodes after each block.
         """
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         chunk = self.inference_block() if chunk is None else int(chunk)
         if chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
         out = np.empty(len(pts))
-        tape = Tape(no_grad=True)
+        tape = Tape()
         prog = FieldProgram(tape, self.to_params().leaves(tape, trainable=set()), self)
         mark = len(tape.nodes)
         for lo in range(0, len(pts), chunk):
@@ -344,7 +345,7 @@ class BasisField:
     def sdf_batch(self, pts: np.ndarray, chunk: int | None = None) -> np.ndarray:
         """Blended signed distance for (B, 3) points.
 
-        Inference runs on a no-grad tape in cache-sized blocks of points;
+        Inference runs on a tape of constants in cache-sized blocks of points;
         see sdf_batch_diag.
         """
         return self.sdf_batch_diag(pts, chunk)[0]
@@ -494,7 +495,7 @@ def top2(field: BasisField, x) -> tuple[int, int]:
 
 def decoder_eval(field: BasisField, i: int, x) -> float:
     """Local signed distance of basis i at x (decoder sees x - c_i)."""
-    tape = Tape(no_grad=True)
+    tape = Tape()
     prog = FieldProgram(tape, field.to_params().leaves(tape, trainable=set()), field)
     x = np.asarray(x, dtype=np.float64).reshape(1, 3)
     return float(prog.decode(x, np.array([i])).value[0])

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .autodiff import AdamState, NonFiniteError, Tape, adam_step, backward
+from .errors import check_number
 from .field import (
-    IDENTITY_ROT6, BasisField, Decoder, FieldProgram,
+    DOMAIN_PARAM_NAMES, IDENTITY_ROT6, BasisField, Decoder, FieldProgram,
 )
 from .geom import (
     PointCloud, SampleSet, SceneSpec, farthest_point_sample, positive_points,
@@ -53,25 +54,41 @@ class FitConfig:
     trainable: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.refine_steps < 1:
-            raise ValueError("refine_steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.n_bases < 1:
-            raise ValueError("n_bases must be >= 1")
+        for name in ("n_bases", "steps", "batch_size", "refine_steps",
+                     "n_refine_adj"):
+            check_number(getattr(self, name), name, 1, integer=True)
+        for name in ("d_z", "seed", "n_near", "n_uniform"):
+            check_number(getattr(self, name), name, 0, integer=True)
+        for name in ("lr", "refine_lr", "reg_boundary_frac", "adj_spread"):
+            check_number(getattr(self, name), name, 0.0)
         if self.lr <= 0 or self.refine_lr <= 0:
             raise ValueError("learning rates must be > 0")
-        if self.n_init is not None and self.n_init < self.n_bases:
-            raise ValueError("n_init must be >= n_bases")
+        if self.n_init is not None:
+            check_number(self.n_init, "n_init", self.n_bases, integer=True)
         if isinstance(self.weights, dict):
             self.weights = LossWeights.from_json_dict(self.weights)
-        self.decoder_widths = tuple(int(w) for w in self.decoder_widths)
-        self.decoder_skip = tuple(int(i) for i in self.decoder_skip)
-        self.noise_stds = tuple(float(s) for s in self.noise_stds)
+        if not isinstance(self.weights, LossWeights):
+            raise ValueError("weights must be a JSON object of loss weights")
+        self.decoder_widths = tuple(
+            int(check_number(w, "decoder_widths entries", 1, integer=True))
+            for w in _as_list(self.decoder_widths, "decoder_widths"))
+        self.decoder_skip = tuple(
+            int(check_number(i, "decoder_skip entries", 0, integer=True))
+            for i in _as_list(self.decoder_skip, "decoder_skip"))
+        if any(i > len(self.decoder_widths) for i in self.decoder_skip):
+            raise ValueError("decoder_skip entries must name decoder layers")
+        self.noise_stds = tuple(
+            float(check_number(s, "noise_stds entries", 0.0))
+            for s in _as_list(self.noise_stds, "noise_stds", length=2))
         if self.trainable is not None:
-            self.trainable = tuple(self.trainable)
+            self.trainable = _as_list(self.trainable, "trainable")
+            names = set(DOMAIN_PARAM_NAMES) | {
+                f"dec_{kind}{i}" for kind in "wb"
+                for i in range(len(self.decoder_widths) + 1)}
+            unknown = [n for n in self.trainable
+                       if not isinstance(n, str) or n not in names]
+            if unknown:
+                raise ValueError(f"trainable entries match no parameter: {unknown}")
 
     def to_json_dict(self) -> dict:
         doc = {}
@@ -86,11 +103,22 @@ class FitConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FitConfig":
+        if not isinstance(doc, dict):
+            raise ValueError("fit config must be a JSON object")
         known = set(cls.__dataclass_fields__)
         unknown = set(doc) - known
         if unknown:
             raise ValueError(f"unknown fit config fields: {sorted(unknown)}")
         return cls(**doc)
+
+
+def _as_list(value, what: str, length: int | None = None) -> tuple:
+    """`value` (a list or tuple, of `length` entries if given) as a tuple."""
+    if not isinstance(value, (list, tuple)) or (
+            length is not None and len(value) != length):
+        raise ValueError(f"{what} must be a list"
+                         + (f" of {length} entries" if length else ""))
+    return tuple(value)
 
 
 @dataclass

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geom import PointCloud, sample_mesh_surface
 from .surface import GridSpec, marching_cubes
@@ -96,12 +95,31 @@ def iou(a, b, n: int, seed: int) -> float:
     return n_both / n_either
 
 
-def chamfer_l2(a: PointCloud, b: PointCloud) -> float:
-    """Symmetric mean of squared nearest-neighbor distances."""
+def cKDTree(points: np.ndarray):
+    """scipy.spatial.cKDTree over `points`. scipy.spatial is imported on the
+    first call: it is a third of the package's import time, and only
+    nearest-neighbor queries need it."""
+    from scipy.spatial import cKDTree as tree
+    return tree(points)
+
+
+def nearest_distances(a: PointCloud, b: PointCloud
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Distance from each point of `a` to its nearest point of `b`, and from
+    each point of `b` to `a`: one KD-tree per cloud."""
     if len(a) == 0 or len(b) == 0:
-        raise ValueError("chamfer_l2 requires nonempty point clouds")
+        raise ValueError("nearest-neighbor distances need nonempty point clouds")
     d_ab, _ = cKDTree(b.points).query(a.points)
     d_ba, _ = cKDTree(a.points).query(b.points)
+    return d_ab, d_ba
+
+
+def chamfer_l2(a: PointCloud, b: PointCloud) -> float:
+    """Symmetric mean of squared nearest-neighbor distances."""
+    return _chamfer_l2(*nearest_distances(a, b))
+
+
+def _chamfer_l2(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
     return float(np.mean(d_ab ** 2) + np.mean(d_ba ** 2))
 
 
@@ -109,10 +127,10 @@ def f_score(a: PointCloud, b: PointCloud, tau: float = 0.01) -> float:
     """Harmonic mean of precision/recall at distance threshold tau."""
     if tau <= 0:
         raise ValueError("tau must be > 0")
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("f_score requires nonempty point clouds")
-    d_ab, _ = cKDTree(b.points).query(a.points)
-    d_ba, _ = cKDTree(a.points).query(b.points)
+    return _f_score(*nearest_distances(a, b), tau)
+
+
+def _f_score(d_ab: np.ndarray, d_ba: np.ndarray, tau: float) -> float:
     precision = float(np.mean(d_ab <= tau))
     recall = float(np.mean(d_ba <= tau))
     if precision + recall == 0.0:
@@ -128,16 +146,20 @@ def evaluate(subject, reference, protocol: EvalProtocol | None = None) -> Metric
     the two fields. Deterministic per protocol seed.
     """
     protocol = protocol or EvalProtocol()
+    if protocol.tau <= 0:
+        raise ValueError("tau must be > 0")
     ss = np.random.SeedSequence(protocol.seed)
     s_a, s_b, s_iou = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
     mesh_a = marching_cubes(subject, protocol.grid)
     mesh_b = marching_cubes(reference, protocol.grid)
     cloud_a = sample_mesh_surface(mesh_a, protocol.n_surface, s_a)
     cloud_b = sample_mesh_surface(mesh_b, protocol.n_surface, s_b)
+    # chamfer and F-score share one query in each direction
+    d_ab, d_ba = nearest_distances(cloud_a, cloud_b)
     return MetricReport(
         iou=iou(subject, reference, protocol.n_iou, s_iou),
-        chamfer_l2=chamfer_l2(cloud_a, cloud_b),
-        f_score=f_score(cloud_a, cloud_b, protocol.tau),
+        chamfer_l2=_chamfer_l2(d_ab, d_ba),
+        f_score=_f_score(d_ab, d_ba, protocol.tau),
         n_iou_samples=protocol.n_iou,
         n_surface_samples=protocol.n_surface,
         tau=protocol.tau,

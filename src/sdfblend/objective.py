@@ -17,13 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .errors import FieldError
+from .errors import FieldError, check_number
 from .field import BasisField, FieldProgram
 from .geom import PointCloud, SampleSet
+from .metrics import nearest_distances
 
 HINGE_CONVENTIONS = ("outside", "paper-min")
 
@@ -46,8 +46,7 @@ class LossWeights:
     def __post_init__(self):
         for name in ("smooth", "reg", "face", "pos", "adj", "stable",
                      "hinge_eps", "adj_sharp_surface", "adj_sharp_balance"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"LossWeights.{name} must be >= 0")
+            check_number(getattr(self, name), f"LossWeights.{name}", 0.0)
         if self.hinge_convention not in HINGE_CONVENTIONS:
             raise ValueError(f"unknown hinge convention {self.hinge_convention!r}")
 
@@ -56,6 +55,9 @@ class LossWeights:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LossWeights":
+        unknown = set(doc) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown loss weights: {sorted(unknown)}")
         return cls(**doc)
 
 
@@ -289,8 +291,5 @@ def loss_opt(field: BasisField, inputs: RefineInputs, weights: LossWeights,
 
 def loss_chamfer(a: PointCloud, b: PointCloud) -> float:
     """Two-sided mean of unsquared nearest-neighbor distances."""
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("chamfer objective requires nonempty point sets")
-    d_ab, _ = cKDTree(b.points).query(a.points)
-    d_ba, _ = cKDTree(a.points).query(b.points)
+    d_ab, d_ba = nearest_distances(a, b)
     return float(d_ab.mean() + d_ba.mean())

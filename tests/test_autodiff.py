@@ -110,10 +110,13 @@ def test_subgradient_conventions():
     assert g["a"] == 1.0 and g["b"] == 0.0
 
 
-def _relu_layer(t, x):
-    """dense(x, 1, -0.0, relu=True): adding -0.0 keeps every x, -0.0 too."""
-    return ad.dense(t.constant(np.reshape(x, (-1, 1))), t.constant(np.ones((1, 1))),
-                    t.constant(np.array([-0.0])), relu=True)
+def _relu_layer(t, x, trainable=False):
+    """dense(x, 1, -0.0, relu=True): adding -0.0 keeps every x, -0.0 too.
+    With `trainable`, x is a trainable leaf, so the layer records a VJP."""
+    h = np.reshape(x, (-1, 1))
+    return ad.dense(t.leaf(h, "h") if trainable else t.constant(h),
+                    t.constant(np.ones((1, 1))), t.constant(np.array([-0.0])),
+                    relu=True)
 
 
 def test_dense_relu_special_values_bit_for_bit():
@@ -121,8 +124,8 @@ def test_dense_relu_special_values_bit_for_bit():
     x = np.tile([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-310, -1e-310, -1.5, 2.5],
                 50)
     expected = np.where(x > 0.0, x, 0.0)
-    for tape in (Tape(), Tape(no_grad=True)):
-        out = _relu_layer(tape, x).value[:, 0]
+    for trainable in (False, True):
+        out = _relu_layer(Tape(), x, trainable).value[:, 0]
         np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
 
 
@@ -194,36 +197,135 @@ def test_dense_finite_difference():
     assert res.max_rel_err < 1e-6
 
 
+def test_finite_diff_probes_put_leaves_on_as_constants():
+    seen = []
+
+    def objective(tape, p):
+        v = p.leaves(tape)
+        seen.append(tape.has_leaves)
+        return ad.vsum(ad.mul(v["x"], v["x"]))
+
+    res = finite_diff_check(objective, ParamVector.from_arrays({"x": np.arange(3.0)}))
+    assert res.n_checked == 3 and res.max_rel_err < 1e-8
+    # the analytic pass records gradients; its 2 probes per coordinate do not
+    assert seen == [True] + [False] * 6
+
+
 def test_truncate_only_on_silent_no_grad_tapes():
-    t = Tape(no_grad=True)
+    """Only a tape of constants without branch tokens can be cut back."""
+    t = Tape()
     t.constant(1.0)
     mark = len(t.nodes)
     for _ in range(3):
         ad.exp(t.constant(2.0))
     t.truncate(mark)
     assert len(t.nodes) == mark
-    for recording in (Tape(), Tape(no_grad=True, record_branches=True)):
+    trainable = Tape()
+    ad.exp(trainable.leaf(1.0, "a"))
+    for refused in (trainable, Tape(record_branches=True)):
         with pytest.raises(ValueError):
-            recording.truncate(0)
+            refused.truncate(0)
+    with pytest.raises(ValueError):  # a leaf in the kept prefix counts too
+        trainable.truncate(1)
 
 
-@pytest.mark.parametrize("no_grad", [False, True])
-def test_kinked_ops_note_branches_only_when_recording(no_grad):
+@pytest.mark.parametrize("trainable", [False, True])
+def test_kinked_ops_note_branches_only_when_recording(trainable):
     x = np.array([-1.0, 0.0, 2.0])
     y = np.array([0.5, 0.0, 3.0])
+
+    def var(t, v, name):
+        return t.leaf(v, name) if trainable else t.constant(v)
+
     ops = [
-        lambda t: _relu_layer(t, x),
-        lambda t: ad.absolute(t.constant(x)),
-        lambda t: ad.maximum(t.constant(x), t.constant(y)),
-        lambda t: ad.minimum(t.constant(x), y),
+        lambda t: _relu_layer(t, x, trainable),
+        lambda t: ad.absolute(var(t, x, "x")),
+        lambda t: ad.maximum(var(t, x, "x"), var(t, y, "y")),
+        lambda t: ad.minimum(var(t, x, "x"), y),
     ]
     for op in ops:
-        recording = Tape(record_branches=True, no_grad=no_grad)
+        recording = Tape(record_branches=True)
         op(recording)
         assert len(recording.branch_signature()) == x.size  # one int8 per entry
-        silent = Tape(no_grad=no_grad)
+        silent = Tape()
         op(silent)
         assert silent.branch_signature() == b""
+
+
+def _scatter_reference(idx, g, n_rows):
+    full = np.zeros((n_rows,) + g.shape[1:])
+    np.add.at(full, idx, g)
+    return full
+
+
+@pytest.mark.parametrize("width", [None, 1, 5])
+def test_gather_rows_scatter_equals_add_at_bit_for_bit(width):
+    rng = np.random.default_rng(11 + (width or 0))
+    n_rows = 9  # rows 7 and 8 are never gathered
+    idx = np.concatenate([rng.integers(0, 7, 400), [6, 0, 6, 6, 3]])
+    shape = (n_rows,) if width is None else (n_rows, width)
+    t = Tape()
+    a = t.leaf(rng.normal(size=shape), "a")
+    out = ad.gather_rows(a, idx)
+    # magnitudes spread over 16 decades, so any other order of the
+    # additions would change the low bits
+    g = rng.normal(size=out.shape) * 10.0 ** rng.uniform(-8, 8, out.shape)
+    (scattered,) = t.nodes[out.idx].vjp(g)
+    expected = _scatter_reference(idx, g, n_rows)
+    assert scattered.shape == shape
+    np.testing.assert_array_equal(scattered.view(np.int64),
+                                  expected.view(np.int64))
+    assert np.all(scattered[7:] == 0.0)
+    grads = backward(t, ad.vsum(ad.mul(out, g)))
+    np.testing.assert_array_equal(grads["a"].view(np.int64),
+                                  expected.view(np.int64))
+
+
+def _all_ops(t, u, v, m):
+    """Every op once, on u and v (Vars or constants) of shape (4, 3) and a
+    (3, 2) matrix m."""
+    mask = np.array([[True, False, True]] * 4)
+    return [
+        ad.add(u, v), ad.sub(u, v), ad.mul(u, v), ad.div(u, v),
+        ad.maximum(u, v), ad.minimum(u, v), ad.where(mask, u, v),
+        ad.matmul(u, m), ad.dense(u, m, ad.vsum(m, axis=0), relu=True),
+        ad.concat([u, v], axis=1),
+    ] + [
+        op(u) for op in (ad.neg, ad.exp, ad.tanh, ad.sqrt, ad.absolute,
+                         ad.sigmoid, ad.vsum, lambda x: x ** 2,
+                         lambda x: ad.cols(x, 1, 3), lambda x: ad.rows(x, 0, 2),
+                         lambda x: ad.gather_rows(x, [3, 0, 3]))
+    ]
+
+
+def test_ops_on_constants_record_no_parents_and_no_vjp():
+    rng = np.random.default_rng(12)
+    u0, v0 = rng.uniform(0.5, 2.0, (4, 3)), rng.uniform(0.5, 2.0, (4, 3))
+    m0 = rng.normal(size=(3, 2))
+    t = Tape()
+    u, v, m = t.constant(u0), t.constant(v0), t.constant(m0)
+    outs = _all_ops(t, u, v, m)
+    assert len(outs) == 21
+    for node in t.nodes:  # the tape holds no VJP at all
+        assert node.parents == () and node.vjp is None
+    # with one trainable operand only that operand becomes a parent
+    t = Tape()
+    u, v, m = t.leaf(u0, "u"), t.constant(v0), t.constant(m0)
+    for out in _all_ops(t, u, v, m):
+        node = t.nodes[out.idx]
+        assert node.vjp is not None
+        assert node.parents == (u.idx,)
+
+
+def test_backward_of_a_constant_output_gives_zero_gradients():
+    t = Tape()
+    a = t.leaf(np.array([1.0, 2.0]), "a")
+    c = t.constant(np.array([3.0, 4.0]))
+    ad.mul(a, c)
+    out = ad.vsum(ad.exp(c))
+    g = backward(t, out)
+    assert g.keys() == {"a"}
+    np.testing.assert_array_equal(g["a"], [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

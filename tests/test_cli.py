@@ -104,6 +104,37 @@ def test_fit_rejects_bad_batch_size(tmp_path, scene_path, capsys, batch_size):
     assert not (tmp_path / "field.json").exists()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("steps", "5", "steps must be an integer"),
+    ("n_init", "8", "n_init must be an integer"),
+    ("lr", "0.1", "lr must be a finite number"),
+    ("weights", {"smooth": "x"}, "LossWeights.smooth must be a finite number"),
+    ("weights", {"smoth": 1.0}, "unknown loss weights"),
+    ("decoder_widths", [0, 12], "decoder_widths entries must be >= 1"),
+    ("noise_stds", [0.01], "noise_stds must be a list of 2 entries"),
+    ("trainable", ["nope"], "trainable entries match no parameter"),
+])
+def test_fit_rejects_malformed_config_fields(tmp_path, scene_path, capsys,
+                                             field, value, message):
+    cfg_path = tmp_path / "fit.json"
+    cfg_path.write_text(json.dumps({
+        "version": 1, "scene": str(scene_path),
+        "fit": {**SMALL_FIT, field: value},
+        "out_checkpoint": str(tmp_path / "field.json"),
+        "out_report": str(tmp_path / "report.json"),
+    }))
+    assert main(["fit", str(cfg_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "field.json").exists()
+
+
+def test_fit_rejects_config_that_is_not_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "fit.json"
+    cfg_path.write_text("[1, 2]")
+    assert main(["fit", str(cfg_path)]) == 1
+    assert "unsupported fit config version" in capsys.readouterr().err
+
+
 def test_downsample_keep_all_and_wrapper_contract(tmp_path, checkpoint_path,
                                                   capsys):
     out = tmp_path / "down.json"

@@ -295,6 +295,8 @@ def _fallback_probe_points(rng, n):
 
 @pytest.mark.parametrize("n_bases", [1, 3, 6])
 def test_no_grad_blend_equals_recording_tape(n_bases):
+    """A blend on a tape of constants (inference) keeps no VJP and equals
+    the blend on a tape of trainable leaves bit for bit."""
     from sdfblend.autodiff import Tape
     from sdfblend.field import FieldProgram
     rng = np.random.default_rng(30 + n_bases)
@@ -302,9 +304,11 @@ def test_no_grad_blend_equals_recording_tape(n_bases):
     X = _fallback_probe_points(rng, 300)
     pv = f.to_params()
     results = []
-    for tape in (Tape(), Tape(no_grad=True)):
-        prog = FieldProgram(tape, pv.leaves(tape, set()), f)
+    for trainable in (None, set()):  # every parameter a leaf, then none
+        tape = Tape()
+        prog = FieldProgram(tape, pv.leaves(tape, trainable), f)
         results.append((prog.blend(X, with_nearest=True), prog.n_fallback_total))
+        assert all(node.vjp is None for node in tape.nodes) == (trainable == set())
     (grad, grad_nf), (free, free_nf) = results
     for name in ("sdf", "f_p", "f_q", "g_p", "g_q", "a_p", "a_q", "f_k"):
         np.testing.assert_array_equal(getattr(free, name).value,

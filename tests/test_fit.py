@@ -260,6 +260,42 @@ def test_refine_freezes_everything_but_centers_and_latents():
     assert np.any(refined.latents != f.latents)
 
 
+def test_refine_gradients_of_frozen_parameters_are_exactly_zero():
+    from sdfblend.autodiff import Tape, backward
+    from sdfblend.field import FieldProgram
+    from sdfblend.gradcheck import random_field
+    from sdfblend.objective import RefineInputs, loss_opt_t
+    rng = np.random.default_rng(5)
+    f = random_field(rng, n_bases=3)
+    inputs = RefineInputs(*(PointCloud(rng.uniform(-0.4, 0.4, (32, 3)))
+                            for _ in range(3)))
+    anchor = Anchor.from_field(f)
+    pv = f.to_params()
+    grads = {}
+    for trainable in ({"centers", "latents"}, None):  # refine, then all
+        tape = Tape()
+        prog = FieldProgram(tape, pv.leaves(tape, trainable), f)
+        total, _ = loss_opt_t(prog, inputs, LossWeights(), anchor)
+        grads[trainable is None] = backward(tape, total)
+        if trainable is not None:
+            # no VJP is formed for a frozen operand, e.g. a decoder weight
+            assert all(tape.nodes[i].differentiable
+                       for node in tape.nodes for i in node.parents)
+    refine_grads, all_grads = grads[False], grads[True]
+    assert refine_grads.keys() == {"centers", "latents"}
+    flat = pv.flatten_grads(refine_grads)
+    for name in pv.names():
+        offset, _, size = pv.slot(name)
+        part = flat[offset:offset + size]
+        if name in refine_grads:
+            assert np.any(part != 0.0)
+            # the same terms in the same order as on the all-trainable tape
+            np.testing.assert_array_equal(refine_grads[name].view(np.int64),
+                                          all_grads[name].view(np.int64))
+        else:
+            assert np.all(part == 0.0)
+
+
 def test_refine_requires_matching_anchor():
     rng = np.random.default_rng(4)
     from sdfblend.gradcheck import random_field
