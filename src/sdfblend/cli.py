@@ -59,6 +59,11 @@ def cmd_fit(args) -> int:
     version = doc.get("version") if isinstance(doc, dict) else None
     if version != FIT_CONFIG_SCHEMA_VERSION:
         raise SdfBlendError(f"unsupported fit config version {version!r}")
+    for key in ("scene", "samples", "out_checkpoint", "out_report"):
+        # open() takes an integer as a file descriptor of this process
+        if key in doc and not isinstance(doc[key], str):
+            raise SdfBlendError(f"fit config {key} must be a path string, "
+                                f"got {doc[key]!r}")
     config = FitConfig.from_json_dict(doc["fit"])
     scene = SceneSpec.load(doc["scene"])
     if config.n_init is not None and config.n_init > config.n_bases:

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamVector, Tape, Var
-from .errors import CheckpointError, FieldError
+from .errors import CheckpointError, FieldError, check_number
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -39,6 +39,13 @@ DEFAULT_FIELD_BOUNDS = (np.full(3, -0.55), np.full(3, 0.55))
 # where per-block tape overhead would dominate.
 INFERENCE_BLOCK_BYTES = 3 * 2 ** 19  # 1.5 MiB
 MIN_INFERENCE_BLOCK = 256
+
+# Sign certificates (BasisField.box_signs): boxes and (box, basis) pairs per
+# bound pass, and the domain quadratic above which exp(-u) may leave the
+# normal float64 range, so selection may fall back to any basis.
+CERTIFY_BOX_CHUNK = 2048
+CERTIFY_PAIR_CHUNK = 2048
+CERTIFY_U_CAP = 700.0
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +321,15 @@ class BasisField:
     def inference_block(self) -> int:
         """Points per inference block: one decoder activation (two blend
         rows per point, widest layer, float64) stays near INFERENCE_BLOCK_BYTES,
-        so each block's activations are reused from cache, not memory."""
+        so each block's activations are reused from cache, not memory.
+
+        A multiple of MIN_INFERENCE_BLOCK: BLAS computes the trailing rows of
+        a matrix whose row count its kernel does not divide with another
+        kernel that sums in another order, so only whole blocks give every
+        point the value it gets in any other whole block."""
         widest = max(self.decoder.layer_in + self.decoder.layer_out)
-        return max(MIN_INFERENCE_BLOCK,
-                   INFERENCE_BLOCK_BYTES // (2 * widest * 8))
+        block = INFERENCE_BLOCK_BYTES // (2 * widest * 8)
+        return max(MIN_INFERENCE_BLOCK, block - block % MIN_INFERENCE_BLOCK)
 
     def sdf_batch_diag(self, pts: np.ndarray, chunk: int | None = None
                        ) -> tuple[np.ndarray, int]:
@@ -353,6 +365,156 @@ class BasisField:
     # alias used by metric/surfacing code that accepts scene or field
     def sdf(self, pts: np.ndarray) -> np.ndarray:
         return self.sdf_batch(pts)
+
+    def box_signs(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Certified sign of the field over K closed boxes [lo[k], hi[k]].
+
+        Returns int8 (K,): +1 where `sdf_batch` gives a finite value >= 0 at
+        every point of the box, -1 where it gives a finite value < 0, and 0
+        where neither is proven.
+
+        Candidates: A_i (x - c_i) is affine, so each component has an exact
+        interval over a box, and ||A_i (x - c_i)||^2 lies in [u_min_i,
+        u_max_i]. Two bases have u <= the second-smallest u_max everywhere
+        in the box, so a basis with a larger u_min is never in the top 2.
+        Past CERTIFY_U_CAP the weights exp(-u) may be subnormal or zero and
+        selection may fall back to any basis, so every basis is a candidate.
+        The intervals are widened by the rounding of the evaluated A x - A c
+        and of the sum of squares, and by 1e-12 so that a gap in u is a
+        strict gap in the evaluated exp(-u).
+
+        Decoder bounds: lower and upper affine forms in the box coordinates
+        go through every layer for each (box, candidate) pair; layer 1 is
+        exact, a ReLU whose input interval [l, u] contains 0 takes the chord
+        u/(u-l) (U - l) as its upper form and L (if u > -l) or 0 as its
+        lower form, and skip layers concatenate the input form.
+
+        Sign: sdf = a_p f_p + a_q f_q with a_p, a_q >= 0 and one of them
+        >= 1/2 (one basis at weight 1 on fallback rows), so if every
+        candidate's f lies above a margin the evaluated sdf is >= 0, and if
+        every one lies below minus the margin it is < 0, whichever two are
+        selected. The margin covers float64 rounding in the bound pass and
+        in the evaluated decoder. Let S be the decoder run on
+        |x - c_i| (bounded over all K boxes) and |z_i| with |W| and |b|.
+        Every value, form coefficient sum and interval end of layer k is at
+        most 2^k S_k in magnitude (a chord adds at most |l| to |U|), each
+        matmul adds a rounding error of at most gamma_n times that
+        magnitude (gamma_n = n eps / (1 - n eps), n = fan-in + 5, any BLAS
+        order or FMA), and errors grow at most twofold per layer through a
+        chord, so both passes err by less than 4^(L+1) gamma_n S_out for L
+        layers; this holds for any weight scale, since S scales with the
+        weights. A NaN anywhere keeps a basis as a candidate, and a
+        non-finite bound or margin never certifies.
+        """
+        lo = np.asarray(lo, dtype=np.float64).reshape(-1, 3)
+        hi = np.asarray(hi, dtype=np.float64).reshape(-1, 3)
+        out = np.zeros(len(lo), dtype=np.int8)
+        if not len(lo):
+            return out
+        mid = 0.5 * (lo + hi)
+        # widened so that mid +- rad covers [lo, hi] despite rounding
+        rad = np.maximum(hi - mid, mid - lo) * (1.0 + 2.0 ** -40)
+        maps = self._domain_maps() if self.n_bases > 1 else None
+        margin = self._decoder_margin(lo.min(axis=0), hi.max(axis=0))
+        layers = [(np.block([[np.maximum(w, 0.0), np.minimum(w, 0.0)],
+                             [np.minimum(w, 0.0), np.maximum(w, 0.0)]]),
+                   np.concatenate([b, b]))
+                  for w, b in zip(self.decoder.weights, self.decoder.biases)]
+        for k0 in range(0, len(lo), CERTIFY_BOX_CHUNK):
+            sl = slice(k0, k0 + CERTIFY_BOX_CHUNK)
+            mid_k, rad_k, signs = mid[sl], rad[sl], out[sl]
+            box, basis = np.nonzero(self._box_candidates(mid_k, rad_k, maps))
+            pos = np.zeros(len(box), dtype=bool)
+            neg = np.zeros(len(box), dtype=bool)
+            for p0 in range(0, len(box), CERTIFY_PAIR_CHUNK):
+                ps = slice(p0, p0 + CERTIFY_PAIR_CHUNK)
+                f_lo, f_hi = self._decoder_bounds(mid_k[box[ps]], rad_k[box[ps]],
+                                                  basis[ps], layers)
+                m = margin[basis[ps]]
+                finite = np.isfinite(f_lo) & np.isfinite(f_hi)
+                pos[ps] = finite & (f_lo > m)
+                neg[ps] = finite & (f_hi < -m)
+            n_cand = np.bincount(box, minlength=len(mid_k))
+            signs[np.bincount(box, weights=pos, minlength=len(mid_k)) == n_cand] = 1
+            signs[np.bincount(box, weights=neg, minlength=len(mid_k)) == n_cand] = -1
+        return out
+
+    def _box_candidates(self, mid: np.ndarray, rad: np.ndarray, maps
+                        ) -> np.ndarray:
+        """(K, N) mask of the bases that top-2 selection may pick somewhere
+        in the boxes mid[k] +- rad[k]; see box_signs."""
+        if maps is None:
+            return np.ones((len(mid), 1), dtype=bool)
+        a_stack, c_mapped = maps
+        a_abs = np.abs(a_stack)
+        eps = np.finfo(np.float64).eps
+        w_mid = (mid @ a_stack).reshape(len(mid), self.n_bases, 3) - c_mapped
+        # rounding of the evaluated x @ a_stack - c_mapped and of these sums
+        slack = ((np.abs(mid) + rad) @ a_abs).reshape(w_mid.shape) + np.abs(c_mapped)
+        w_rad = (rad @ a_abs).reshape(w_mid.shape) + 32 * eps * slack
+        w_lo, w_hi = w_mid - w_rad, w_mid + w_rad
+        sq_hi = np.maximum(w_lo * w_lo, w_hi * w_hi)
+        sq_lo = np.where(w_lo > 0, w_lo * w_lo, np.where(w_hi < 0, w_hi * w_hi, 0.0))
+        u_lo = sq_lo.sum(axis=2) * (1.0 - 2.0 ** -48) - 1e-12
+        u_hi = sq_hi.sum(axis=2) * (1.0 + 2.0 ** -48) + 1e-12
+        second = np.partition(u_hi, 1, axis=1)[:, 1:2]
+        return ~(u_lo > second) | (second > CERTIFY_U_CAP)
+
+    def _decoder_margin(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Per-basis rounding margin of box_signs over points in [lo, hi]."""
+        dec = self.decoder
+        c = self.effective_centers
+        s_in = np.concatenate([np.maximum(np.abs(lo - c), np.abs(hi - c)),
+                               np.abs(self.latents)], axis=1)
+        s = s_in
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, (w, b) in enumerate(zip(dec.weights, dec.biases)):
+                if k in dec.skip_at:
+                    s = np.concatenate([s, s_in], axis=1)
+                s = s @ np.abs(w) + np.abs(b)
+        n_eps = (max(dec.layer_in) + 5) * np.finfo(np.float64).eps
+        gamma = n_eps / (1.0 - n_eps)
+        return 4.0 ** (dec.n_layers + 1) * gamma * s[:, 0]
+
+    def _decoder_bounds(self, mid: np.ndarray, rad: np.ndarray,
+                        basis: np.ndarray, layers) -> tuple[np.ndarray, np.ndarray]:
+        """Lower and upper bound of decoder basis[p] over the box mid[p] +-
+        rad[p], from affine forms in t in [-1, 1]^3 (x = mid + rad * t):
+        entries 0-2 of a (4, P, width) form hold the t coefficients, entry 3
+        the constant. `layers`: ([[W+, W-], [W-, W+]], [b, b]) per layer, so
+        one matmul on [L | U] gives the next [L | U]."""
+        dec = self.decoder
+        n = len(basis)
+        x = np.zeros((4, n, dec.in_dim))
+        x[(0, 1, 2), :, (0, 1, 2)] = rad.T
+        x[3, :, :3] = mid - self.effective_centers[basis]
+        x[3, :, 3:] = self.latents[basis]
+        lu = np.concatenate([x, x], axis=2)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for k, (w2, b2) in enumerate(layers):
+                if k in dec.skip_at:
+                    half = lu.shape[2] // 2
+                    lu = np.concatenate([lu[..., :half], x, lu[..., half:], x],
+                                        axis=2)
+                lu = (lu.reshape(4 * n, -1) @ w2).reshape(4, n, -1)
+                lu[3] += b2
+                half = lu.shape[2] // 2
+                spread = np.abs(lu[0])
+                spread += np.abs(lu[1])
+                spread += np.abs(lu[2])
+                l = lu[3, :, :half] - spread[:, :half]
+                u = lu[3, :, half:] + spread[:, half:]
+                if k == dec.n_layers - 1:
+                    return l[:, 0], u[:, 0]
+                # ReLU: slope 1 where l >= 0, 0 where u <= 0, else the chord
+                # u/(u-l) through (l, 0); a NaN bound stays NaN
+                slope = np.clip(u / np.maximum(u - l, np.finfo(np.float64).tiny),
+                                0.0, 1.0)
+                lu[..., half:] *= slope
+                lu[3, :, half:] -= slope * np.minimum(l, 0.0)
+                # L and 0 both bound a ReLU from below; take L where u > -l,
+                # the choice of smaller relaxation area
+                lu[..., :half] *= u > -l
 
     # -- checkpoint I/O --------------------------------------------------------
 
@@ -395,12 +557,23 @@ class BasisField:
         dd = _checkpoint_json(doc["decoder"], dict, "decoder")
         for key in ("widths", "skip_at", "weights", "biases"):
             _checkpoint_json(dd.get(key, []), list, f"decoder {key}")
+        for i in dd.get("skip_at", ()):
+            try:
+                check_number(i, "checkpoint decoder skip_at entries", 0,
+                             integer=True)
+            except ValueError as e:
+                raise CheckpointError(str(e)) from e
         try:
             d_z = int(doc["d_z"])
             dec = Decoder(d_z, tuple(dd["widths"]), tuple(dd.get("skip_at", ())))
         except TypeError as e:
             raise CheckpointError(f"checkpoint d_z, widths or skip_at is not "
                                   f"an integer: {e}") from e
+        for i in dec.skip_at:  # FitConfig.decoder_skip's rule: names a layer
+            if i > len(dec.widths):
+                raise CheckpointError(
+                    f"checkpoint decoder skip_at entry {i} names no layer "
+                    f"(0..{len(dec.widths)})")
         for key in ("weights", "biases"):
             if len(dd[key]) != dec.n_layers:
                 raise CheckpointError(
@@ -426,6 +599,10 @@ class BasisField:
             for key, width in (("mu", 3), ("z", d_z), ("s_raw", 3),
                                ("r_raw", 6), ("delta", 3))
         ]
+        with np.errstate(over="ignore"):
+            if not np.all(np.isfinite(np.exp(arrays[2]))):
+                raise CheckpointError("checkpoint bases 's_raw' overflows exp: "
+                                      "domain scales must be finite")
         return cls(*arrays, dec)
 
     def save(self, path) -> None:

@@ -6,21 +6,33 @@ interpolation, and triangles come from the canonical 256-case lookup
 table. Vertices are emitted in sorted global-edge order and cells are
 processed in lexicographic order, so output is deterministic. Triangle
 winding is chosen so normals point toward positive field values.
+
+An evaluable with `box_signs(lo, hi)` (a BasisField) is evaluated only at
+the corners of cell blocks whose sign it cannot certify; the other corners
+hold a placeholder of their block's sign, which is all marching cubes
+reads of them.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import GridError
+from .field import MIN_INFERENCE_BLOCK
 from .geom import TriMesh
 from .mc_tables import EDGE_AXIS, EDGE_ORIGIN, EDGE_TABLE, TRI_TABLE
 
 # Grid corners per `evaluable.sdf` call; bounds a scene oracle's memory
 # (SceneSpec.sdf is not blocked, unlike BasisField.sdf_batch).
 GRID_CHUNK = 65536
+
+# Cells per block edge at each certification level of _sample_grid: blocks
+# of 8^3 cells, then 4^3 inside those left uncertified (a 2^3 level costs
+# more bound passes than the corner evaluations it saves).
+CERTIFY_BLOCKS = (8, 4)
 
 
 @dataclass
@@ -54,20 +66,80 @@ class GridSpec:
         return (self.hi - self.lo) / np.asarray(self.resolution, dtype=np.float64)
 
 
+def _cell_signs(evaluable, axes) -> np.ndarray:
+    """Certified sign per cell (+1, -1, or 0 where unproven), int8.
+
+    Blocks of CERTIFY_BLOCKS[0] cells per axis are certified first through
+    `evaluable.box_signs`, then the blocks of each next size inside the
+    blocks left open; blocks at the far faces are cut to the grid. An
+    evaluable without `box_signs` certifies nothing.
+    """
+    cells = tuple(len(a) - 1 for a in axes)
+    box_signs = getattr(evaluable, "box_signs", None)
+    if box_signs is None:
+        return np.zeros(cells, dtype=np.int8)
+    sign, size = None, None
+    for block in CERTIFY_BLOCKS:
+        n_blocks = tuple(-(-c // block) for c in cells)
+        sign = (np.zeros(n_blocks, dtype=np.int8) if sign is None
+                else _expand(sign, size // block, n_blocks))
+        size = block
+        open_blocks = np.argwhere(sign == 0)
+        if len(open_blocks):
+            first = open_blocks * block
+            last = np.minimum(first + block, cells)
+            sign[tuple(open_blocks.T)] = box_signs(_corner_points(axes, first.T),
+                                                   _corner_points(axes, last.T))
+    return _expand(sign, size, cells)
+
+
+def _expand(a: np.ndarray, factor: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Repeat every entry `factor` times along each axis, cut to `shape`."""
+    for axis in range(3):
+        a = np.repeat(a, factor, axis=axis)
+    return a[:shape[0], :shape[1], :shape[2]]
+
+
 def _sample_grid(evaluable, grid: GridSpec) -> np.ndarray:
-    xs, ys, zs = grid.axes()
-    nx, ny, nz = len(xs), len(ys), len(zs)
-    vals = np.empty(nx * ny * nz)
-    pts = np.stack(np.meshgrid(xs, ys, zs, indexing="ij"), axis=-1).reshape(-1, 3)
-    for lo in range(0, len(pts), GRID_CHUNK):
-        sl = slice(lo, min(lo + GRID_CHUNK, len(pts)))
-        vals[sl] = evaluable.sdf(pts[sl])
+    """Field values at the grid corners that marching cubes can read.
+
+    A corner whose every adjacent cell has a certified sign holds a signed
+    placeholder (+1.0 or -1.0); every other corner holds its evaluated
+    value. Sign-change edges lie only in uncertified cells, so marching
+    cubes gives the same mesh as from fully evaluated corners.
+    """
+    axes = grid.axes()
+    shape = tuple(len(a) for a in axes)
+    cell_sign = _cell_signs(evaluable, axes)
+    need = np.zeros(shape, dtype=bool)
+    negative = np.zeros(shape, dtype=bool)
+    open_cells = cell_sign == 0
+    negative_cells = cell_sign < 0
+    for offset in itertools.product((0, 1), repeat=3):
+        corners = tuple(slice(o, o + c) for o, c in zip(offset, cell_sign.shape))
+        need[corners] |= open_cells
+        negative[corners] |= negative_cells
+    vals = np.where(negative, -1.0, 1.0).reshape(-1)
+    todo = np.flatnonzero(need)
+    for lo in range(0, len(todo), GRID_CHUNK):
+        idx = todo[lo:lo + GRID_CHUNK]
+        pts = _corner_points(axes, np.unravel_index(idx, shape))
+        # pad to whole MIN_INFERENCE_BLOCKs: BLAS computes the trailing rows
+        # of a partial block with another kernel (BasisField.inference_block)
+        pad = -len(idx) % MIN_INFERENCE_BLOCK
+        pts = np.concatenate([pts, np.repeat(pts[-1:], pad, axis=0)])
+        vals[idx] = evaluable.sdf(pts)[:len(idx)]
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
-        raise GridError(
-            f"non-finite field value at grid corner {pts[bad[0]].tolist()}"
-        )
-    return vals.reshape(nx, ny, nz)
+        corner = _corner_points(axes, np.unravel_index(bad[0], shape))
+        raise GridError(f"non-finite field value at grid corner {corner.tolist()}")
+    return vals.reshape(shape)
+
+
+def _corner_points(axes, ijk) -> np.ndarray:
+    """Coordinates of the grid corners with axis indices ijk = (i, j, k);
+    (n, 3) for index arrays, (3,) for scalars."""
+    return np.stack([axes[a][ijk[a]] for a in range(3)], axis=-1)
 
 
 def marching_cubes(evaluable, grid: GridSpec) -> TriMesh:

@@ -1,6 +1,7 @@
 """CLI subcommands as thin wrappers: exit codes, files, determinism."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -135,6 +136,26 @@ def test_fit_rejects_config_that_is_not_an_object(tmp_path, capsys):
     assert "unsupported fit config version" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["scene", "samples", "out_checkpoint",
+                                 "out_report"])
+def test_fit_rejects_path_that_is_not_a_string(tmp_path, scene_path, capsys,
+                                               key):
+    """An integer path would be taken as a file descriptor and closed."""
+    fd = os.open(scene_path, os.O_RDONLY)
+    try:
+        config = {"version": 1, "scene": str(scene_path), "fit": SMALL_FIT,
+                  "out_checkpoint": str(tmp_path / "field.json"),
+                  "out_report": str(tmp_path / "report.json"), key: fd}
+        cfg_path = tmp_path / "fit.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["fit", str(cfg_path)]) == 1
+        assert f"fit config {key} must be a path string" in capsys.readouterr().err
+        os.fstat(fd)  # still open
+        assert not (tmp_path / "field.json").exists()
+    finally:
+        os.close(fd)
+
+
 def test_downsample_keep_all_and_wrapper_contract(tmp_path, checkpoint_path,
                                                   capsys):
     out = tmp_path / "down.json"
@@ -264,6 +285,39 @@ def test_mesh_rejects_checkpoint_of_wrong_structure(tmp_path, capsys, path,
     assert rc == 1
     assert "checkpoint" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("s_raw", 800.0, "'s_raw' overflows exp"),
+    ("skip_at", 99, "skip_at entry 99 names no layer"),
+    ("skip_at", -1, "skip_at entries must be >= 0"),
+    ("skip_at", 1.0, "skip_at entries must be an integer"),
+])
+def test_mesh_rejects_checkpoint_that_cannot_evaluate(tmp_path, capsys, key,
+                                                      value, message):
+    from sdfblend.errors import CheckpointError
+    from sdfblend.gradcheck import random_field
+    doc = random_field(np.random.default_rng(7), n_bases=3).to_json_dict()
+    if key == "s_raw":
+        doc["bases"][1]["s_raw"][2] = value
+    else:
+        doc["decoder"]["skip_at"] = [value]
+    with pytest.raises(CheckpointError, match=message):
+        BasisField.from_json_dict(doc)
+    ck = tmp_path / "bad.json"
+    ck.write_text(json.dumps(doc))
+    out = tmp_path / "m.obj"
+    rc = main(["mesh", str(ck), "--resolution", "8", "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_mesh_loads_largest_finite_domain_scale(tmp_path):
+    from sdfblend.gradcheck import random_field
+    doc = random_field(np.random.default_rng(7), n_bases=3).to_json_dict()
+    doc["bases"][1]["s_raw"][2] = 709.0  # exp(709) is finite
+    assert BasisField.from_json_dict(doc).log_scales[1, 2] == 709.0
 
 
 def test_mesh_is_byte_deterministic(tmp_path, checkpoint_path):

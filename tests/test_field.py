@@ -1,5 +1,7 @@
 """Rotations, domains, blending and downsampling against independent oracles."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -372,6 +374,75 @@ def test_inference_block_follows_decoder_width():
     assert f.inference_block() == 2048  # 2 rows x 2048 x 48 x 8 B = 1.5 MiB
     wide = random_field(rng, n_bases=2, d_z=16, widths=(512, 512))
     assert wide.inference_block() == 256  # the floor
+
+
+def test_inference_block_is_whole_minimum_blocks():
+    from sdfblend.field import MIN_INFERENCE_BLOCK
+    rng = np.random.default_rng(33)
+    f = random_field(rng, n_bases=2, d_z=4, widths=(100,))  # 983 before rounding
+    assert f.inference_block() == 3 * MIN_INFERENCE_BLOCK
+
+
+# ---------------------------------------------------------------------------
+# box_signs
+
+
+def _boxes_and_points(rng, n_boxes, width, n_pts):
+    """Boxes in the grid domain, and n_pts uniform points plus the 8 corners
+    of each box, (K, n_pts + 8, 3)."""
+    lo = rng.uniform(-0.55, 0.55 - width, size=(n_boxes, 3))
+    hi = lo + width * rng.uniform(0.2, 1.0, size=(n_boxes, 3))
+    t = np.concatenate([
+        rng.uniform(size=(n_boxes, n_pts, 3)),
+        np.broadcast_to(np.array(list(itertools.product((0.0, 1.0), repeat=3))),
+                        (n_boxes, 8, 3)),
+    ], axis=1)
+    return lo, hi, lo[:, None] + t * (hi - lo)[:, None]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bases=st.sampled_from([1, 2, 3, 8]),
+       weight_scale=st.sampled_from([1.0, 1e6]),
+       width=st.floats(0.005, 0.4), log_scale_shift=st.sampled_from([0.0, 4.0]))
+def test_box_signs_never_contradict_the_field(seed, n_bases, weight_scale, width,
+                                              log_scale_shift):
+    """No point of a certified box has the other sign, and the top-2 bases of
+    every point are among its box's candidates, also with decoder weights
+    scaled x1e6 and with domains narrow enough to fall back."""
+    rng = np.random.default_rng(seed)
+    f = random_field(rng, n_bases=n_bases)
+    f.log_scales += log_scale_shift
+    for w in f.decoder.weights:
+        w *= weight_scale
+    lo, hi, pts = _boxes_and_points(rng, 48, width, 40)
+    signs = f.box_signs(lo, hi)
+    vals = f.sdf_batch(pts.reshape(-1, 3)).reshape(pts.shape[:2])
+    assert np.all(vals[signs == 1] >= 0)
+    assert np.all(vals[signs == -1] < 0)
+    if n_bases > 1:
+        mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        cand = f._box_candidates(mid, rad, f._domain_maps())
+        p, q, _, _ = f.select_top2_nearest(pts.reshape(-1, 3))
+        box = np.repeat(np.arange(len(lo)), pts.shape[1])
+        assert cand[box, p].all() and cand[box, q].all()
+
+
+def test_box_signs_certify_most_blocks_away_from_the_surface():
+    rng = np.random.default_rng(39)  # a field with both signs in the domain
+    f = random_field(rng, n_bases=3)
+    lo, hi, pts = _boxes_and_points(rng, 200, 0.05, 40)
+    signs = f.box_signs(lo, hi)
+    vals = f.sdf_batch(pts.reshape(-1, 3)).reshape(pts.shape[:2])
+    one_sign = np.all(vals >= 0, axis=1) | np.all(vals < 0, axis=1)
+    assert np.mean(signs != 0) > 0.5 * np.mean(one_sign)
+    assert set(np.unique(signs)) == {-1, 0, 1}
+
+
+def test_box_signs_certify_nothing_where_the_decoder_overflows():
+    from tests.test_fit import overflowing_field
+    f = overflowing_field()
+    lo, hi, _ = _boxes_and_points(np.random.default_rng(35), 64, 0.1, 0)
+    assert not f.box_signs(lo, hi).any()
 
 
 # ---------------------------------------------------------------------------

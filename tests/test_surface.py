@@ -1,13 +1,18 @@
 """Marching cubes extraction."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from sdfblend.errors import GridError
-from sdfblend.field import BasisField
+from sdfblend.field import MIN_INFERENCE_BLOCK, BasisField, Decoder
+from sdfblend.formats import write_obj
 from sdfblend.geom import SceneSpec, Sphere
 from sdfblend.gradcheck import random_field
-from sdfblend.surface import GridSpec, marching_cubes
+from sdfblend.surface import GridSpec, _sample_grid, marching_cubes
+
+BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "data" / "sphere_fit.json"
 
 
 class FnField:
@@ -130,3 +135,85 @@ def test_extraction_is_deterministic():
     m2 = marching_cubes(scene, GridSpec(16))
     np.testing.assert_array_equal(m1.vertices, m2.vertices)
     np.testing.assert_array_equal(m1.triangles, m2.triangles)
+
+
+# ---------------------------------------------------------------------------
+# certified narrow-band sampling against the dense oracle
+
+
+def dense(field):
+    """The dense oracle: exposes only `sdf`, so every corner is evaluated."""
+    return FnField(field.sdf)
+
+
+def _fallback_heavy_field():
+    f = random_field(np.random.default_rng(41), n_bases=6)
+    f.log_scales[:] = np.random.default_rng(42).uniform(4.0, 5.0, (6, 3))
+    return f
+
+
+def _skip_field():
+    f = random_field(np.random.default_rng(43), n_bases=5, d_z=4)
+    dec = Decoder.init(4, (8, 8), skip_at=(0, 2), rng=np.random.default_rng(44))
+    return BasisField(f.centers, f.latents, f.log_scales, f.rot6s, f.offsets, dec)
+
+
+CERTIFIED_CASES = {
+    "bench": (lambda: BasisField.load(BENCH_CHECKPOINT), 40),
+    "N=1": (lambda: random_field(np.random.default_rng(45), n_bases=1), 32),
+    "N=3": (lambda: random_field(np.random.default_rng(46), n_bases=3), 32),
+    "N=32": (lambda: random_field(np.random.default_rng(47), n_bases=32), 32),
+    "fallback": (_fallback_heavy_field, 24),
+    "skip_at": (_skip_field, 32),
+}
+
+
+@pytest.mark.parametrize("case", list(CERTIFIED_CASES))
+def test_certified_grid_equals_dense_oracle(case, tmp_path):
+    make, resolution = CERTIFIED_CASES[case]
+    f = make()
+    grid = GridSpec(resolution)
+    vals = _sample_grid(f, grid)
+    ref = _sample_grid(dense(f), grid)
+    placeholder = (vals == 1.0) | (vals == -1.0)
+    assert placeholder.any()
+    np.testing.assert_array_equal(vals < 0, ref < 0)
+    np.testing.assert_array_equal(vals[~placeholder], ref[~placeholder])
+    write_obj(marching_cubes(f, grid), tmp_path / "certified.obj")
+    write_obj(marching_cubes(dense(f), grid), tmp_path / "dense.obj")
+    assert (tmp_path / "certified.obj").read_bytes() == (tmp_path / "dense.obj").read_bytes()
+
+
+def test_fallback_field_falls_back_on_the_grid():
+    f = _fallback_heavy_field()
+    axes = GridSpec(CERTIFIED_CASES["fallback"][1]).axes()
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    assert f.sdf_batch_diag(pts)[1] > 0
+
+
+def test_certified_grid_evaluates_whole_blocks_of_open_corners():
+    f = BasisField.load(BENCH_CHECKPOINT)
+    calls = []
+
+    class Spy:
+        box_signs = staticmethod(f.box_signs)
+
+        def sdf(self, pts):
+            calls.append(len(pts))
+            return f.sdf(pts)
+
+    _sample_grid(Spy(), GridSpec(40))
+    assert all(n % MIN_INFERENCE_BLOCK == 0 for n in calls)
+    assert sum(calls) < 0.85 * 41 ** 3
+
+
+def test_overflowing_field_still_names_the_first_corner():
+    from tests.test_fit import overflowing_field
+    f = overflowing_field()
+    messages = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for evaluable in (f, dense(f)):
+            with pytest.raises(GridError) as err:
+                marching_cubes(evaluable, GridSpec(16))
+            messages.append(str(err.value))
+    assert messages == ["non-finite field value at grid corner [-0.55, -0.55, -0.55]"] * 2
