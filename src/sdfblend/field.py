@@ -27,7 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamVector, Tape, Var
-from .errors import CheckpointError, FieldError, check_number
+from .errors import (CheckpointError, FieldError, check_array, check_json,
+                     check_number)
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -132,12 +133,8 @@ class Decoder:
         self.widths = tuple(int(w) for w in widths)
         self.skip_at = tuple(int(i) for i in skip_at)
         self.in_dim = 3 + self.d_z
-        dims = [self.in_dim, *self.widths, 1]
-        self.layer_in = [
-            dims[i] + (self.in_dim if i in self.skip_at else 0)
-            for i in range(len(dims) - 1)
-        ]
-        self.layer_out = dims[1:]
+        self.layer_in, self.layer_out = self.layer_shapes(self.d_z, self.widths,
+                                                          self.skip_at)
         if weights is None:
             self.weights = [np.zeros((i, o)) for i, o in zip(self.layer_in, self.layer_out)]
             self.biases = [np.zeros(o) for o in self.layer_out]
@@ -155,6 +152,15 @@ class Decoder:
                         f"decoder layer shape mismatch: got {w.shape}/{b.shape}, "
                         f"expected {(i, o)}/{(o,)}"
                     )
+
+    @staticmethod
+    def layer_shapes(d_z: int, widths: tuple[int, ...], skip_at: tuple[int, ...]
+                     ) -> tuple[list[int], list[int]]:
+        """Input and output width of every layer, without allocating them."""
+        in_dim = 3 + d_z
+        dims = [in_dim, *widths, 1]
+        return ([dims[i] + (in_dim if i in skip_at else 0)
+                 for i in range(len(dims) - 1)], dims[1:])
 
     @classmethod
     def init(cls, d_z: int, widths=(128, 128, 128, 128), skip_at=(),
@@ -277,7 +283,8 @@ class BasisField:
         w = (pts @ a_stack).reshape(len(pts), self.n_bases, 3)
         w -= c_mapped[None, :, :]
         w *= w
-        return np.exp(-w.sum(axis=2))
+        u = _sum3(w)
+        return np.exp(np.negative(u, out=u), out=u)
 
     def nearest_center_index(self, pts: np.ndarray) -> np.ndarray:
         """Index of the Euclidean-nearest effective center per point."""
@@ -285,7 +292,7 @@ class BasisField:
         c = self.effective_centers
         d2 = pts @ (-2.0 * c.T)
         d2 += np.sum(c * c, axis=1)[None, :]
-        d2 += np.sum(pts * pts, axis=1)[:, None]
+        d2 += _sum3(pts * pts)[:, None]
         return np.argmin(d2, axis=1)
 
     def select_top2_nearest(self, pts: np.ndarray, maps=None
@@ -338,21 +345,31 @@ class BasisField:
         Evaluates the blend on one tape of constants, which keeps no
         gradient closures, `chunk` points at a time (default:
         `inference_block()`, sized to stay in cache), cutting the tape back
-        to its per-field nodes after each block.
+        to its per-field nodes after each block. The last block is padded
+        with copies of its last point to whole MIN_INFERENCE_BLOCKs, so
+        with the default chunk every point gets the value it gets in any
+        other call, bit for bit (see inference_block).
         """
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         chunk = self.inference_block() if chunk is None else int(chunk)
         if chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {chunk}")
         out = np.empty(len(pts))
+        n_fallback = 0
         tape = Tape()
         prog = FieldProgram(tape, self.to_params().leaves(tape, trainable=set()), self)
         mark = len(tape.nodes)
         for lo in range(0, len(pts), chunk):
-            sl = slice(lo, min(lo + chunk, len(pts)))
-            out[sl] = prog.blend(pts[sl]).sdf.value
+            block = pts[lo:lo + chunk]
+            m = len(block)
+            if lo + chunk >= len(pts):
+                pad = -m % MIN_INFERENCE_BLOCK
+                block = np.concatenate([block, np.repeat(block[-1:], pad, axis=0)])
+            res = prog.blend(block)
+            out[lo:lo + m] = res.sdf.value[:m]
+            n_fallback += int(np.count_nonzero(res.fallback[:m]))
             tape.truncate(mark)
-        return out, prog.n_fallback_total
+        return out, n_fallback
 
     def sdf_batch(self, pts: np.ndarray, chunk: int | None = None) -> np.ndarray:
         """Blended signed distance for (B, 3) points.
@@ -455,8 +472,8 @@ class BasisField:
         w_lo, w_hi = w_mid - w_rad, w_mid + w_rad
         sq_hi = np.maximum(w_lo * w_lo, w_hi * w_hi)
         sq_lo = np.where(w_lo > 0, w_lo * w_lo, np.where(w_hi < 0, w_hi * w_hi, 0.0))
-        u_lo = sq_lo.sum(axis=2) * (1.0 - 2.0 ** -48) - 1e-12
-        u_hi = sq_hi.sum(axis=2) * (1.0 + 2.0 ** -48) + 1e-12
+        u_lo = _sum3(sq_lo) * (1.0 - 2.0 ** -48) - 1e-12
+        u_hi = _sum3(sq_hi) * (1.0 + 2.0 ** -48) + 1e-12
         second = np.partition(u_hi, 1, axis=1)[:, 1:2]
         return ~(u_lo > second) | (second > CERTIFY_U_CAP)
 
@@ -550,52 +567,52 @@ class BasisField:
         wrong number of layers, an array of the wrong shape, or any
         non-finite value.
         """
-        _checkpoint_json(doc, dict, "document")
+        check_json(doc, dict, "checkpoint document", CheckpointError)
         version = doc.get("version")
         if version != CHECKPOINT_SCHEMA_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {version!r}")
-        dd = _checkpoint_json(doc["decoder"], dict, "decoder")
+        dd = check_json(doc["decoder"], dict, "checkpoint decoder", CheckpointError)
         for key in ("widths", "skip_at", "weights", "biases"):
-            _checkpoint_json(dd.get(key, []), list, f"decoder {key}")
-        for i in dd.get("skip_at", ()):
-            try:
-                check_number(i, "checkpoint decoder skip_at entries", 0,
-                             integer=True)
-            except ValueError as e:
-                raise CheckpointError(str(e)) from e
-        try:
-            d_z = int(doc["d_z"])
-            dec = Decoder(d_z, tuple(dd["widths"]), tuple(dd.get("skip_at", ())))
-        except TypeError as e:
-            raise CheckpointError(f"checkpoint d_z, widths or skip_at is not "
-                                  f"an integer: {e}") from e
-        for i in dec.skip_at:  # FitConfig.decoder_skip's rule: names a layer
-            if i > len(dec.widths):
+            check_json(dd.get(key, []), list, f"checkpoint decoder {key}",
+                       CheckpointError)
+        try:  # checked before any array of these sizes exists
+            d_z = check_number(doc["d_z"], "checkpoint d_z", 0, integer=True)
+            widths = tuple(check_number(w, "checkpoint decoder widths entries",
+                                        1, integer=True) for w in dd["widths"])
+            skip_at = tuple(check_number(i, "checkpoint decoder skip_at entries",
+                                         0, integer=True)
+                            for i in dd.get("skip_at", ()))
+        except ValueError as e:
+            raise CheckpointError(str(e)) from e
+        for i in skip_at:  # FitConfig.decoder_skip's rule: names a layer
+            if i > len(widths):
                 raise CheckpointError(
                     f"checkpoint decoder skip_at entry {i} names no layer "
-                    f"(0..{len(dec.widths)})")
+                    f"(0..{len(widths)})")
+        layer_in, layer_out = Decoder.layer_shapes(d_z, widths, skip_at)
         for key in ("weights", "biases"):
-            if len(dd[key]) != dec.n_layers:
+            if len(dd[key]) != len(layer_in):
                 raise CheckpointError(
                     f"checkpoint decoder has {len(dd[key])} {key} layers, "
-                    f"expected {dec.n_layers}"
+                    f"expected {len(layer_in)}"
                 )
         weights = [
-            _checkpoint_array(w, (i * o,), f"decoder weights[{k}]").reshape(i, o)
-            for k, (w, i, o) in enumerate(zip(dd["weights"], dec.layer_in,
-                                              dec.layer_out))
+            check_array(w, (i * o,), f"checkpoint decoder weights[{k}]",
+                        CheckpointError).reshape(i, o)
+            for k, (w, i, o) in enumerate(zip(dd["weights"], layer_in, layer_out))
         ]
         biases = [
-            _checkpoint_array(b, (o,), f"decoder biases[{k}]")
-            for k, (b, o) in enumerate(zip(dd["biases"], dec.layer_out))
+            check_array(b, (o,), f"checkpoint decoder biases[{k}]", CheckpointError)
+            for k, (b, o) in enumerate(zip(dd["biases"], layer_out))
         ]
-        dec = Decoder(d_z, dec.widths, dec.skip_at, weights, biases)
-        bases = _checkpoint_json(doc["bases"], list, "bases")
+        dec = Decoder(d_z, widths, skip_at, weights, biases)
+        bases = check_json(doc["bases"], list, "checkpoint bases", CheckpointError)
         for k, b in enumerate(bases):
-            _checkpoint_json(b, dict, f"bases[{k}]")
+            check_json(b, dict, f"checkpoint bases[{k}]", CheckpointError)
         n = len(bases)
         arrays = [
-            _checkpoint_array([b[key] for b in bases], (n, width), f"bases {key!r}")
+            check_array([b[key] for b in bases], (n, width),
+                        f"checkpoint bases {key!r}", CheckpointError)
             for key, width in (("mu", 3), ("z", d_z), ("s_raw", 3),
                                ("r_raw", 6), ("delta", 3))
         ]
@@ -622,29 +639,17 @@ class BasisField:
         return cls.from_json_dict(doc)
 
 
-def _checkpoint_json(value, kind: type, what: str):
-    """`value` if it is a `kind` (dict: JSON object, or list), else CheckpointError."""
-    if not isinstance(value, kind):
-        raise CheckpointError(
-            f"checkpoint {what} is a {type(value).__name__}, expected a "
-            f"{'JSON object' if kind is dict else 'list'}"
-        )
-    return value
+def _sum3(sq: np.ndarray) -> np.ndarray:
+    """sq.sum(axis=-1) over a trailing axis of length 3, as two adds.
 
-
-def _checkpoint_array(value, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """`value` as a finite float64 array of exactly `shape`, else CheckpointError."""
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as e:
-        raise CheckpointError(f"checkpoint {what} is not a numeric array: {e}") from e
-    if arr.shape != shape:
-        raise CheckpointError(
-            f"checkpoint {what} has shape {arr.shape}, expected {shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise CheckpointError(f"checkpoint {what} holds non-finite values")
-    return arr
+    numpy's reduce over so short an axis costs about 8x the adds. It starts
+    from +0.0 and adds in order, so the bits are the same wherever the
+    summands are >= +0.0 (squares); only there may this replace it: for
+    [-0.0, -0.0, -0.0] the adds give -0.0 and the reduce +0.0.
+    """
+    out = sq[..., 0] + sq[..., 1]
+    out += sq[..., 2]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +676,15 @@ def top2(field: BasisField, x) -> tuple[int, int]:
 
 
 def decoder_eval(field: BasisField, i: int, x) -> float:
-    """Local signed distance of basis i at x (decoder sees x - c_i)."""
+    """Local signed distance of basis i at x (decoder sees x - c_i).
+
+    Decodes a whole MIN_INFERENCE_BLOCK of copies of x, as sdf_batch pads
+    its blocks, so the value has the bits the blend decodes for x."""
     tape = Tape()
     prog = FieldProgram(tape, field.to_params().leaves(tape, trainable=set()), field)
-    x = np.asarray(x, dtype=np.float64).reshape(1, 3)
-    return float(prog.decode(x, np.array([i])).value[0])
+    x = np.repeat(np.asarray(x, dtype=np.float64).reshape(1, 3),
+                  MIN_INFERENCE_BLOCK, axis=0)
+    return float(prog.decode(x, np.full(MIN_INFERENCE_BLOCK, i)).value[0])
 
 
 def sdf_eval(field: BasisField, x) -> float:
@@ -749,11 +758,16 @@ class FieldProgram:
         self.maps = field._domain_maps() if field.n_bases > 1 else None
         self.n_fallback_total = 0
 
-    def decode(self, pts: np.ndarray, idx: np.ndarray) -> Var:
-        """Decoder output of basis idx[b] at pts[b]; shape (B,)."""
-        c = ad.gather_rows(self.eff_centers, idx)
+    def centered(self, pts: np.ndarray, idx: np.ndarray) -> Var:
+        """x - c of basis idx[b] at pts[b], (B, 3): the input of both
+        decode and domain_quadratic."""
+        return ad.sub(self.tape.constant(pts), ad.gather_rows(self.eff_centers, idx))
+
+    def decode(self, pts: np.ndarray, idx: np.ndarray, d: Var | None = None) -> Var:
+        """Decoder output of basis idx[b] at pts[b]; shape (B,). `d`:
+        centered(pts, idx), if already built."""
+        d = self.centered(pts, idx) if d is None else d
         z = ad.gather_rows(self.leaves["latents"], idx)
-        d = ad.sub(self.tape.constant(pts), c)
         inp = ad.concat([d, z], axis=1)
         h = inp
         dec = self.field.decoder
@@ -764,11 +778,12 @@ class FieldProgram:
                          relu=i < dec.n_layers - 1)
         return ad.vsum(h, axis=1)  # (B, 1) -> (B,)
 
-    def domain_quadratic(self, pts: np.ndarray, idx: np.ndarray) -> Var:
-        """u = ||A (x - c)||^2 of basis idx[b] at pts[b]; g = exp(-u)."""
+    def domain_quadratic(self, pts: np.ndarray, idx: np.ndarray,
+                         d: Var | None = None) -> Var:
+        """u = ||A (x - c)||^2 of basis idx[b] at pts[b]; g = exp(-u). `d`
+        as in decode."""
         b1, b2, b3 = self.rot_cols
-        c = ad.gather_rows(self.eff_centers, idx)
-        d = ad.sub(self.tape.constant(pts), c)
+        d = self.centered(pts, idx) if d is None else d
         dx = ad.cols(d, 0, 1)
         dy = ad.cols(d, 1, 2)
         dz = ad.cols(d, 2, 3)
@@ -784,8 +799,10 @@ class FieldProgram:
 
     def blend(self, pts: np.ndarray, with_nearest: bool = False) -> BlendResult:
         """Top-2 blended field value over a batch of points. `with_nearest`
-        also decodes the Euclidean-nearest basis (`f_k`) in the same stacked
-        decoder pass."""
+        also gives the Euclidean-nearest basis value (`f_k`) from the same
+        stacked decoder pass, which decodes each (point, basis) pair once:
+        rows of p, rows of q, then rows of the nearest basis only where it
+        is neither p nor q."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         n = len(pts)
         p, q, fallback, nearest = self.field.select_top2_nearest(pts, self.maps)
@@ -805,14 +822,20 @@ class FieldProgram:
                                a_p=one, a_q=zero, p=p, q=q, fallback=fallback,
                                f_k=f_p if with_nearest else None)
         # one stacked pass through decoder and domains for all slots
-        reps = 3 if with_nearest else 2
-        pts_r = np.concatenate([pts] * reps, axis=0)
-        idx_r = np.concatenate([p, q, nearest] if with_nearest else [p, q])
-        f_all = self.decode(pts_r, idx_r)
-        u2 = self.domain_quadratic(pts_r[:2 * n], idx_r[:2 * n])
+        pts_r, idx_r = np.concatenate([pts, pts]), np.concatenate([p, q])
+        if with_nearest:
+            extra = np.flatnonzero((nearest != p) & (nearest != q))
+            pts_r = np.concatenate([pts_r, pts[extra]])
+            idx_r = np.concatenate([idx_r, nearest[extra]])
+            k_row = np.where(nearest == p, 0, n) + np.arange(n)
+            k_row[extra] = 2 * n + np.arange(len(extra))
+        d = self.centered(pts_r, idx_r)
+        f_all = self.decode(pts_r, idx_r, d)
+        u2 = self.domain_quadratic(pts_r[:2 * n], idx_r[:2 * n],
+                                   d if len(idx_r) == 2 * n else ad.rows(d, 0, 2 * n))
         g2 = ad.exp(ad.neg(u2))
         f_p, f_q = ad.rows(f_all, 0, n), ad.rows(f_all, n, 2 * n)
-        f_k = ad.rows(f_all, 2 * n, 3 * n) if with_nearest else None
+        f_k = ad.gather_rows(f_all, k_row) if with_nearest else None
         g_p, g_q = ad.rows(g2, 0, n), ad.rows(g2, n, 2 * n)
         u_p, u_q = ad.rows(u2, 0, n), ad.rows(u2, n, 2 * n)
         # g_p/(g_p+g_q) computed in log space: stable when both g underflow

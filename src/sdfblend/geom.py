@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError, SamplingError, SceneError
+from .errors import (CheckpointError, SamplingError, SceneError, check_array,
+                     check_json, check_number)
 
 UNIT_BOX = (np.full(3, -0.5), np.full(3, 0.5))
 
@@ -331,6 +332,8 @@ _PRIM_SIZES = {
     Cylinder: ("radius", "half_height"),
     Capsule: ("radius", "half_height"),
 }
+_PRIM_TYPES = {"sphere": Sphere, "box": Box, "torus": Torus,
+               "cylinder": Cylinder, "capsule": Capsule}
 
 
 @dataclass
@@ -378,6 +381,11 @@ class SceneSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SceneSpec":
+        """Scene from a scene document. Raises SceneError on an unknown
+        version or node type, a missing field, an object, list or number
+        where the schema has another kind, an array of the wrong shape, a
+        non-finite number, or a size that is not > 0."""
+        check_json(doc, dict, "scene document", SceneError)
         if doc.get("version") != SCENE_SCHEMA_VERSION:
             raise SceneError(f"unsupported scene schema version {doc.get('version')!r}")
         if "root" not in doc:
@@ -402,35 +410,43 @@ class SceneSpec:
 
 
 def _node_from_json(doc: dict) -> _Node:
+    check_json(doc, dict, "scene node", SceneError)
     kind = doc.get("type")
     if kind in ("union", "intersection", "difference"):
-        children = [_node_from_json(c) for c in doc.get("children", [])]
-        return _Combine(children=children, kind=kind)
-    common = {}
-    if "translate" in doc:
-        common["translate"] = np.asarray(doc["translate"], dtype=np.float64)
-    if "rotation" in doc:
-        common["rotation"] = np.asarray(doc["rotation"], dtype=np.float64)
-    elif "rotate" in doc:
-        common["rotation"] = _rotation_axis_angle(doc["rotate"]["axis"],
-                                                  doc["rotate"]["degrees"])
+        children = check_json(doc.get("children", []), list,
+                              f"scene {kind} children", SceneError)
+        return _Combine(children=[_node_from_json(c) for c in children], kind=kind)
+    if not isinstance(kind, str) or kind not in _PRIM_TYPES:
+        raise SceneError(f"unknown scene node type {kind!r}")
+    prim = _PRIM_TYPES[kind]
     try:
-        if kind == "sphere":
-            return Sphere(radius=float(doc["radius"]), **common)
-        if kind == "box":
-            return Box(half_extents=np.asarray(doc["half_extents"]), **common)
-        if kind == "torus":
-            return Torus(major_radius=float(doc["major_radius"]),
-                         minor_radius=float(doc["minor_radius"]), **common)
-        if kind == "cylinder":
-            return Cylinder(radius=float(doc["radius"]),
-                            half_height=float(doc["half_height"]), **common)
-        if kind == "capsule":
-            return Capsule(radius=float(doc["radius"]),
-                           half_height=float(doc["half_height"]), **common)
+        common = {}
+        if "translate" in doc:
+            common["translate"] = check_array(doc["translate"], (3,),
+                                              f"scene {kind} translate", SceneError)
+        if "rotation" in doc:
+            common["rotation"] = check_array(doc["rotation"], (3, 3),
+                                             f"scene {kind} rotation", SceneError)
+        elif "rotate" in doc:
+            rot = check_json(doc["rotate"], dict, f"scene {kind} rotate", SceneError)
+            common["rotation"] = _rotation_axis_angle(
+                check_array(rot["axis"], (3,), f"scene {kind} rotate axis", SceneError),
+                _scene_number(rot["degrees"], f"scene {kind} rotate degrees"))
+        sizes = {name: (check_array(doc[name], (3,), f"scene {kind} {name}", SceneError)
+                        if name == "half_extents"
+                        else _scene_number(doc[name], f"scene {kind} {name}"))
+                 for name in _PRIM_SIZES[prim]}
     except KeyError as e:
         raise SceneError(f"{kind} node is missing field {e}") from e
-    raise SceneError(f"unknown scene node type {kind!r}")
+    return prim(**sizes, **common)
+
+
+def _scene_number(value, what: str) -> float:
+    """`value` as a finite float, else SceneError naming `what`."""
+    try:
+        return float(check_number(value, what, -np.inf))
+    except ValueError as e:
+        raise SceneError(str(e)) from e
 
 
 def scene_sdf(scene: SceneSpec, x) -> float:

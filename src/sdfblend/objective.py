@@ -124,10 +124,7 @@ def _smooth_from_blend(blend) -> Var:
 
 def loss_sdf_euc_t(prog: FieldProgram, pts: np.ndarray, targets: np.ndarray) -> Var:
     """Absolute error of the Euclidean-nearest basis (ignores blend weights)."""
-    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-    k = prog.field.nearest_center_index(pts)
-    prog.tape.note_branch(k)
-    f_k = prog.decode(pts, k)
+    f_k = prog.blend(pts, with_nearest=True).f_k
     return ad.vmean(ad.absolute(ad.sub(f_k, targets)))
 
 

@@ -21,12 +21,12 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import GridError
-from .field import MIN_INFERENCE_BLOCK
 from .geom import TriMesh
 from .mc_tables import EDGE_AXIS, EDGE_ORIGIN, EDGE_TABLE, TRI_TABLE
 
-# Grid corners per `evaluable.sdf` call; bounds a scene oracle's memory
-# (SceneSpec.sdf is not blocked, unlike BasisField.sdf_batch).
+# Flat-grid window of _sample_grid: at most this many corners per
+# `evaluable.sdf` call, which bounds a scene oracle's memory (SceneSpec.sdf
+# is not blocked, unlike BasisField.sdf_batch).
 GRID_CHUNK = 65536
 
 # Cells per block edge at each certification level of _sample_grid: blocks
@@ -120,15 +120,12 @@ def _sample_grid(evaluable, grid: GridSpec) -> np.ndarray:
         need[corners] |= open_cells
         negative[corners] |= negative_cells
     vals = np.where(negative, -1.0, 1.0).reshape(-1)
-    todo = np.flatnonzero(need)
-    for lo in range(0, len(todo), GRID_CHUNK):
-        idx = todo[lo:lo + GRID_CHUNK]
-        pts = _corner_points(axes, np.unravel_index(idx, shape))
-        # pad to whole MIN_INFERENCE_BLOCKs: BLAS computes the trailing rows
-        # of a partial block with another kernel (BasisField.inference_block)
-        pad = -len(idx) % MIN_INFERENCE_BLOCK
-        pts = np.concatenate([pts, np.repeat(pts[-1:], pad, axis=0)])
-        vals[idx] = evaluable.sdf(pts)[:len(idx)]
+    # open corners window by window of the flat grid, in grid order: no
+    # index array of every open corner (17 MB for a dense grid at 128)
+    need = need.reshape(-1)
+    for lo in range(0, len(need), GRID_CHUNK):
+        idx = lo + np.flatnonzero(need[lo:lo + GRID_CHUNK])
+        vals[idx] = evaluable.sdf(_corner_points(axes, np.unravel_index(idx, shape)))
     bad = np.flatnonzero(~np.isfinite(vals))
     if bad.size:
         corner = _corner_points(axes, np.unravel_index(bad[0], shape))

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from sdfblend.errors import CheckpointError, FieldError
 from sdfblend.field import (
-    BasisField, Decoder, LocalBasis, decoder_eval, domain_downsample,
-    domain_transform, rbf_weight, rotation_from_6d, sdf_eval, top2,
+    MIN_INFERENCE_BLOCK, BasisField, Decoder, LocalBasis, decoder_eval,
+    domain_downsample, domain_transform, rbf_weight, rotation_from_6d,
+    sdf_eval, top2,
 )
 from sdfblend.gradcheck import random_field
 
@@ -319,6 +320,59 @@ def test_no_grad_blend_equals_recording_tape(n_bases):
     assert n_bases == 1 or free_nf > 0
 
 
+@pytest.mark.parametrize("n_bases", [1, 2, 3, 6])
+def test_nearest_pass_decodes_each_pair_once(monkeypatch, n_bases):
+    """blend(with_nearest=True) decodes 2B rows plus one per point whose
+    nearest basis is neither p nor q (B rows at N = 1), and its f_k is the
+    nearest basis decoded on its own."""
+    from sdfblend.autodiff import Tape
+    from sdfblend.field import FieldProgram
+    rng = np.random.default_rng(40 + n_bases)
+    f = random_field(rng, n_bases=n_bases)
+    X = _fallback_probe_points(rng, 400)
+    decoded = []
+    decode = FieldProgram.decode
+    monkeypatch.setattr(FieldProgram, "decode",
+                        lambda self, pts, idx, d=None: decoded.append(len(idx))
+                        or decode(self, pts, idx, d))
+    tape = Tape()
+    prog = FieldProgram(tape, f.to_params().leaves(tape, trainable=set()), f)
+    blend = prog.blend(X, with_nearest=True)
+    nearest = f.nearest_center_index(X)
+    outside = int(np.count_nonzero((nearest != blend.p) & (nearest != blend.q)))
+    assert decoded == [len(X) if n_bases == 1 else 2 * len(X) + outside]
+    assert n_bases < 3 or outside > 0
+    assert n_bases == 1 or blend.fallback.any()
+    np.testing.assert_allclose(blend.f_k.value, decode(prog, X, nearest).value,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_bases", [1, 2, 8, 128])
+def test_sums_of_three_squares_equal_the_reduce(monkeypatch, n_bases):
+    """rbf_matrix, nearest_center_index and box_signs sum their three
+    squares with two adds; the bits equal those of ndarray.sum(axis=-1),
+    also where g underflows to zero."""
+    import sdfblend.field as field_mod
+    rng = np.random.default_rng(50 + n_bases)
+    f = random_field(rng, n_bases=n_bases)
+    X = _fallback_probe_points(rng, 500)
+    lo = rng.uniform(-0.6, 0.5, (300, 3))
+    hi = lo + rng.uniform(0.0, 0.1, (300, 3))
+    runs = []
+    for sum3 in (field_mod._sum3, lambda sq: sq.sum(axis=-1)):
+        monkeypatch.setattr(field_mod, "_sum3", sum3)
+        runs.append((f.rbf_matrix(X), f.nearest_center_index(X),
+                     f._box_candidates(0.5 * (lo + hi), 0.5 * (hi - lo),
+                                       f._domain_maps() if n_bases > 1 else None),
+                     f.box_signs(lo, hi)))
+    (g, nearest, cand, signs), (g_ref, nearest_ref, cand_ref, signs_ref) = runs
+    np.testing.assert_array_equal(g.view(np.int64), g_ref.view(np.int64))
+    assert (g == 0.0).any()
+    np.testing.assert_array_equal(nearest, nearest_ref)
+    np.testing.assert_array_equal(cand, cand_ref)
+    np.testing.assert_array_equal(signs, signs_ref)
+
+
 def test_sdf_batch_keeps_per_field_nodes_and_one_block(monkeypatch):
     import sdfblend.field as field_mod
     tapes, n_maps = [], []
@@ -357,15 +411,36 @@ def test_sdf_batch_block_size_does_not_change_values():
     assert ref_fallback > 0
     for chunk in (1, 7, 2048, 65536):
         vals, n_fallback = f.sdf_batch_diag(X, chunk=chunk)
-        # BLAS kernels for tiny blocks (1 and 7 points) sum in another
-        # order: within 4 ulp of max(|value|, 1), since a value near the
-        # zero crossing carries the rounding of its O(1) terms
+        if chunk % MIN_INFERENCE_BLOCK == 0:
+            np.testing.assert_array_equal(vals, ref)
+        # blocks of 1 and 7 points are not whole MIN_INFERENCE_BLOCKs, so
+        # BLAS computes their rows with another kernel, which sums in
+        # another order: within 4 ulp of max(|value|, 1), since a value near
+        # the zero crossing carries the rounding of its O(1) terms
         eps = np.finfo(np.float64).eps
         np.testing.assert_allclose(vals, ref, rtol=4 * eps, atol=4 * eps)
         np.testing.assert_array_equal(np.sign(vals), np.sign(ref))
         assert n_fallback == ref_fallback
     with pytest.raises(ValueError):
         f.sdf_batch_diag(X, chunk=0)
+
+
+def test_sdf_batch_values_do_not_depend_on_the_call():
+    """A point evaluated alone, or in a call of any length, gets the bits
+    it gets inside a larger call: the last block is padded to whole
+    MIN_INFERENCE_BLOCKs."""
+    rng = np.random.default_rng(34)
+    f = random_field(rng, n_bases=8, d_z=16, widths=(48, 48, 48))
+    X = _fallback_probe_points(rng, 24000)
+    ref, ref_fallback = f.sdf_batch_diag(X)
+    assert ref_fallback > 0
+    for n in (1, 13, 257, 20001):
+        for lo in (0, 1000, len(X) - n):  # the last one ends on fallback points
+            vals, n_fallback = f.sdf_batch_diag(X[lo:lo + n])
+            np.testing.assert_array_equal(vals.view(np.int64),
+                                          ref[lo:lo + n].view(np.int64))
+            # the padding copies are not counted
+            assert n_fallback == f.select_top2_nearest(X[lo:lo + n])[2].sum()
 
 
 def test_inference_block_follows_decoder_width():

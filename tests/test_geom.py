@@ -90,6 +90,27 @@ def test_scene_validation_errors():
         SceneSpec.from_json_dict({"version": 99, "root": {}})
 
 
+@pytest.mark.parametrize("root, message", [
+    ({"type": "sphere", "radius": float("nan")}, "radius must be a finite number"),
+    ({"type": "sphere", "radius": 0.2, "translate": [float("nan"), 0, 0]},
+     "translate holds non-finite values"),
+    ({"type": "box", "half_extents": [0.1, 0.1]}, "half_extents has shape"),
+    ({"type": "box", "half_extents": [0.1, 0.1, 0.1], "rotate": [1, 0, 0]},
+     "rotate is a list"),
+    ({"type": "union", "children": 3}, "children is a int"),
+    ({"type": "union", "children": [[]]}, "scene node is a list"),
+    ({"type": ["sphere"]}, "unknown scene node type"),
+], ids=["nan_radius", "nan_translate", "extents_shape", "rotate_kind",
+        "children_kind", "node_kind", "type_kind"])
+def test_scene_document_rejects_malformed_values(root, message):
+    """Every malformed scene fails where it is loaded, never later as a
+    non-finite or shapeless evaluation."""
+    with pytest.raises(SceneError, match=message):
+        SceneSpec.from_json_dict({"version": 1, "root": root})
+    with pytest.raises(SceneError, match="scene document is a list"):
+        SceneSpec.from_json_dict([{"version": 1, "root": root}])
+
+
 def test_scene_json_round_trip(tmp_path):
     scene = SceneSpec(root=difference(
         Box(half_extents=[0.3, 0.2, 0.2]),

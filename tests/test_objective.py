@@ -438,3 +438,24 @@ def test_loss_gradients_pass_fd_check():
 
     res = finite_diff_check(objective, f.to_params(), h=1e-6)
     assert res.max_rel_err <= 1e-5
+
+
+def test_loss_inte_gradient_with_nearest_rows_outside_the_top2():
+    """The nearest pass decodes extra rows only for points whose nearest
+    basis is neither p nor q; their gradient reaches that basis."""
+    rng = np.random.default_rng(18)
+    f = random_field(rng, n_bases=5)
+    pts = rng.uniform(-0.45, 0.45, (24, 3))
+    y = rng.normal(0, 0.2, 24)
+    p, q, _, nearest = f.select_top2_nearest(pts)
+    assert np.count_nonzero((nearest != p) & (nearest != q)) >= 3
+    w = LossWeights()
+
+    def objective(tape, pv):
+        prog = FieldProgram(tape, pv.leaves(tape), f.with_params(pv))
+        from sdfblend.objective import loss_inte_t
+        return loss_inte_t(prog, pts, y, w, epoch=0)[0]
+
+    res = finite_diff_check(objective, f.to_params(), h=1e-6)
+    assert res.max_rel_err <= 1e-5
+    assert res.n_checked > len(f.to_params()) // 2
