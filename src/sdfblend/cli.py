@@ -12,7 +12,7 @@ import json
 import sys
 
 from .autodiff import NonFiniteError
-from .errors import SdfBlendError
+from .errors import CheckpointError, SdfBlendError, check_document, read_json
 from .field import BasisField, domain_downsample
 from .fit import FitConfig, compact_fit, fit_field, init_field, refine_from_scene
 from .formats import write_obj
@@ -40,11 +40,6 @@ def _dump_json(doc: dict, path) -> None:
         f.write("\n")
 
 
-def _load_json(path) -> dict:
-    with open(path) as f:
-        return json.load(f)
-
-
 def cmd_sample(args) -> int:
     scene = SceneSpec.load(args.scene)
     samples = sample_training_set(scene, args.n_near, args.n_uniform,
@@ -55,10 +50,8 @@ def cmd_sample(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    doc = _load_json(args.config)
-    version = doc.get("version") if isinstance(doc, dict) else None
-    if version != FIT_CONFIG_SCHEMA_VERSION:
-        raise SdfBlendError(f"unsupported fit config version {version!r}")
+    doc = check_document(read_json(args.config, "fit config", SdfBlendError),
+                         FIT_CONFIG_SCHEMA_VERSION, "fit config", SdfBlendError)
     for key in ("scene", "samples", "out_checkpoint", "out_report"):
         # open() takes an integer as a file descriptor of this process
         if key in doc and not isinstance(doc[key], str):
@@ -71,7 +64,8 @@ def cmd_fit(args) -> int:
         field, kept, report = compact_fit(scene, config)
     else:
         if "samples" in doc:
-            samples = SampleSet.from_json_dict(_load_json(doc["samples"]))
+            samples = SampleSet.from_json_dict(
+                read_json(doc["samples"], "sample-set", CheckpointError))
         else:
             samples = sample_training_set(scene, config.n_near,
                                           config.n_uniform, config.noise_stds,
@@ -100,10 +94,8 @@ def cmd_downsample(args) -> int:
 def cmd_refine(args) -> int:
     field = BasisField.load(args.checkpoint)
     scene = SceneSpec.load(args.scene)
-    config = FitConfig(n_bases=field.n_bases, d_z=field.d_z,
-                       refine_steps=args.steps, refine_lr=args.lr,
-                       seed=args.seed,
-                       weights=LossWeights(hinge_eps=args.eps))
+    config = FitConfig(refine_steps=args.steps, refine_lr=args.lr,
+                       seed=args.seed, weights=LossWeights(hinge_eps=args.eps))
     refined, report = refine_from_scene(field, scene, config,
                                         n_surface=args.n_surface,
                                         n_positive=args.n_positive)
@@ -234,8 +226,7 @@ def main(argv=None) -> int:
     except NonFiniteError as e:
         _log(f"numerical failure: {e}")
         return EXIT_NUMERICAL
-    except (SdfBlendError, OSError, ValueError, KeyError,
-            json.JSONDecodeError) as e:
+    except (SdfBlendError, OSError, ValueError, KeyError) as e:
         _log(f"error: {e}")
         return EXIT_CONFIG
 

@@ -1,5 +1,6 @@
-"""Exception types and input checks shared across the package."""
+"""Exception types, and the input checks that every document reader uses."""
 
+import json
 import math
 import numbers
 
@@ -29,17 +30,44 @@ class FieldError(SdfBlendError):
     """Invalid basis-field state (degenerate rotation, bad shapes)."""
 
 
-def check_number(value, what: str, minimum: float, integer: bool = False):
+def read_json(path, what: str, error: type[Exception]):
+    """The JSON document in file `path`, else `error` naming `what`."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise error(f"cannot read {what} file {path}: {e}") from e
+    except json.JSONDecodeError as e:
+        raise error(f"{what} file {path} is not valid JSON: {e}") from e
+
+
+def check_document(doc, version: int | None, what: str,
+                   error: type[Exception], fields=None) -> dict:
+    """`doc` if it is a JSON object whose "version" is `version` (None: a
+    document without one) and whose keys, if `fields` is given, are all in
+    `fields`; else `error` naming `what`."""
+    check_json(doc, dict, f"{what} document" if version is None else
+               f"unsupported {what} version: {what} document", error)
+    if version is not None and doc.get("version") != version:
+        raise error(f"unsupported {what} version {doc.get('version')!r}")
+    unknown = sorted(set(doc) - set(fields or doc))
+    if unknown:
+        raise error(f"unknown {what} fields: {unknown}")
+    return doc
+
+
+def check_number(value, what: str, minimum: float, integer: bool = False,
+                 error: type[Exception] = ValueError):
     """`value` if it is a finite number (an integer if `integer`, never a
-    bool) and at least `minimum`; else ValueError naming `what`."""
+    bool) and at least `minimum`; else `error` naming `what`."""
     kind = numbers.Integral if integer else numbers.Real
     if (isinstance(value, bool) or not isinstance(value, kind)
             or not (integer or math.isfinite(value))):
-        raise ValueError(f"{what} must be "
-                         f"{'an integer' if integer else 'a finite number'}, "
-                         f"got {value!r}")
+        raise error(f"{what} must be "
+                    f"{'an integer' if integer else 'a finite number'}, "
+                    f"got {value!r}")
     if value < minimum:
-        raise ValueError(f"{what} must be >= {minimum}, got {value!r}")
+        raise error(f"{what} must be >= {minimum}, got {value!r}")
     return value
 
 
@@ -55,11 +83,14 @@ def check_json(value, kind: type, what: str, error: type[Exception]):
 def check_array(value, shape: tuple[int, ...], what: str,
                 error: type[Exception]) -> np.ndarray:
     """`value` as a finite float64 array of exactly `shape`, else `error`
-    naming `what`."""
+    naming `what`. Entries must be numbers, not strings such as "1"."""
     try:
-        arr = np.asarray(value, dtype=np.float64)
+        arr = np.asarray(value)
     except (TypeError, ValueError) as e:
         raise error(f"{what} is not a numeric array: {e}") from e
+    if arr.dtype.kind not in "biuf":
+        raise error(f"{what} holds entries that are not numbers")
+    arr = arr.astype(np.float64, copy=False)
     if arr.shape != shape:
         raise error(f"{what} has shape {arr.shape}, expected {shape}")
     if not np.all(np.isfinite(arr)):

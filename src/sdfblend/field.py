@@ -27,8 +27,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamVector, Tape, Var
-from .errors import (CheckpointError, FieldError, check_array, check_json,
-                     check_number)
+from .errors import (CheckpointError, FieldError, check_array, check_document,
+                     check_json, check_number, read_json)
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -338,22 +338,18 @@ class BasisField:
         block = INFERENCE_BLOCK_BYTES // (2 * widest * 8)
         return max(MIN_INFERENCE_BLOCK, block - block % MIN_INFERENCE_BLOCK)
 
-    def sdf_batch_diag(self, pts: np.ndarray, chunk: int | None = None
-                       ) -> tuple[np.ndarray, int]:
+    def sdf_batch_diag(self, pts: np.ndarray) -> tuple[np.ndarray, int]:
         """Blended signed distance for (B, 3) points plus fallback count.
 
         Evaluates the blend on one tape of constants, which keeps no
-        gradient closures, `chunk` points at a time (default:
-        `inference_block()`, sized to stay in cache), cutting the tape back
-        to its per-field nodes after each block. The last block is padded
-        with copies of its last point to whole MIN_INFERENCE_BLOCKs, so
-        with the default chunk every point gets the value it gets in any
-        other call, bit for bit (see inference_block).
+        gradient closures, `inference_block()` points at a time (sized to
+        stay in cache), cutting the tape back to its per-field nodes after
+        each block. The last block is padded with copies of its last point
+        to whole MIN_INFERENCE_BLOCKs, so every point gets the value it
+        gets in any other call, bit for bit (see inference_block).
         """
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        chunk = self.inference_block() if chunk is None else int(chunk)
-        if chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {chunk}")
+        chunk = self.inference_block()
         out = np.empty(len(pts))
         n_fallback = 0
         tape = Tape()
@@ -371,13 +367,13 @@ class BasisField:
             tape.truncate(mark)
         return out, n_fallback
 
-    def sdf_batch(self, pts: np.ndarray, chunk: int | None = None) -> np.ndarray:
+    def sdf_batch(self, pts: np.ndarray) -> np.ndarray:
         """Blended signed distance for (B, 3) points.
 
         Inference runs on a tape of constants in cache-sized blocks of points;
         see sdf_batch_diag.
         """
-        return self.sdf_batch_diag(pts, chunk)[0]
+        return self.sdf_batch_diag(pts)[0]
 
     # alias used by metric/surfacing code that accepts scene or field
     def sdf(self, pts: np.ndarray) -> np.ndarray:
@@ -567,23 +563,21 @@ class BasisField:
         wrong number of layers, an array of the wrong shape, or any
         non-finite value.
         """
-        check_json(doc, dict, "checkpoint document", CheckpointError)
-        version = doc.get("version")
-        if version != CHECKPOINT_SCHEMA_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {version!r}")
+        check_document(doc, CHECKPOINT_SCHEMA_VERSION, "checkpoint",
+                       CheckpointError)
         dd = check_json(doc["decoder"], dict, "checkpoint decoder", CheckpointError)
         for key in ("widths", "skip_at", "weights", "biases"):
             check_json(dd.get(key, []), list, f"checkpoint decoder {key}",
                        CheckpointError)
-        try:  # checked before any array of these sizes exists
-            d_z = check_number(doc["d_z"], "checkpoint d_z", 0, integer=True)
-            widths = tuple(check_number(w, "checkpoint decoder widths entries",
-                                        1, integer=True) for w in dd["widths"])
-            skip_at = tuple(check_number(i, "checkpoint decoder skip_at entries",
-                                         0, integer=True)
-                            for i in dd.get("skip_at", ()))
-        except ValueError as e:
-            raise CheckpointError(str(e)) from e
+        # checked before any array of these sizes exists
+        d_z = check_number(doc["d_z"], "checkpoint d_z", 0, integer=True,
+                           error=CheckpointError)
+        widths = tuple(check_number(w, "checkpoint decoder widths entries", 1,
+                                    integer=True, error=CheckpointError)
+                       for w in dd["widths"])
+        skip_at = tuple(check_number(i, "checkpoint decoder skip_at entries", 0,
+                                     integer=True, error=CheckpointError)
+                        for i in dd.get("skip_at", ()))
         for i in skip_at:  # FitConfig.decoder_skip's rule: names a layer
             if i > len(widths):
                 raise CheckpointError(
@@ -629,14 +623,7 @@ class BasisField:
 
     @classmethod
     def load(cls, path) -> "BasisField":
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except OSError as e:
-            raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise CheckpointError(f"checkpoint {path} is not valid JSON: {e}") from e
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(read_json(path, "checkpoint", CheckpointError))
 
 
 def _sum3(sq: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .autodiff import AdamState, NonFiniteError, Tape, adam_step, backward
-from .errors import check_number
+from .errors import check_document, check_number
 from .field import (
     DOMAIN_PARAM_NAMES, IDENTITY_ROT6, BasisField, Decoder, FieldProgram,
 )
@@ -65,10 +65,8 @@ class FitConfig:
             raise ValueError("learning rates must be > 0")
         if self.n_init is not None:
             check_number(self.n_init, "n_init", self.n_bases, integer=True)
-        if isinstance(self.weights, dict):
-            self.weights = LossWeights.from_json_dict(self.weights)
         if not isinstance(self.weights, LossWeights):
-            raise ValueError("weights must be a JSON object of loss weights")
+            self.weights = LossWeights.from_json_dict(self.weights)
         self.decoder_widths = tuple(
             int(check_number(w, "decoder_widths entries", 1, integer=True))
             for w in _as_list(self.decoder_widths, "decoder_widths"))
@@ -80,6 +78,8 @@ class FitConfig:
         self.noise_stds = tuple(
             float(check_number(s, "noise_stds entries", 0.0))
             for s in _as_list(self.noise_stds, "noise_stds", length=2))
+        if min(self.noise_stds) <= 0:
+            raise ValueError(f"noise_stds entries must be > 0, got {self.noise_stds}")
         if self.trainable is not None:
             self.trainable = _as_list(self.trainable, "trainable")
             names = set(DOMAIN_PARAM_NAMES) | {
@@ -103,13 +103,8 @@ class FitConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "FitConfig":
-        if not isinstance(doc, dict):
-            raise ValueError("fit config must be a JSON object")
-        known = set(cls.__dataclass_fields__)
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown fit config fields: {sorted(unknown)}")
-        return cls(**doc)
+        return cls(**check_document(doc, None, "fit config", ValueError,
+                                    fields=cls.__dataclass_fields__))
 
 
 def _as_list(value, what: str, length: int | None = None) -> tuple:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CheckpointError, SamplingError, SceneError, check_array,
-                     check_json, check_number)
+                     check_document, check_json, check_number, read_json)
 
 UNIT_BOX = (np.full(3, -0.5), np.full(3, 0.5))
 
@@ -99,12 +99,25 @@ class SampleSet:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "SampleSet":
-        if doc.get("version") != SAMPLES_SCHEMA_VERSION:
-            raise CheckpointError(
-                f"unsupported sample-set schema version {doc.get('version')!r}"
-            )
-        return cls(np.array(doc["points"]), np.array(doc["targets"]),
-                   np.array(doc["tags"]))
+        """Sample set from a sample-set document. Raises CheckpointError on an
+        unknown version, a missing field, `tags` that is not a list of
+        SAMPLE_TAGS, or `points`/`targets` that are not finite arrays of
+        shape (n, 3) and (n,) for n tags."""
+        check_document(doc, SAMPLES_SCHEMA_VERSION, "sample-set", CheckpointError)
+        missing = sorted({"points", "targets", "tags"} - set(doc))
+        if missing:
+            raise CheckpointError(f"sample-set document has no {missing}")
+        tags = check_json(doc["tags"], list, "sample-set tags", CheckpointError)
+        unknown = [t for t in tags if t not in SAMPLE_TAGS]
+        if unknown:
+            raise CheckpointError(f"sample-set tag {unknown[0]!r} is not one "
+                                  f"of {SAMPLE_TAGS}")
+        n = len(tags)
+        return cls(check_array(doc["points"], (n, 3), "sample-set points",
+                               CheckpointError),
+                   check_array(doc["targets"], (n,), "sample-set targets",
+                               CheckpointError),
+                   np.array(tags))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +181,13 @@ class Primitive(_Node):
         corners = corners + self.translate
         return corners.min(axis=0), corners.max(axis=0)
 
-    def _transform_json(self) -> dict:
-        out = {}
+    def to_json_dict(self) -> dict:
+        """The node as the scene reader takes it: `type` and the sizes from
+        _PRIM_TYPES/_PRIM_SIZES, then any transform."""
+        out = {"type": next(k for k, v in _PRIM_TYPES.items() if v is type(self))}
+        for name in _PRIM_SIZES[type(self)]:
+            value = getattr(self, name)
+            out[name] = value.tolist() if name == "half_extents" else value
         if np.any(self.translate != 0.0):
             out["translate"] = self.translate.tolist()
         if self.rotation is not None:
@@ -186,9 +204,6 @@ class Sphere(Primitive):
 
     def _local_bounds(self):
         return np.full(3, self.radius)
-
-    def to_json_dict(self):
-        return {"type": "sphere", "radius": self.radius, **self._transform_json()}
 
 
 @dataclass(kw_only=True)
@@ -208,10 +223,6 @@ class Box(Primitive):
     def _local_bounds(self):
         return self.half_extents.copy()
 
-    def to_json_dict(self):
-        return {"type": "box", "half_extents": self.half_extents.tolist(),
-                **self._transform_json()}
-
 
 @dataclass(kw_only=True)
 class Torus(Primitive):
@@ -227,10 +238,6 @@ class Torus(Primitive):
     def _local_bounds(self):
         r = self.major_radius + self.minor_radius
         return np.array([r, r, self.minor_radius])
-
-    def to_json_dict(self):
-        return {"type": "torus", "major_radius": self.major_radius,
-                "minor_radius": self.minor_radius, **self._transform_json()}
 
 
 @dataclass(kw_only=True)
@@ -250,10 +257,6 @@ class Cylinder(Primitive):
     def _local_bounds(self):
         return np.array([self.radius, self.radius, self.half_height])
 
-    def to_json_dict(self):
-        return {"type": "cylinder", "radius": self.radius,
-                "half_height": self.half_height, **self._transform_json()}
-
 
 @dataclass(kw_only=True)
 class Capsule(Primitive):
@@ -270,10 +273,6 @@ class Capsule(Primitive):
     def _local_bounds(self):
         return np.array([self.radius, self.radius,
                          self.half_height + self.radius])
-
-    def to_json_dict(self):
-        return {"type": "capsule", "radius": self.radius,
-                "half_height": self.half_height, **self._transform_json()}
 
 
 @dataclass(kw_only=True)
@@ -385,23 +384,14 @@ class SceneSpec:
         version or node type, a missing field, an object, list or number
         where the schema has another kind, an array of the wrong shape, a
         non-finite number, or a size that is not > 0."""
-        check_json(doc, dict, "scene document", SceneError)
-        if doc.get("version") != SCENE_SCHEMA_VERSION:
-            raise SceneError(f"unsupported scene schema version {doc.get('version')!r}")
+        check_document(doc, SCENE_SCHEMA_VERSION, "scene", SceneError)
         if "root" not in doc:
             raise SceneError("scene document has no root node")
         return cls(root=_node_from_json(doc["root"]))
 
     @classmethod
     def load(cls, path) -> "SceneSpec":
-        try:
-            with open(path) as f:
-                doc = json.load(f)
-        except OSError as e:
-            raise SceneError(f"cannot read scene file {path}: {e}") from e
-        except json.JSONDecodeError as e:
-            raise SceneError(f"scene file {path} is not valid JSON: {e}") from e
-        return cls.from_json_dict(doc)
+        return cls.from_json_dict(read_json(path, "scene", SceneError))
 
     def save(self, path) -> None:
         with open(path, "w") as f:
@@ -431,22 +421,16 @@ def _node_from_json(doc: dict) -> _Node:
             rot = check_json(doc["rotate"], dict, f"scene {kind} rotate", SceneError)
             common["rotation"] = _rotation_axis_angle(
                 check_array(rot["axis"], (3,), f"scene {kind} rotate axis", SceneError),
-                _scene_number(rot["degrees"], f"scene {kind} rotate degrees"))
+                float(check_number(rot["degrees"], f"scene {kind} rotate degrees",
+                                   -np.inf, error=SceneError)))
         sizes = {name: (check_array(doc[name], (3,), f"scene {kind} {name}", SceneError)
                         if name == "half_extents"
-                        else _scene_number(doc[name], f"scene {kind} {name}"))
+                        else float(check_number(doc[name], f"scene {kind} {name}",
+                                                 -np.inf, error=SceneError)))
                  for name in _PRIM_SIZES[prim]}
     except KeyError as e:
         raise SceneError(f"{kind} node is missing field {e}") from e
     return prim(**sizes, **common)
-
-
-def _scene_number(value, what: str) -> float:
-    """`value` as a finite float, else SceneError naming `what`."""
-    try:
-        return float(check_number(value, what, -np.inf))
-    except ValueError as e:
-        raise SceneError(str(e)) from e
 
 
 def scene_sdf(scene: SceneSpec, x) -> float:

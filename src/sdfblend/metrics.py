@@ -11,6 +11,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .errors import check_number
 from .geom import PointCloud, sample_mesh_surface
 from .surface import GridSpec, marching_cubes
 
@@ -28,6 +29,12 @@ class EvalProtocol:
     tau: float = 0.01
     grid: GridSpec = dc_field(default_factory=lambda: GridSpec(128))
     seed: int = 0
+
+    def __post_init__(self):
+        check_number(self.n_iou, "n_iou", 1, integer=True)
+        check_number(self.n_surface, "n_surface", 1, integer=True)
+        if check_number(self.tau, "tau", 0.0) <= 0:
+            raise ValueError("tau must be > 0")
 
     def to_json_dict(self) -> dict:
         return {
@@ -146,8 +153,6 @@ def evaluate(subject, reference, protocol: EvalProtocol | None = None) -> Metric
     the two fields. Deterministic per protocol seed.
     """
     protocol = protocol or EvalProtocol()
-    if protocol.tau <= 0:
-        raise ValueError("tau must be > 0")
     ss = np.random.SeedSequence(protocol.seed)
     s_a, s_b, s_iou = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
     mesh_a = marching_cubes(subject, protocol.grid)

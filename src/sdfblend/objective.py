@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .errors import FieldError, check_number
+from .errors import FieldError, check_document, check_number
 from .field import BasisField, FieldProgram
 from .geom import PointCloud, SampleSet
 from .metrics import nearest_distances
@@ -55,10 +55,8 @@ class LossWeights:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LossWeights":
-        unknown = set(doc) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown loss weights: {sorted(unknown)}")
-        return cls(**doc)
+        return cls(**check_document(doc, None, "loss weights", ValueError,
+                                    fields=cls.__dataclass_fields__))
 
 
 @dataclass

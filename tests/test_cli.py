@@ -114,6 +114,7 @@ def test_fit_rejects_bad_batch_size(tmp_path, scene_path, capsys, batch_size):
     ("decoder_widths", [0, 12], "decoder_widths entries must be >= 1"),
     ("noise_stds", [0.01], "noise_stds must be a list of 2 entries"),
     ("trainable", ["nope"], "trainable entries match no parameter"),
+    ("noise_stds", [0.01, 0.0], "noise_stds entries must be > 0"),
 ])
 def test_fit_rejects_malformed_config_fields(tmp_path, scene_path, capsys,
                                              field, value, message):
@@ -134,6 +135,41 @@ def test_fit_rejects_config_that_is_not_an_object(tmp_path, capsys):
     cfg_path.write_text("[1, 2]")
     assert main(["fit", str(cfg_path)]) == 1
     assert "unsupported fit config version" in capsys.readouterr().err
+
+
+def _sample_doc() -> dict:
+    return sample_training_set(sphere_scene(), 12, 4, seed=2).to_json_dict()
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda d: [d], "sample-set document is a list"),
+    (lambda d: {**d, "version": 2}, "unsupported sample-set version 2"),
+    (lambda d: {**d, "tags": 5}, "sample-set tags is a int"),
+    (lambda d: {**d, "tags": d["tags"][:-1] + ["inside"]}, "sample-set tag 'inside'"),
+    (lambda d: {**d, "tags": d["tags"][:-1]}, "sample-set points has shape (16, 3)"),
+    (lambda d: {**d, "points": [[float("nan"), 0, 0]] + d["points"][1:]},
+     "sample-set points holds non-finite values"),
+    (lambda d: {**d, "points": [p[:2] for p in d["points"]]},
+     "sample-set points has shape (16, 2)"),
+    (lambda d: {**d, "targets": ["0.1"] + d["targets"][1:]},
+     "sample-set targets holds entries that are not numbers"),
+    (lambda d: {k: v for k, v in d.items() if k != "targets"},
+     "sample-set document has no ['targets']"),
+], ids=["list", "version", "tags_kind", "tag_name", "count", "nan_point",
+        "point_width", "string_target", "no_targets"])
+def test_fit_rejects_malformed_sample_set(tmp_path, scene_path, capsys, mutate,
+                                          message):
+    """A malformed sample set exits 1 where it is loaded, not in training."""
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps(mutate(_sample_doc())))
+    cfg_path = tmp_path / "fit.json"
+    cfg_path.write_text(json.dumps({
+        "version": 1, "scene": str(scene_path), "samples": str(samples),
+        "fit": SMALL_FIT, "out_checkpoint": str(tmp_path / "field.json"),
+        "out_report": str(tmp_path / "report.json")}))
+    assert main(["fit", str(cfg_path)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "field.json").exists()
 
 
 @pytest.mark.parametrize("key", ["scene", "samples", "out_checkpoint",
@@ -347,6 +383,23 @@ def test_eval_reports_and_rejects_bad_version(tmp_path, checkpoint_path,
     rc = main(["eval", str(bad), str(scene_path)])
     assert rc == 1
     assert "77" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--n-iou", "0", "n_iou must be >= 1"),
+    ("--n-surface", "0", "n_surface must be >= 1"),
+    ("--tau", "0", "tau must be > 0"),
+    ("--tau", "nan", "tau must be a finite number"),
+])
+def test_eval_rejects_protocol_before_meshing(tmp_path, checkpoint_path,
+                                              scene_path, capsys, monkeypatch,
+                                              flag, value, message):
+    def no_mesh(*args, **kwargs):
+        raise AssertionError("meshed before the protocol was checked")
+    monkeypatch.setattr("sdfblend.metrics.marching_cubes", no_mesh)
+    assert main(["eval", str(checkpoint_path), str(scene_path),
+                 flag, value]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_refine_cli_defaults_and_freezing(tmp_path, checkpoint_path,

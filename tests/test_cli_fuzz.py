@@ -1,16 +1,21 @@
-"""Mutated checkpoint and scene documents through the CLI: every one must
-end in exit code 0 or 1, never in a traceback."""
+"""Mutated checkpoint, scene, sample-set and fit-job documents through the
+CLI: every one must end in exit code 0, 1 or 2, never in a traceback, and a
+malformed document in exit code 1."""
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from sdfblend.cli import main
+from sdfblend.fit import FitConfig
 from sdfblend.fixtures import sphere_scene
-from sdfblend.geom import Box, SceneSpec, union
+from sdfblend.geom import SAMPLE_TAGS, Box, SceneSpec, sample_training_set, union
+from sdfblend.objective import LossWeights
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "data" / "sphere_fit.json"
 
@@ -31,6 +36,25 @@ JSON_VALUES = st.one_of(
     st.just({}), st.just([[0.1, 0.2, 0.3]]),
 )
 
+# fit-config values: no size above 64, so that no example allocates much
+# (an n_near of 2**31 would ask for gigabytes), and only relative paths
+FIT_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 64),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(alphabet="ab.", max_size=3),
+    st.lists(st.floats(-1.0, 1.0), max_size=4),
+    st.lists(st.integers(-1, 64), max_size=3),
+    st.just({}),
+)
+
+# a fit of a few milliseconds; `samples` is read unless n_init > n_bases
+SMALL_FIT = {"n_bases": 2, "d_z": 2, "decoder_widths": [8], "steps": 2,
+             "batch_size": 32, "seed": 1, "n_near": 40, "n_uniform": 10,
+             "weights": {"smooth": 0.5}}
+FIT_JOB = {"version": 1, "scene": "scene.json", "samples": "samples.json",
+           "fit": SMALL_FIT, "out_checkpoint": "field.json",
+           "out_report": "report.json"}
+
 
 def _checkpoint_doc() -> dict:
     """The bench checkpoint cut down to its first three bases."""
@@ -48,6 +72,43 @@ def _scene_doc() -> dict:
     doc["root"]["children"][1]["rotate"] = {"axis": [0.0, 0.0, 1.0], "degrees": 30.0}
     doc["root"]["children"][0]["rotation"] = np.eye(3).tolist()
     return doc
+
+
+def _samples_doc() -> dict:
+    return sample_training_set(sphere_scene(), 24, 8, seed=3).to_json_dict()
+
+
+def _is_sample_set(doc) -> bool:
+    """The sample-set schema of docs/formats.md, checked apart from the
+    loader: equal-length lists of known tags, rows of 3 finite numbers and
+    finite targets (JSON true and false count as numbers, as in Python)."""
+    def finite(v):
+        return isinstance(v, (int, float)) and math.isfinite(v)
+    if not (isinstance(doc, dict) and doc.get("version") == 1):
+        return False
+    tags, points, targets = (doc.get(k) for k in ("tags", "points", "targets"))
+    return (isinstance(tags, list)
+            and all(isinstance(t, str) and t in SAMPLE_TAGS for t in tags)
+            and isinstance(points, list) and len(points) == len(tags)
+            and all(isinstance(p, list) and len(p) == 3 and all(map(finite, p))
+                    for p in points)
+            and isinstance(targets, list) and len(targets) == len(tags)
+            and all(map(finite, targets)))
+
+
+@st.composite
+def fit_job(draw):
+    """FIT_JOB with one value of the job, of its fit config or of the loss
+    weights replaced by a FIT_VALUES value. A field is never deleted: its
+    default (4000 steps) would make one example take seconds."""
+    job = copy.deepcopy(FIT_JOB)
+    target, fields = draw(st.sampled_from([
+        (job, sorted(job)),
+        (job["fit"], sorted(FitConfig.__dataclass_fields__)),
+        (job["fit"]["weights"], sorted(LossWeights.__dataclass_fields__)),
+    ]))
+    target[draw(st.sampled_from(fields))] = draw(FIT_VALUES)
+    return job
 
 
 @st.composite
@@ -100,3 +161,29 @@ def test_eval_against_mutated_scene_exits_0_or_1(tmp_path, doc):
     scene = tmp_path / "scene.json"
     scene.write_text(json.dumps(doc))
     assert _run(["eval", str(ck), str(scene), *EVAL_ARGS]) in (0, 1)
+
+
+@pytest.fixture
+def fit_dir(tmp_path, monkeypatch):
+    """A directory holding the files FIT_JOB names, made the working
+    directory, since the job's paths are relative."""
+    monkeypatch.chdir(tmp_path)
+    sphere_scene().save(tmp_path / "scene.json")
+    (tmp_path / "samples.json").write_text(json.dumps(_samples_doc()))
+    return tmp_path
+
+
+@FUZZ
+@given(doc=mutated(_samples_doc()))
+def test_fit_on_mutated_sample_set_exits_1_when_malformed(fit_dir, doc):
+    (fit_dir / "samples.json").write_text(json.dumps(doc))
+    (fit_dir / "fit.json").write_text(json.dumps(FIT_JOB))
+    rc = _run(["fit", "fit.json"])
+    assert rc in ((0, 2) if _is_sample_set(doc) else (1,))
+
+
+@FUZZ
+@given(job=fit_job())
+def test_fit_of_mutated_fit_job_exits_0_1_or_2(fit_dir, job):
+    (fit_dir / "fit.json").write_text(json.dumps(job))
+    assert _run(["fit", "fit.json"]) in (0, 1, 2)

@@ -1,5 +1,7 @@
 """Scenes, oracles and sampling."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,6 +124,22 @@ def test_scene_json_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.5, 0.5, (256, 3))
     np.testing.assert_array_equal(scene.sdf(pts), again.sdf(pts))
+
+
+def test_scene_writer_spells_every_primitive_as_the_reader_does():
+    doc = {"version": 1, "root": {"type": "union", "children": [
+        {"type": "sphere", "radius": 0.1, "translate": [0.2, 0.0, 0.0]},
+        {"type": "box", "half_extents": [0.05, 0.1, 0.05],
+         "rotation": [[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]},
+        {"type": "torus", "major_radius": 0.1, "minor_radius": 0.03},
+        {"type": "cylinder", "radius": 0.07, "half_height": 0.1,
+         "translate": [0.0, 0.0, -0.2]},
+        {"type": "capsule", "radius": 0.02, "half_height": 0.05},
+    ]}}
+    scene = SceneSpec.from_json_dict(doc)
+    assert [type(c) for c in scene.root.children] == [Sphere, Box, Torus,
+                                                      Cylinder, Capsule]
+    assert json.dumps(scene.to_json_dict()) == json.dumps(doc)
 
 
 # ---------------------------------------------------------------------------
