@@ -28,6 +28,8 @@ EXIT_NUMERICAL = 2
 EXIT_VERIFICATION = 3
 
 FIT_CONFIG_SCHEMA_VERSION = 1
+FIT_JOB_FIELDS = ("version", "scene", "samples", "fit", "out_checkpoint",
+                  "out_report")
 
 
 def _log(msg: str) -> None:
@@ -51,7 +53,8 @@ def cmd_sample(args) -> int:
 
 def cmd_fit(args) -> int:
     doc = check_document(read_json(args.config, "fit config", SdfBlendError),
-                         FIT_CONFIG_SCHEMA_VERSION, "fit config", SdfBlendError)
+                         FIT_CONFIG_SCHEMA_VERSION, "fit config", SdfBlendError,
+                         fields=FIT_JOB_FIELDS)
     for key in ("scene", "samples", "out_checkpoint", "out_report"):
         # open() takes an integer as a file descriptor of this process
         if key in doc and not isinstance(doc[key], str):

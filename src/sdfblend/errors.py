@@ -1,5 +1,6 @@
 """Exception types, and the input checks that every document reader uses."""
 
+import itertools
 import json
 import math
 import numbers
@@ -83,16 +84,23 @@ def check_json(value, kind: type, what: str, error: type[Exception]):
 def check_array(value, shape: tuple[int, ...], what: str,
                 error: type[Exception]) -> np.ndarray:
     """`value` as a finite float64 array of exactly `shape`, else `error`
-    naming `what`. Entries must be numbers, not strings such as "1"."""
+    naming `what`. Entries must be numbers, not strings such as "1" or
+    booleans (numpy reads `[true, 0.5]` as a float array, so nested lists
+    are scanned for them)."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError) as e:
         raise error(f"{what} is not a numeric array: {e}") from e
-    if arr.dtype.kind not in "biuf":
+    if arr.dtype.kind not in "iuf":
         raise error(f"{what} holds entries that are not numbers")
-    arr = arr.astype(np.float64, copy=False)
     if arr.shape != shape:
         raise error(f"{what} has shape {arr.shape}, expected {shape}")
+    entries = [value]
+    for _ in shape:  # a regular nesting, as its shape shows
+        entries = itertools.chain.from_iterable(entries)
+    if bool in set(map(type, entries)):
+        raise error(f"{what} holds entries that are not numbers")
+    arr = arr.astype(np.float64, copy=False)
     if not np.all(np.isfinite(arr)):
         raise error(f"{what} holds non-finite values")
     return arr

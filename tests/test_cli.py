@@ -155,8 +155,13 @@ def _sample_doc() -> dict:
      "sample-set targets holds entries that are not numbers"),
     (lambda d: {k: v for k, v in d.items() if k != "targets"},
      "sample-set document has no ['targets']"),
+    (lambda d: {**d, "points": [[True, False, True]] + d["points"][1:]},
+     "sample-set points holds entries that are not numbers"),
+    (lambda d: {**d, "points": [[True, 0.5, 1.0]] + d["points"][1:]},
+     "sample-set points holds entries that are not numbers"),
 ], ids=["list", "version", "tags_kind", "tag_name", "count", "nan_point",
-        "point_width", "string_target", "no_targets"])
+        "point_width", "string_target", "no_targets", "bool_point",
+        "bool_in_float_point"])
 def test_fit_rejects_malformed_sample_set(tmp_path, scene_path, capsys, mutate,
                                           message):
     """A malformed sample set exits 1 where it is loaded, not in training."""
@@ -169,6 +174,20 @@ def test_fit_rejects_malformed_sample_set(tmp_path, scene_path, capsys, mutate,
         "out_report": str(tmp_path / "report.json")}))
     assert main(["fit", str(cfg_path)]) == 1
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "field.json").exists()
+
+
+def test_fit_rejects_unknown_job_key(tmp_path, scene_path, capsys):
+    """A misspelt "samples" must not let the fit sample its own set."""
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps(_sample_doc()))
+    cfg_path = tmp_path / "fit.json"
+    cfg_path.write_text(json.dumps({
+        "version": 1, "scene": str(scene_path), "sample": str(samples),
+        "fit": SMALL_FIT, "out_checkpoint": str(tmp_path / "field.json"),
+        "out_report": str(tmp_path / "report.json")}))
+    assert main(["fit", str(cfg_path)]) == 1
+    assert "unknown fit config fields: ['sample']" in capsys.readouterr().err
     assert not (tmp_path / "field.json").exists()
 
 
@@ -269,8 +288,13 @@ def _inf_weight(doc):
     doc["decoder"]["weights"][0][3] = float("inf")
 
 
+def _bool_weight(doc):
+    doc["decoder"]["weights"][0][3] = True
+
+
 @pytest.mark.parametrize("corrupt", [_drop_last_layer, _bad_weight_shape,
-                                     _bad_bias_shape, _nan_latent, _inf_weight])
+                                     _bad_bias_shape, _nan_latent, _inf_weight,
+                                     _bool_weight])
 def test_mesh_rejects_malformed_checkpoint_at_load(tmp_path, capsys, corrupt):
     from sdfblend.errors import CheckpointError
     from sdfblend.gradcheck import random_field

@@ -81,9 +81,10 @@ def _samples_doc() -> dict:
 def _is_sample_set(doc) -> bool:
     """The sample-set schema of docs/formats.md, checked apart from the
     loader: equal-length lists of known tags, rows of 3 finite numbers and
-    finite targets (JSON true and false count as numbers, as in Python)."""
+    finite targets (JSON true and false are not numbers)."""
     def finite(v):
-        return isinstance(v, (int, float)) and math.isfinite(v)
+        return (isinstance(v, (int, float)) and not isinstance(v, bool)
+                and math.isfinite(v))
     if not (isinstance(doc, dict) and doc.get("version") == 1):
         return False
     tags, points, targets = (doc.get(k) for k in ("tags", "points", "targets"))

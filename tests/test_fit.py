@@ -1,18 +1,22 @@
 """Fitting pipelines: initialization, optimization loop, compaction, refinement."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from sdfblend import autodiff
 from sdfblend.autodiff import NonFiniteError
 from sdfblend.field import BasisField, Decoder, domain_downsample
 from sdfblend.fit import (
     FitConfig, _batch_indices, _spawn_seeds, compact_fit, fit_field,
-    init_field, refine,
+    init_field, refine, refine_from_scene,
 )
 from sdfblend.geom import PointCloud, SceneSpec, Sphere, sample_training_set
 from sdfblend.objective import Anchor, LossWeights, loss_inte
 
 SPHERE = SceneSpec(root=Sphere(radius=0.4))
+BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "data" / "sphere_fit.json"
 
 SMALL = dict(d_z=4, decoder_widths=(12, 12), batch_size=256,
              n_near=900, n_uniform=100)
@@ -306,3 +310,50 @@ def test_refine_requires_matching_anchor():
     with pytest.raises(FieldError):
         refine(f3, cloud, cloud, Anchor.from_field(f2),
                FitConfig(n_bases=3, d_z=4, refine_steps=1))
+
+
+# ---------------------------------------------------------------------------
+# subnormal arithmetic
+
+
+@pytest.fixture
+def subnormal_vjp_entries(monkeypatch):
+    """A list whose one entry counts, while the test runs, the nonzero
+    entries below the smallest normal float64 in every VJP output: each
+    such entry sends the GEMMs it reaches onto a slow path."""
+    count = [0]
+    record = autodiff._record
+
+    def counted(f):
+        def vjp(g):
+            out = f(g)
+            mag = np.abs(out)
+            count[0] += int(np.count_nonzero(
+                (mag > 0.0) & (mag < np.finfo(np.float64).tiny)))
+            return out
+        return vjp
+
+    monkeypatch.setattr(autodiff, "_record", lambda tape, out, grads, pre=None:
+                        record(tape, out, [(v, counted(f)) for v, f in grads], pre))
+    return count
+
+
+def test_refine_of_a_converged_fit_stays_out_of_subnormals(subnormal_vjp_entries):
+    # the converged criterion-4 sphere, its latents perturbed as criterion 7
+    # does: a third of its adjacency rows have weights below e^-600
+    field = BasisField.load(BENCH_CHECKPOINT)
+    field.latents += np.random.default_rng(123).normal(0.0, 0.05,
+                                                       field.latents.shape)
+    cfg = FitConfig(refine_steps=3, seed=7, n_refine_adj=256)
+    _, report = refine_from_scene(field, SPHERE, cfg, n_surface=64,
+                                  n_positive=64)
+    assert report.trace["adj"][-1] > 0.0
+    assert subnormal_vjp_entries[0] == 0
+
+
+def test_fits_stay_out_of_subnormals(subnormal_vjp_entries):
+    cfg = small_config(n_bases=4, steps=5, seed=31)
+    samples = sample_training_set(SPHERE, 900, 100, seed=6)
+    fit_field(init_field(SPHERE, cfg), samples, cfg)
+    compact_fit(SPHERE, small_config(n_bases=4, n_init=8, steps=3, seed=37))
+    assert subnormal_vjp_entries[0] == 0

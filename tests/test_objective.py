@@ -8,9 +8,9 @@ from sdfblend.field import BasisField, Decoder, FieldProgram
 from sdfblend.geom import PointCloud, SampleSet
 from sdfblend.gradcheck import random_field
 from sdfblend.objective import (
-    Anchor, LossWeights, RefineInputs, loss_adj, loss_chamfer, loss_face,
-    loss_inte, loss_opt, loss_opt_t, loss_pos, loss_reg, loss_sdf,
-    loss_sdf_euc, loss_smooth, loss_stable,
+    ADJ_EXPONENT_FLOOR, Anchor, LossWeights, RefineInputs, loss_adj,
+    loss_adj_t, loss_chamfer, loss_face, loss_inte, loss_opt, loss_opt_t,
+    loss_pos, loss_reg, loss_sdf, loss_sdf_euc, loss_smooth, loss_stable,
 )
 from tests.test_field import oracle_decode, oracle_g, oracle_top2
 
@@ -309,6 +309,37 @@ def test_loss_adj_matches_composed_oracle():
         expected += w1 * w2 * (fp - fq) ** 2
     expected /= len(pts)
     assert loss_adj(f, PointCloud(pts), w) == pytest.approx(expected, rel=1e-12)
+
+
+def test_loss_adj_rows_beyond_the_floor_add_exact_zeros():
+    # f = 0, 0.255, 0.51 on three bases along x: midway between bases 0 and
+    # 1 the weight exponent is 0 (kept); midway between 1 and 2 it is
+    # 1e4 * 0.255^2 = 650 > ADJ_EXPONENT_FLOOR, a weight e^-650 whose term
+    # is still a normal float64: the exact zeros come from the floor
+    f = latent_reader_field([0.0, 0.255, 0.51],
+                            [[-0.2, 0, 0], [0.0, 0, 0], [0.2, 0, 0]])
+    w = LossWeights()
+    assert w.adj_sharp_surface * 0.255 ** 2 > ADJ_EXPONENT_FLOOR
+    assert np.exp(-w.adj_sharp_surface * 0.255 ** 2) * 0.255 ** 2 > 1e-300
+    kept = np.array([[-0.1, 0.0, 0.0], [-0.1, 0.01, 0.0]])
+    dropped = np.array([[0.1, 0.0, 0.0], [0.1, 0.0, -0.01], [0.1, 0.02, 0.0]])
+    pv = f.to_params()
+
+    def adj_and_grads(pts):
+        tape = Tape()
+        prog = FieldProgram(tape, pv.leaves(tape, {"centers", "latents"}), f)
+        total = loss_adj_t(prog, pts, w)
+        return float(total.value), backward(tape, total)
+
+    value, grads = adj_and_grads(dropped)
+    assert value == 0.0
+    assert all(np.all(g == 0.0) for g in grads.values())
+    value, grads = adj_and_grads(np.concatenate([kept, dropped]))
+    assert value == pytest.approx(
+        loss_adj(f, PointCloud(kept), w) * len(kept) / 5, rel=1e-12)
+    assert value > 0.0
+    assert np.all(grads["latents"][2] == 0.0)  # basis 2 is only in dropped rows
+    assert np.any(grads["latents"][0] != 0.0)
 
 
 # ---------------------------------------------------------------------------
