@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .autodiff import NonFiniteError
-from .errors import CheckpointError, SdfBlendError, check_document, read_json
+from .errors import (CheckpointError, SdfBlendError, check_document,
+                     check_number, read_json)
 from .field import BasisField, domain_downsample
 from .fit import FitConfig, compact_fit, fit_field, init_field, refine_from_scene
 from .formats import write_obj
@@ -42,7 +44,19 @@ def _dump_json(doc: dict, path) -> None:
         f.write("\n")
 
 
+def _check_positive(value, what: str) -> float:
+    """`value` if it is a finite number > 0; else ValueError naming `what`."""
+    if check_number(value, what, -math.inf) <= 0:
+        raise ValueError(f"{what} must be > 0, got {value!r}")
+    return value
+
+
 def cmd_sample(args) -> int:
+    # checked here, not by argparse `type=`: argparse exits 2, EXIT_NUMERICAL
+    check_number(args.n_near, "--n-near", 0, integer=True)
+    check_number(args.n_uniform, "--n-uniform", 0, integer=True)
+    for std in args.noise_stds:
+        _check_positive(std, "--noise-stds entries")
     scene = SceneSpec.load(args.scene)
     samples = sample_training_set(scene, args.n_near, args.n_uniform,
                                   tuple(args.noise_stds), args.seed)
@@ -138,12 +152,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    check_number(args.fixtures, "--fixtures", 1, integer=True)
+    _check_positive(args.h, "--h")
+    _check_positive(args.tolerance, "--tolerance")
     report = run_gradcheck(seed=args.seed, fixtures_per_loss=args.fixtures,
                            h=args.h, corrupt=args.corrupt)
     for name, res in report.results.items():
         _log(f"{name}: max rel err {res.max_rel_err:.3e} "
              f"({res.n_checked} coords, {len(res.excluded)} excluded)")
     print(json.dumps(report.to_json_dict()))
+    if not sum(res.n_checked for res in report.results.values()):
+        _log("FAIL: no gradient coordinate was checked")
+        return EXIT_VERIFICATION
     if report.max_rel_err > args.tolerance:
         _log(f"FAIL: max rel err {report.max_rel_err:.3e} > {args.tolerance}")
         return EXIT_VERIFICATION

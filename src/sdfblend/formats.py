@@ -12,12 +12,16 @@ from .errors import CheckpointError
 from .geom import PointCloud, TriMesh
 
 
+def _rows(line: str, a: np.ndarray) -> str:
+    """`line` (one %-format per column) filled row by row from the (n, k)
+    array `a`, in one formatting call."""
+    return (line * len(a)) % tuple(a.ravel().tolist())
+
+
 def write_obj(mesh: TriMesh, path) -> None:
     with open(path, "w") as f:
-        for v in mesh.vertices:
-            f.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
-        for t in mesh.triangles:
-            f.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+        f.write(_rows("v %.9g %.9g %.9g\n", mesh.vertices))
+        f.write(_rows("f %d %d %d\n", mesh.triangles + 1))
 
 
 def read_obj(path) -> TriMesh:
@@ -42,8 +46,7 @@ def write_ply(cloud: PointCloud, path) -> None:
         f.write(f"element vertex {len(cloud)}\n")
         f.write("property double x\nproperty double y\nproperty double z\n")
         f.write("end_header\n")
-        for p in cloud.points:
-            f.write(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n")
+        f.write(_rows("%.9g %.9g %.9g\n", cloud.points))
 
 
 def read_ply(path) -> PointCloud:

@@ -67,6 +67,22 @@ def test_sample_is_byte_deterministic(tmp_path, scene_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flag", [
+    ["--n-near", "-3"], ["--n-uniform", "-1"], ["--noise-stds", "nan", "0.003"],
+    ["--noise-stds", "0.01", "0"],
+], ids=["n_near", "n_uniform", "noise_stds_nan", "noise_stds_zero"])
+def test_sample_rejects_flag_out_of_range_before_sampling(tmp_path, scene_path,
+                                                          capsys, monkeypatch,
+                                                          flag):
+    import sdfblend.cli as cli
+    monkeypatch.setattr(cli, "sample_training_set", lambda *a, **k: pytest.fail(
+        "sampled despite an out-of-range flag"))
+    out = tmp_path / "s.json"
+    assert main(["sample", str(scene_path), *flag, "--out", str(out)]) == 1
+    assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_fit_outputs_exist_and_match_library(checkpoint_path, scene_path):
     field = BasisField.load(checkpoint_path)
     assert field.n_bases == SMALL_FIT["n_bases"]
@@ -483,3 +499,24 @@ def test_gradcheck_cli_deterministic(capsys):
     first = capsys.readouterr().out
     assert main(["gradcheck", "--fixtures", "1", "--seed", "8"]) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("flag", [
+    ["--fixtures", "0"], ["--h", "nan"], ["--h", "0"], ["--tolerance", "nan"],
+    ["--tolerance", "-0.5"],
+], ids=["fixtures", "h_nan", "h_zero", "tolerance_nan", "tolerance_negative"])
+def test_gradcheck_rejects_flag_out_of_range(capsys, flag):
+    assert main(["gradcheck", *flag]) == 1
+    captured = capsys.readouterr()
+    assert flag[0] in captured.err
+    assert captured.out == ""
+
+
+def test_gradcheck_that_checks_nothing_fails(capsys, monkeypatch):
+    import sdfblend.cli as cli
+    from sdfblend.autodiff import FdCheckResult
+    from sdfblend.gradcheck import GradCheckReport
+    monkeypatch.setattr(cli, "run_gradcheck", lambda **kw: GradCheckReport(
+        {"sdf": FdCheckResult(max_rel_err=0.0, n_checked=0)}))
+    assert main(["gradcheck"]) == 3
+    assert "no gradient coordinate" in capsys.readouterr().err

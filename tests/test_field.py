@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdfblend.autodiff import Tape
 from sdfblend.errors import CheckpointError, FieldError
 from sdfblend.field import (
-    MIN_INFERENCE_BLOCK, BasisField, Decoder, LocalBasis, decoder_eval,
-    domain_downsample, domain_transform, rbf_weight, rotation_from_6d,
-    sdf_eval, top2,
+    MIN_INFERENCE_BLOCK, BasisField, Decoder, FieldProgram, LocalBasis,
+    decoder_eval, domain_downsample, domain_transform, rbf_weight,
+    rotation_from_6d, sdf_eval, top2,
 )
 from sdfblend.gradcheck import random_field
 
@@ -478,6 +479,44 @@ def test_box_signs_never_contradict_the_field(seed, n_bases, weight_scale, width
         p, q, _, _ = f.select_top2_nearest(pts.reshape(-1, 3))
         box = np.repeat(np.arange(len(lo)), pts.shape[1])
         assert cand[box, p].all() and cand[box, q].all()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bases=st.sampled_from([1, 3, 8]),
+       weight_scale=st.sampled_from([1.0, 1e6]),
+       width=st.floats(0.005, 0.4), log_scale_shift=st.sampled_from([0.0, 4.0]),
+       skip=st.booleans())
+def test_back_substituted_bounds_contain_the_decoder(seed, n_bases, weight_scale,
+                                                     width, log_scale_shift, skip):
+    """Back-substituted decoder bounds of every (box, candidate) pair hold the
+    decoder's value at 40 random points and the 8 corners of the box, up to
+    the rounding margin, and are never looser than the forward bounds."""
+    rng = np.random.default_rng(seed)
+    f = random_field(rng, n_bases=n_bases)
+    if skip:
+        f = BasisField(f.centers, f.latents, f.log_scales, f.rot6s, f.offsets,
+                       Decoder.init(f.d_z, (8, 8), skip_at=(0, 2), rng=rng))
+    f.log_scales += log_scale_shift
+    for w in f.decoder.weights:
+        w *= weight_scale
+    lo, hi, pts = _boxes_and_points(rng, 24, width, 40)
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    maps = f._domain_maps() if n_bases > 1 else None
+    box, basis = np.nonzero(f._box_candidates(mid, rad, maps))
+    layers = f._bound_layers()
+    fwd = f._decoder_bounds(mid[box], rad[box], basis, layers,
+                            np.full(len(box), -np.inf))
+    f_lo, f_hi = f._decoder_bounds(mid[box], rad[box], basis, layers,
+                                   np.full(len(box), np.inf))
+    assert np.all(f_lo >= fwd[0]) and np.all(f_hi <= fwd[1])
+    tape = Tape()
+    prog = FieldProgram(tape, f.to_params().leaves(tape, trainable=set()), f)
+    n_pts = pts.shape[1]
+    vals = prog.decode(pts[box].reshape(-1, 3),
+                       np.repeat(basis, n_pts)).value.reshape(len(box), n_pts)
+    m = f._decoder_margin(lo.min(axis=0), hi.max(axis=0))[basis][:, None]
+    assert np.all(vals >= f_lo[:, None] - m)
+    assert np.all(vals <= f_hi[:, None] + m)
 
 
 def test_box_signs_certify_most_blocks_away_from_the_surface():

@@ -1,5 +1,7 @@
 """OBJ and PLY round trips."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,41 @@ def test_ply_rejects_garbage(tmp_path):
     path.write_text("not a ply\n")
     with pytest.raises(CheckpointError):
         read_ply(path)
+
+
+# the writers' earlier one-f-string-per-row form: the byte reference
+def _row_obj(mesh, path):
+    with open(path, "w") as f:
+        for v in mesh.vertices:
+            f.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
+        for t in mesh.triangles:
+            f.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
+
+
+def _row_ply_body(cloud):
+    return "".join(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n" for p in cloud.points)
+
+
+EDGE_COORDS = np.array([[-0.0, 0.0, 1e-300], [123456789.5, -123456789.5, 5e-324],
+                        [1.7976931348623157e308, -2.5e-7, 0.1],
+                        [0.123456789123, 1.0, -1.0]])
+
+
+def test_obj_bytes_match_the_row_writer(tmp_path):
+    # write_obj reads only these two arrays; indices beyond any real mesh
+    mesh = SimpleNamespace(
+        vertices=np.concatenate([EDGE_COORDS, [[np.inf, -np.inf, np.nan]]]),
+        triangles=np.array([[0, 1, 2], [2 ** 40, 2 ** 62, 4], [123456788, 0, 3]],
+                           dtype=np.int64))
+    write_obj(mesh, tmp_path / "new.obj")
+    _row_obj(mesh, tmp_path / "row.obj")
+    assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "row.obj").read_bytes()
+    assert b"v -0 0 1e-300\nv 123456790 -123456790 4.94065646e-324\n" in \
+        (tmp_path / "new.obj").read_bytes()
+
+
+def test_ply_bytes_match_the_row_writer(tmp_path):
+    cloud = PointCloud(EDGE_COORDS)
+    write_ply(cloud, tmp_path / "c.ply")
+    assert (tmp_path / "c.ply").read_text().endswith(
+        "end_header\n" + _row_ply_body(cloud))

@@ -211,6 +211,24 @@ def test_certified_grid_evaluates_whole_blocks_of_open_corners(monkeypatch):
     assert sum(calls) < 0.85 * 41 ** 3
 
 
+def test_certified_grid_at_128_evaluates_under_268k_corners():
+    """Back-substituted certificates leave at most 268,000 of the 2,146,689
+    corners of the bench checkpoint's resolution-128 grid to evaluate (the
+    forward bound alone left 383,152)."""
+    f = BasisField.load(BENCH_CHECKPOINT)
+    calls = []
+
+    class Spy:
+        box_signs = staticmethod(f.box_signs)
+
+        def sdf(self, pts):
+            calls.append(len(pts))
+            return f.sdf(pts)
+
+    _sample_grid(Spy(), GridSpec(128))
+    assert sum(calls) <= 268_000
+
+
 def test_overflowing_field_still_names_the_first_corner():
     from tests.test_fit import overflowing_field
     f = overflowing_field()
