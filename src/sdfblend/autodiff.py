@@ -9,7 +9,7 @@ the leaf parameters.
 Subgradient conventions at non-differentiable points are fixed so results
 are reproducible:
 
-* ``abs`` at 0 and the ``relu`` of :func:`dense` at 0 have derivative 0,
+* ``abs`` at 0 and the ReLUs of :func:`mlp` at 0 have derivative 0,
 * elementwise ``maximum``/``minimum`` ties route the gradient to the left
   argument.
 
@@ -39,6 +39,13 @@ __all__ = [
     "FdCheckResult",
     "NonFiniteError",
 ]
+
+
+# Rows per block of a row-stable product: BLAS computes the trailing rows of
+# a matrix whose row count its kernel does not divide with another kernel,
+# which sums in another order, so only products of whole blocks give every
+# row the bits it gets in any other such product.
+ROW_BLOCK = 256
 
 
 class NonFiniteError(ValueError):
@@ -187,17 +194,22 @@ class Var:
         return f"Var(idx={self.idx}, shape={self.shape})"
 
 
+def _reached(tape: Tape, v) -> bool:
+    """Whether a trainable leaf reaches operand `v` (a Var or a constant)."""
+    return (tape.has_leaves and isinstance(v, Var)
+            and tape.nodes[v.idx].differentiable)
+
+
 def _record(tape: Tape, out, grads, pre=None) -> Var:
     """Push `out`, computed from the operands of the (operand, vjp) pairs in
     `grads`. Only operands that a trainable leaf reaches become parents, and
     only their VJPs run, after `pre(g)` if given; with none, the node is a
     constant and no closure is kept."""
     parents, fns = [], []
-    if tape.has_leaves:
-        for v, f in grads:
-            if isinstance(v, Var) and tape.nodes[v.idx].differentiable:
-                parents.append(v.idx)
-                fns.append(f)
+    for v, f in grads:
+        if _reached(tape, v):
+            parents.append(v.idx)
+            fns.append(f)
     if not parents:
         return tape._push(_Node(out))
 
@@ -358,27 +370,99 @@ def matmul(a, b):
     )
 
 
-def dense(h: Var, w: Var, b: Var, relu: bool) -> Var:
-    """One decoder layer, relu(h @ w + b) or h @ w + b, as one node whose
-    values, gradients and branch tokens equal add(matmul(h, w), b) and a
-    ReLU bit for bit. The mask is built only when a backward pass or
-    `record_branches` needs it, and each of the three gradients only for
-    an operand that a trainable leaf reaches."""
-    tape = h.tape
-    hv, wv = h.value, w.value
-    out = hv @ wv
-    out += b.value
-    if relu:
-        # fmax(x, 0) equals where(x > 0, x, 0) bit for bit (NaN and -0.0
-        # give +0.0) without where's data-dependent branch per element
-        np.fmax(out, 0.0, out=out)
-        if tape.record_branches:
-            tape.note_branch(np.asarray(out > 0.0, dtype=np.int8))
-    return _record(tape, out, [
-        (h, lambda g: g @ wv.T),
-        (w, lambda g: hv.T @ g),
-        (b, lambda g: g.sum(axis=0)),
-    ], pre=(lambda g: g * (out > 0.0)) if relu else None)
+def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
+        skip_at: Sequence[int] = ()) -> Var:
+    """A multilayer perceptron as one node: layer i computes h @ w_i + b_i,
+    then fmax(., 0) unless it is the last, on the running h, or on
+    concat(h, x) where i is in `skip_at`. Values, gradients and branch
+    tokens equal those of the per-layer chain of concat, matmul, add and
+    ReLU (derivative 0 at the kink) bit for bit.
+
+    When no weight or bias is trainable, the input gradient of a row whose
+    cotangent is zero is zero (the weights being finite), so the backward
+    pass runs every mask and GEMM on the rows with a nonzero cotangent only
+    (NaN counts as nonzero), padded with zero-cotangent rows to whole
+    ROW_BLOCKs, and scatters the input gradient once. Each row's products
+    then sum as in any whole-block product; when the batch height is a
+    multiple of ROW_BLOCK that is the full pass's order, so the gradients
+    are the full pass's bit for bit. At other heights the full pass
+    computes its trailing rows with BLAS's edge kernel, which may round
+    them otherwise. A weight gradient sums over rows; dropping rows would
+    regroup that sum, so a trainable weight or bias takes every row."""
+    tape = x.tape
+    xv = x.value
+    ws = [w.value for w in weights]
+    last = len(ws) - 1
+    ins, outs = [], []
+    h = xv
+    for i, (wv, b) in enumerate(zip(ws, biases)):
+        if i in skip_at:
+            h = np.concatenate([h, xv], axis=1)
+        ins.append(h)
+        h = h @ wv
+        h += b.value
+        if i < last:
+            # fmax(x, 0) equals where(x > 0, x, 0) bit for bit (NaN and -0.0
+            # give +0.0) without where's data-dependent branch per element
+            np.fmax(h, 0.0, out=h)
+            if tape.record_branches:
+                tape.note_branch(np.asarray(h > 0.0, dtype=np.int8))
+        outs.append(h)
+    operands = [x, *weights, *biases]
+    need = [_reached(tape, v) for v in operands]
+    if not any(need):
+        return tape._push(_Node(h))
+    need_w, need_b = need[1:last + 2], need[last + 2:]
+    # layer i's input needs a cotangent iff i >= stop
+    stop = 0 if need[0] else next(i for i in range(last + 1)
+                                  if need_w[i] or need_b[i]) + 1
+    width_x, n_operands = xv.shape[1], len(operands)
+
+    # the closure holds arrays only: a Var in it would tie the tape into a
+    # reference cycle that keeps every step's activations until a collection
+    def backprop(g):
+        sub = None  # rows the pass runs on; None: all of them
+        if not any(need[1:]):
+            live = np.any(g != 0.0, axis=1)
+            n_live = int(np.count_nonzero(live))
+            height = -(-n_live // ROW_BLOCK) * ROW_BLOCK
+            if height < len(g):
+                live[np.flatnonzero(~live)[:height - n_live]] = True
+                sub = np.flatnonzero(live)
+                g = g[sub]
+        grads = [None] * n_operands
+        gx = None
+        for i in range(last, -1, -1):
+            if i < last:
+                live_out = outs[i] if sub is None else np.take(outs[i], sub, axis=0)
+                g = g * (live_out > 0.0)
+            if need_w[i]:
+                grads[1 + i] = ins[i].T @ g
+            if need_b[i]:
+                grads[2 + last + i] = g.sum(axis=0)
+            if i < stop:
+                break
+            gh = g @ ws[i].T
+            if i in skip_at:
+                k = ins[i].shape[1] - width_x
+                g = np.take(gh, np.arange(k), axis=1)
+                if i == 0:  # concat(x, x): its first part is x's too
+                    gx = g if gx is None else gx + g
+                part = np.take(gh, np.arange(k, k + width_x), axis=1)
+                gx = part if gx is None else gx + part
+            elif i == 0:
+                gx = gh if gx is None else gx + gh
+            else:
+                g = gh
+        if sub is not None:
+            full = np.zeros(xv.shape)
+            full[sub] = gx
+            gx = full
+        grads[0] = gx
+        return grads
+
+    return _record(tape, h, [(v, lambda r, k=k: r[k])
+                             for k, v in enumerate(operands)], pre=backprop)
 
 
 def vsum(a: Var, axis=None, keepdims: bool = False):
@@ -449,6 +533,15 @@ def gather_rows(a: Var, idx: np.ndarray) -> Var:
         return full.reshape(av.shape)
 
     return _record(a.tape, av[idx], [(a, scatter)])
+
+
+def scatter_rows(a: Var, idx: np.ndarray, n: int) -> Var:
+    """n zero rows with row idx[i] set to a[i]; the indices are distinct."""
+    idx = np.asarray(idx)
+    av = a.value
+    out = np.zeros((n,) + av.shape[1:])
+    out[idx] = av
+    return _record(a.tape, out, [(a, lambda g: g[idx])])
 
 
 def backward(tape: Tape, output: Var) -> dict[str, np.ndarray]:

@@ -52,7 +52,7 @@ def _check_positive(value, what: str) -> float:
 
 
 def cmd_sample(args) -> int:
-    # checked here, not by argparse `type=`: argparse exits 2, EXIT_NUMERICAL
+    # argparse's `type=` checks the type only; the ranges are checked here
     check_number(args.n_near, "--n-near", 0, integer=True)
     check_number(args.n_uniform, "--n-uniform", 0, integer=True)
     for std in args.noise_stds:
@@ -170,8 +170,17 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit EXIT_CONFIG: argparse's
+    own code, 2, is EXIT_NUMERICAL here. Subparsers are of the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="sdfblend",
         description="Fit, compact, refine, surface and evaluate blended "
                     "local-basis signed-distance fields.",

@@ -36,10 +36,9 @@ CHECKPOINT_SCHEMA_VERSION = 1
 DEFAULT_FIELD_BOUNDS = (np.full(3, -0.55), np.full(3, 0.55))
 
 # Inference block sizing (BasisField.inference_block): a decoder activation
-# of about a core's L2 cache, 2048 points at width 48; never below the floor,
-# where per-block tape overhead would dominate.
+# of about a core's L2 cache, 2048 points at width 48; never below one
+# ad.ROW_BLOCK, where per-block tape overhead would dominate.
 INFERENCE_BLOCK_BYTES = 3 * 2 ** 19  # 1.5 MiB
-MIN_INFERENCE_BLOCK = 256
 
 # Sign certificates (BasisField.box_signs): boxes per candidate pass, and the
 # domain quadratic above which exp(-u) may leave the normal float64 range, so
@@ -114,6 +113,18 @@ class LocalBasis:
     @property
     def effective_center(self) -> np.ndarray:
         return self.center + self.offset
+
+
+class Top2(tuple):
+    """Top-2 selection of a batch of points: unpacks as (p, q, fallback,
+    nearest), and carries the selected domain weights g_p = g_p(x) and
+    g_q = g_q(x) as rbf_matrix computes them, both 0 on fallback rows (None
+    for a single-basis field, which computes no weight)."""
+
+    def __new__(cls, p, q, fallback, nearest, g_p=None, g_q=None):
+        top2 = super().__new__(cls, (p, q, fallback, nearest))
+        top2.g_p, top2.g_q = g_p, g_q
+        return top2
 
 
 class Decoder:
@@ -294,11 +305,11 @@ class BasisField:
         d2 += _sum3(pts * pts)[:, None]
         return np.argmin(d2, axis=1)
 
-    def select_top2_nearest(self, pts: np.ndarray, maps=None
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                       np.ndarray]:
+    def select_top2_nearest(self, pts: np.ndarray, maps=None) -> Top2:
         """Top-2 basis indices per point, the underflow-fallback mask and the
-        Euclidean-nearest basis index; `maps` as in rbf_matrix.
+        Euclidean-nearest basis index, unpacked as a 4-tuple (see Top2, which
+        also carries the two selected domain weights); `maps` as in
+        rbf_matrix.
 
         Ties break to the lower index. For N == 1 every slot is 0. On
         fallback rows (g_p + g_q underflowed to zero) both top-2 slots hold
@@ -308,7 +319,8 @@ class BasisField:
         n_pts = len(pts)
         if self.n_bases == 1:
             zeros = np.zeros(n_pts, dtype=np.int64)
-            return zeros, zeros.copy(), np.zeros(n_pts, dtype=bool), zeros.copy()
+            return Top2(zeros, zeros.copy(), np.zeros(n_pts, dtype=bool),
+                        zeros.copy())
         g = self.rbf_matrix(pts, maps)
         nearest = self.nearest_center_index(pts).astype(np.int64)
         p = np.argmax(g, axis=1)
@@ -322,20 +334,19 @@ class BasisField:
             p = p.copy()
             p[fallback] = nearest[fallback]
             q[fallback] = nearest[fallback]
-        return p.astype(np.int64), q.astype(np.int64), fallback, nearest
+        return Top2(p.astype(np.int64), q.astype(np.int64), fallback, nearest,
+                    gp, gq)
 
     def inference_block(self) -> int:
         """Points per inference block: one decoder activation (two blend
         rows per point, widest layer, float64) stays near INFERENCE_BLOCK_BYTES,
         so each block's activations are reused from cache, not memory.
 
-        A multiple of MIN_INFERENCE_BLOCK: BLAS computes the trailing rows of
-        a matrix whose row count its kernel does not divide with another
-        kernel that sums in another order, so only whole blocks give every
-        point the value it gets in any other whole block."""
+        A multiple of ad.ROW_BLOCK: only whole row blocks give every point
+        the value it gets in any other whole block."""
         widest = max(self.decoder.layer_in + self.decoder.layer_out)
         block = INFERENCE_BLOCK_BYTES // (2 * widest * 8)
-        return max(MIN_INFERENCE_BLOCK, block - block % MIN_INFERENCE_BLOCK)
+        return max(ad.ROW_BLOCK, block - block % ad.ROW_BLOCK)
 
     def sdf_batch_diag(self, pts: np.ndarray) -> tuple[np.ndarray, int]:
         """Blended signed distance for (B, 3) points plus fallback count.
@@ -344,8 +355,8 @@ class BasisField:
         gradient closures, `inference_block()` points at a time (sized to
         stay in cache), cutting the tape back to its per-field nodes after
         each block. The last block is padded with copies of its last point
-        to whole MIN_INFERENCE_BLOCKs, so every point gets the value it
-        gets in any other call, bit for bit (see inference_block).
+        to whole ad.ROW_BLOCKs, so every point gets the value it gets in
+        any other call, bit for bit (see inference_block).
         """
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         chunk = self.inference_block()
@@ -358,7 +369,7 @@ class BasisField:
             block = pts[lo:lo + chunk]
             m = len(block)
             if lo + chunk >= len(pts):
-                pad = -m % MIN_INFERENCE_BLOCK
+                pad = -m % ad.ROW_BLOCK
                 block = np.concatenate([block, np.repeat(block[-1:], pad, axis=0)])
             res = prog.blend(block)
             out[lo:lo + m] = res.sdf.value[:m]
@@ -758,13 +769,13 @@ def top2(field: BasisField, x) -> tuple[int, int]:
 def decoder_eval(field: BasisField, i: int, x) -> float:
     """Local signed distance of basis i at x (decoder sees x - c_i).
 
-    Decodes a whole MIN_INFERENCE_BLOCK of copies of x, as sdf_batch pads
-    its blocks, so the value has the bits the blend decodes for x."""
+    Decodes a whole ad.ROW_BLOCK of copies of x, as sdf_batch pads its
+    blocks, so the value has the bits the blend decodes for x."""
     tape = Tape()
     prog = FieldProgram(tape, field.to_params().leaves(tape, trainable=set()), field)
     x = np.repeat(np.asarray(x, dtype=np.float64).reshape(1, 3),
-                  MIN_INFERENCE_BLOCK, axis=0)
-    return float(prog.decode(x, np.full(MIN_INFERENCE_BLOCK, i)).value[0])
+                  ad.ROW_BLOCK, axis=0)
+    return float(prog.decode(x, np.full(ad.ROW_BLOCK, i)).value[0])
 
 
 def sdf_eval(field: BasisField, x) -> float:
@@ -845,17 +856,16 @@ class FieldProgram:
 
     def decode(self, pts: np.ndarray, idx: np.ndarray, d: Var | None = None) -> Var:
         """Decoder output of basis idx[b] at pts[b]; shape (B,). `d`:
-        centered(pts, idx), if already built."""
+        centered(pts, idx), if already built. The decoder is one tape node
+        (ad.mlp), whose backward pass runs on the rows with a nonzero
+        cotangent only when its weights are not trained."""
         d = self.centered(pts, idx) if d is None else d
         z = ad.gather_rows(self.leaves["latents"], idx)
-        inp = ad.concat([d, z], axis=1)
-        h = inp
         dec = self.field.decoder
-        for i in range(dec.n_layers):
-            if i in dec.skip_at:
-                h = ad.concat([h, inp], axis=1)
-            h = ad.dense(h, self.leaves[f"dec_w{i}"], self.leaves[f"dec_b{i}"],
-                         relu=i < dec.n_layers - 1)
+        h = ad.mlp(ad.concat([d, z], axis=1),
+                   [self.leaves[f"dec_w{i}"] for i in range(dec.n_layers)],
+                   [self.leaves[f"dec_b{i}"] for i in range(dec.n_layers)],
+                   dec.skip_at)
         return ad.vsum(h, axis=1)  # (B, 1) -> (B,)
 
     def domain_quadratic(self, pts: np.ndarray, idx: np.ndarray,
@@ -877,22 +887,33 @@ class FieldProgram:
         """Domain weight of basis idx[b] at pts[b]; shape (B,)."""
         return ad.exp(ad.neg(self.domain_quadratic(pts, idx)))
 
-    def blend(self, pts: np.ndarray, with_nearest: bool = False) -> BlendResult:
+    def select(self, pts: np.ndarray, with_nearest: bool = False) -> Top2:
+        """Top-2 selection of `pts` for a blend: counts its fallbacks and
+        notes p, q, the fallback mask and, `with_nearest`, the nearest basis
+        as branch tokens."""
+        top2 = self.field.select_top2_nearest(pts, self.maps)
+        p, q, fallback, nearest = top2
+        self.n_fallback_total += int(fallback.sum())
+        self.tape.note_branch(p)
+        self.tape.note_branch(q)
+        self.tape.note_branch(fallback.astype(np.int8))
+        if with_nearest:
+            self.tape.note_branch(nearest)
+        return top2
+
+    def blend(self, pts: np.ndarray, with_nearest: bool = False,
+              top2: tuple | None = None) -> BlendResult:
         """Top-2 blended field value over a batch of points. `with_nearest`
         also gives the Euclidean-nearest basis value (`f_k`) from the same
         stacked decoder pass, which decodes each (point, basis) pair once:
         rows of p, rows of q, then rows of the nearest basis only where it
-        is neither p nor q."""
+        is neither p nor q. `top2`: the (p, q, fallback, nearest) of `pts`
+        if the caller has already selected them through `select`."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         n = len(pts)
-        p, q, fallback, nearest = self.field.select_top2_nearest(pts, self.maps)
-        self.n_fallback_total += int(fallback.sum())
+        p, q, fallback, nearest = (self.select(pts, with_nearest)
+                                   if top2 is None else top2)
         tape = self.tape
-        tape.note_branch(p)
-        tape.note_branch(q)
-        tape.note_branch(fallback.astype(np.int8))
-        if with_nearest:
-            tape.note_branch(nearest)
         if self.field.n_bases == 1:
             f_p = self.decode(pts, p)
             g_p = self.rbf(pts, p)

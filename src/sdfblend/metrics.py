@@ -35,6 +35,7 @@ class EvalProtocol:
         check_number(self.n_surface, "n_surface", 1, integer=True)
         if check_number(self.tau, "tau", 0.0) <= 0:
             raise ValueError("tau must be > 0")
+        check_number(self.seed, "seed", 0, integer=True)
 
     def to_json_dict(self) -> dict:
         return {

@@ -195,7 +195,34 @@ weights) scales that by factors nowhere near ``1e-47``. Without the floor
 those rows' gradients fall into the subnormal range, where every
 multiply-add of the decoder VJP GEMMs takes a slow path: on the bench
 checkpoint about a third of the rows, at about 4.5× the cost per row of the
-other blends' GEMMs."""
+other blends' GEMMs.
+
+Pre-filter: the balance part ``sharp_balance·(g_p − g_q)²`` alone is known
+from top-2 selection, before any decoder row runs, and ``sharp_surface·m²``
+is never negative, so a point whose balance part exceeds the floor is
+dropped without being blended. Selection computes the weights with
+`rbf_matrix`, the tape with `domain_quadratic`, which round differently; so
+the pre-filter drops a point only above the floor plus
+ADJ_PREFILTER_SLACK and leaves the points near the floor to the tape's own
+test. A point whose balance part is not finite (a NaN weight from
+non-finite domain parameters) is always blended, so its NaN reaches the
+loss. A non-finite decoder value at a point whose balance part clears the
+floor by the slack no longer does: blended, its term ``e^-600·inf`` would
+be inf or NaN, which the tape's test keeps, but the point is never
+decoded. Only the other terms of `loss_opt_t`, which decode the same
+decoder at their own points, can then stop the optimizer on it."""
+
+ADJ_PREFILTER_SLACK = 1.0
+"""Margin of the adjacency pre-filter over ADJ_EXPONENT_FLOOR. The two
+evaluations of a selected weight ``g = e^-u`` differ by the rounding of
+``u = ||A (x − c)||²``, at most a few ulps of ``|A|·(|x| + |c|)`` in each
+component of ``A (x − c)``, so by ``δg ≲ 1e-14·s`` for a domain scale
+``s`` and coordinates of order 1 (``g·||A (x − c)|| ≤ 0.43``). Then the two
+balance parts, ``b·dg²`` with ``|dg| ≤ 1``, differ by at most
+``2·b·δdg ≲ 5e-14·b·s``: under 1e-7 at the default ``b = 1000`` and
+scales up to 1000, and under the slack while ``b·s`` stays below 1e13.
+Measured: at most 1e-12 on the adjacency points of the bench checkpoint
+and on random fields with scales up to 1161."""
 
 
 def loss_adj_t(prog: FieldProgram, pts: np.ndarray, weights: LossWeights) -> Var:
@@ -205,11 +232,31 @@ def loss_adj_t(prog: FieldProgram, pts: np.ndarray, weights: LossWeights) -> Var
     Rows whose weight is below ``e^-ADJ_EXPONENT_FLOOR`` are left out: their
     term and gradient are exactly 0.0, a contribution below any float64 sum
     it could change, and left in they would drive the backward pass into
-    subnormal arithmetic. A row whose term is not finite is always kept, so
-    a non-finite field value still reaches the loss."""
+    subnormal arithmetic. Points whose balance part alone clears the floor
+    by ADJ_PREFILTER_SLACK are dropped before they are blended, when that
+    saves a whole ad.ROW_BLOCK (see ADJ_EXPONENT_FLOOR for what it means
+    for non-finite values); the others are blended in whole blocks, padded
+    with copies of the last, as `sdf_batch_diag` pads, so each gets the
+    bits it gets in a blend of every point when n is a whole number of
+    blocks (at other n, a blend of every point may round its trailing rows
+    otherwise; see ad.mlp). Their terms go back into n zero slots, so the
+    mean adds the same n values in the same order."""
     if prog.field.n_bases == 1:
         return prog.tape.constant(0.0)
-    blend = prog.blend(pts)
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    n = len(pts)
+    top2 = prog.select(pts)
+    balance = weights.adj_sharp_balance * (top2.g_p - top2.g_q) ** 2
+    kept = np.flatnonzero(~(np.isfinite(balance) & (
+        balance > ADJ_EXPONENT_FLOOR + ADJ_PREFILTER_SLACK)))
+    pad = -len(kept) % ad.ROW_BLOCK
+    if len(kept) + pad >= n:  # no whole block to save
+        kept, pad = np.arange(n), 0
+    prog.tape.note_branch(kept)
+    if not len(kept):
+        return prog.tape.constant(0.0)
+    rows = np.concatenate([kept, np.repeat(kept[-1:], pad)])
+    blend = prog.blend(pts[rows], top2=tuple(a[rows] for a in top2))
     diff = ad.sub(blend.f_p, blend.f_q)
     m = ad.minimum(ad.absolute(blend.f_p), ad.absolute(blend.f_q))
     e1 = ad.neg(ad.mul(m, m) * weights.adj_sharp_surface)
@@ -217,7 +264,8 @@ def loss_adj_t(prog: FieldProgram, pts: np.ndarray, weights: LossWeights) -> Var
     e2 = ad.neg(ad.mul(dg, dg) * weights.adj_sharp_balance)
     term = ad.mul(ad.mul(ad.exp(e1), ad.exp(e2)), ad.mul(diff, diff))
     drop = (e1.value + e2.value < -ADJ_EXPONENT_FLOOR) & np.isfinite(term.value)
-    return ad.vmean(ad.where(~drop, term, 0.0))
+    terms = ad.rows(ad.where(~drop, term, 0.0), 0, len(kept))
+    return ad.vmean(ad.scatter_rows(terms, kept, n))
 
 
 def loss_stable_t(prog: FieldProgram, anchor: Anchor) -> Var:

@@ -1,5 +1,8 @@
 """Tape engine, Adam and the finite-difference checker."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -111,12 +114,14 @@ def test_subgradient_conventions():
 
 
 def _relu_layer(t, x, trainable=False):
-    """dense(x, 1, -0.0, relu=True): adding -0.0 keeps every x, -0.0 too.
-    With `trainable`, x is a trainable leaf, so the layer records a VJP."""
+    """mlp(x) of a ReLU layer x * 1 + -0.0, then a linear layer r * 1 + -0.0:
+    adding -0.0 keeps every value, -0.0 too, so the output is the ReLU's.
+    With `trainable`, x is a trainable leaf, so the node records a VJP."""
     h = np.reshape(x, (-1, 1))
-    return ad.dense(t.leaf(h, "h") if trainable else t.constant(h),
-                    t.constant(np.ones((1, 1))), t.constant(np.array([-0.0])),
-                    relu=True)
+    one, zero = np.ones((1, 1)), np.array([-0.0])
+    return ad.mlp(t.leaf(h, "h") if trainable else t.constant(h),
+                  [t.constant(one), t.constant(one)],
+                  [t.constant(zero), t.constant(zero)])
 
 
 def test_dense_relu_special_values_bit_for_bit():
@@ -130,52 +135,117 @@ def test_dense_relu_special_values_bit_for_bit():
 
 
 def test_dense_relu_has_derivative_zero_at_the_kink():
-    t = Tape()
-    h = t.leaf(np.array([[0.0], [2.0]]), "h")
-    w = t.leaf(np.ones((1, 1)), "w")
-    b = t.leaf(np.zeros(1), "b")
-    g = backward(t, ad.vsum(ad.dense(h, w, b, relu=True)))
-    np.testing.assert_array_equal(g["h"], [[0.0], [1.0]])
-    np.testing.assert_array_equal(g["w"], [[2.0]])
-    np.testing.assert_array_equal(g["b"], [1.0])
+    # trained weights take every row; frozen ones the rows whose cotangent
+    # is nonzero (here both)
+    for train_weights in (True, False):
+        t = Tape()
+        h = t.leaf(np.array([[0.0], [2.0]]), "h")
+        var = t.leaf if train_weights else (lambda v, name: t.constant(v))
+        w, b = var(np.ones((1, 1)), "w"), var(np.zeros(1), "b")
+        out = ad.mlp(h, [w, t.constant(np.ones((1, 1)))],
+                     [b, t.constant(np.zeros(1))])
+        g = backward(t, ad.vsum(out))
+        np.testing.assert_array_equal(g["h"], [[0.0], [1.0]])
+        if train_weights:
+            np.testing.assert_array_equal(g["w"], [[2.0]])
+            np.testing.assert_array_equal(g["b"], [1.0])
 
 
-def _unfused_layer(h, w, b, relu):
-    """matmul -> add -> the ReLU that dense replaced, as separate nodes."""
-    out = ad.add(ad.matmul(h, w), b)
-    if not relu:
-        return out
-    mask = out.value > 0.0
-    out.tape.note_branch(np.asarray(mask, dtype=np.int8))
-    return ad.where(mask, out, 0.0)
+def _unfused_mlp(x, weights, biases, skip_at=()):
+    """The chain the mlp node replaced: concat at skip layers, then matmul,
+    add and a where-ReLU, as separate nodes."""
+    h = x
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        if i in skip_at:
+            h = ad.concat([h, x], axis=1)
+        h = ad.add(ad.matmul(h, w), b)
+        if i < len(weights) - 1:
+            mask = h.value > 0.0
+            h.tape.note_branch(np.asarray(mask, dtype=np.int8))
+            h = ad.where(mask, h, 0.0)
+    return h
 
 
-@pytest.mark.parametrize("relu", [True, False])
-def test_dense_equals_unfused_chain_bit_for_bit(relu):
-    rng = np.random.default_rng(3)
-    h0 = rng.normal(size=(40, 6))
-    h0[::5] = 0.0  # rows that land exactly on the kink
-    w0, b0 = rng.normal(size=(6, 4)), rng.normal(size=4)
-    b0[1] = 0.0
-    r = rng.normal(size=(40, 4))
+def _mlp_against_chain(widths, skip_at=(), trained=("x", "w", "b"),
+                       n_rows=40, live_rows=None, seed=3):
+    """Values, gradients and branch tokens of ad.mlp and of the unfused
+    chain on the same random inputs, asserted equal bit for bit. A second
+    node (one layer, or two with a hidden ReLU when the first has one)
+    reads the first node's output and reuses its last bias in every layer,
+    so gradients accumulate across nodes and within one. The loss weights
+    both outputs by r, which is zero outside `live_rows` (None: all rows).
+    Rows landing exactly on a kink are included."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.normal(size=(n_rows, widths[0]))
+    x0[::5] = 0.0  # rows that land exactly on the kink
+    layer_in = [widths[i] + (widths[0] if i in skip_at else 0)
+                for i in range(len(widths) - 1)]
+    w0 = [rng.normal(size=(i, o)) for i, o in zip(layer_in, widths[1:])]
+    b0 = [rng.normal(size=o) for o in widths[1:]]
+    b0[0][1 % len(b0[0])] = 0.0
+    r = rng.normal(size=(n_rows, widths[-1]))
+    v0 = [rng.normal(size=(widths[-1], widths[-1]))
+          for _ in range(2 if len(widths) > 2 else 1)]
+    if live_rows is not None:
+        r[np.setdiff1d(np.arange(n_rows), live_rows)] = 0.0
     results = []
-    for layer in (ad.dense, _unfused_layer):
+    for fused in (True, False):
         t = Tape(record_branches=True)
-        h, w, b = t.leaf(h0, "h"), t.leaf(w0, "w"), t.leaf(b0, "b")
-        out = layer(h, w, b, relu=relu)
-        # a second layer reuses h's layer output and w: gradients accumulate
-        out2 = layer(out, t.leaf(np.eye(4), "w2"), b, relu=relu)
+
+        def var(v, name, kind):
+            return t.leaf(v, name) if kind in trained else t.constant(v)
+
+        x = var(x0, "x", "x")
+        ws = [var(w, f"w{i}", "w") for i, w in enumerate(w0)]
+        bs = [var(b, f"b{i}", "b") for i, b in enumerate(b0)]
+        layer = ad.mlp if fused else _unfused_mlp
+        out = layer(x, ws, bs, skip_at)
+        vs = [var(v, f"v{i}", "w") for i, v in enumerate(v0)]
+        out2 = layer(out, vs, [bs[-1]] * len(vs))
         loss = ad.vsum(ad.mul(ad.add(out, out2), r))
         results.append((out.value, out2.value, backward(t, loss),
                         t.branch_signature()))
     (fv, fv2, fg, fsig), (uv, uv2, ug, usig) = results
     np.testing.assert_array_equal(fv.view(np.int64), uv.view(np.int64))
     np.testing.assert_array_equal(fv2.view(np.int64), uv2.view(np.int64))
-    assert fg.keys() == ug.keys()
+    assert fg.keys() == ug.keys() and len(fg) > 0
     for name in fg:
         np.testing.assert_array_equal(fg[name].view(np.int64),
                                       ug[name].view(np.int64), err_msg=name)
-    assert fsig == usig and (len(fsig) > 0) == relu
+    assert fsig == usig and (len(fsig) > 0) == (len(widths) > 2)
+    return fg
+
+
+@pytest.mark.parametrize("relu", [True, False])
+def test_dense_equals_unfused_chain_bit_for_bit(relu):
+    # relu: a hidden ReLU layer before the linear one; else one linear layer
+    _mlp_against_chain([6, 4, 3] if relu else [6, 4])
+
+
+def test_mlp_with_a_skip_layer_equals_unfused_chain_bit_for_bit():
+    # a skip at layer 2 re-reads x, at layer 0 x is read twice
+    _mlp_against_chain([5, 7, 6, 1], skip_at=(2,))
+    _mlp_against_chain([5, 7, 6, 1], skip_at=(0, 2))
+    _mlp_against_chain([5, 7, 6, 1], skip_at=(2,), trained=("w",))
+
+
+@pytest.mark.parametrize("skip_at", [(), (2,)])
+def test_mlp_rows_with_zero_cotangent_skip_the_backward_bit_for_bit(skip_at):
+    """Frozen weights: the backward pass runs on the 40 live rows padded to
+    one ROW_BLOCK of a 1024-row batch, and still gives the full chain's
+    input gradient, zero on every other row."""
+    live = np.arange(3, 1024, 26)
+    grads = _mlp_against_chain([19, 48, 48, 1], skip_at, trained=("x",),
+                               n_rows=1024, live_rows=live)
+    dead = np.setdiff1d(np.arange(1024), live)
+    assert np.all(grads["x"][dead] == 0.0) and np.any(grads["x"][live] != 0.0)
+    # trained weights sum over every row, so every row is run
+    _mlp_against_chain([19, 48, 48, 1], skip_at, trained=("x", "b"),
+                       n_rows=1024, live_rows=live)
+    # no live row at all: a zero gradient
+    grads = _mlp_against_chain([19, 48, 1], skip_at[:0], trained=("x",),
+                               n_rows=512, live_rows=[])
+    assert np.all(grads["x"] == 0.0)
 
 
 def test_dense_finite_difference():
@@ -188,9 +258,28 @@ def test_dense_finite_difference():
 
     def objective(tape, p):
         v = p.leaves(tape)
-        h = ad.dense(v["h"], v["w0"], v["b0"], relu=True)
-        h = ad.dense(h, v["w1"], v["b1"], relu=False)
+        h = ad.mlp(v["h"], [v["w0"], v["w1"]], [v["b0"], v["b1"]])
         return ad.vsum(ad.mul(h, h))
+
+    res = finite_diff_check(objective, pv, h=1e-6)
+    assert res.n_checked > 0.9 * len(pv)
+    assert res.max_rel_err < 1e-6
+
+
+def test_mlp_row_sparse_backward_finite_difference():
+    """Frozen weights and a skip layer; the loss reads 40 of 512 rows, so the
+    backward pass runs on one ROW_BLOCK of them."""
+    rng = np.random.default_rng(5)
+    w = [rng.normal(size=(3, 4)), rng.normal(size=(7, 4)), rng.normal(size=(4, 1))]
+    b = [rng.normal(size=4), rng.normal(size=4), rng.normal(size=1)]
+    r = np.zeros((512, 1))
+    r[::13] = rng.normal(size=(40, 1))
+    pv = ParamVector.from_arrays({"h": rng.normal(size=(512, 3))})
+
+    def objective(tape, p):
+        out = ad.mlp(p.leaves(tape)["h"], [tape.constant(v) for v in w],
+                     [tape.constant(v) for v in b], skip_at=(1,))
+        return ad.vsum(ad.mul(ad.mul(out, out), r))
 
     res = finite_diff_check(objective, pv, h=1e-6)
     assert res.n_checked > 0.9 * len(pv)
@@ -288,7 +377,7 @@ def _all_ops(t, u, v, m):
     return [
         ad.add(u, v), ad.sub(u, v), ad.mul(u, v), ad.div(u, v),
         ad.maximum(u, v), ad.minimum(u, v), ad.where(mask, u, v),
-        ad.matmul(u, m), ad.dense(u, m, ad.vsum(m, axis=0), relu=True),
+        ad.matmul(u, m), ad.mlp(u, [m], [ad.vsum(m, axis=0)]),
         ad.concat([u, v], axis=1),
     ] + [
         op(u) for op in (ad.neg, ad.exp, ad.tanh, ad.sqrt, ad.absolute,
@@ -458,3 +547,26 @@ def test_param_vector_rejects_duplicate_names():
     pv = ParamVector.from_arrays({"a": np.zeros(2)})
     with pytest.raises(ValueError):
         pv.register("a", np.zeros(2))
+
+
+def test_a_dropped_tape_is_freed_without_the_cycle_collector():
+    """No VJP closure refers back to its tape, so a tape dropped after its
+    backward pass frees its activations at once, not at the next run of
+    the cycle collector (which counts objects, not bytes)."""
+    rng = np.random.default_rng(13)
+    gc.disable()
+    try:
+        t = Tape()
+        u = t.leaf(rng.uniform(0.5, 2.0, (4, 3)), "u")
+        v = t.leaf(rng.uniform(0.5, 2.0, (4, 3)), "v")
+        m = t.leaf(rng.normal(size=(3, 2)), "m")
+        outs = _all_ops(t, u, v, m)
+        # frozen weights: the row-sparse backward of the decoder node
+        outs.append(ad.mlp(u, [t.constant(np.ones((3, 1)))],
+                           [t.constant(np.zeros(1))]))
+        backward(t, sum(ad.vsum(o) for o in outs))
+        ref = weakref.ref(t)
+        del t, u, v, m, outs
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -52,6 +52,35 @@ def test_sample_writes_requested_counts(tmp_path, scene_path):
     assert sorted(set(ss.tags)) == ["near-surface", "uniform"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["mesh", "ck.json", "--resolution", "1.5", "--out", "m.obj"],
+     "invalid int value: '1.5'"),
+    (["sample", "s.json", "--n-near", "x", "--out", "o.json"],
+     "invalid int value: 'x'"),
+    (["refine", "ck.json", "s.json", "--lr", "fast", "--out", "r.json"],
+     "invalid float value: 'fast'"),
+    (["mesh", "ck.json"], "the following arguments are required: --out"),
+    (["eval", "ck.json", "s.json", "--bogus"], "unrecognized arguments: --bogus"),
+    (["smooth"], "invalid choice: 'smooth'"),
+    ([], "the following arguments are required: command"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    # argparse's own exit code, 2, means a numerical failure here
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert "usage: sdfblend" in err and message in err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["mesh", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: sdfblend" in capsys.readouterr().out
+
+
 def test_sample_missing_scene_exits_1(tmp_path, capsys):
     rc = main(["sample", str(tmp_path / "nope.json"), "--out",
                str(tmp_path / "o.json")])
@@ -430,6 +459,7 @@ def test_eval_reports_and_rejects_bad_version(tmp_path, checkpoint_path,
     ("--n-surface", "0", "n_surface must be >= 1"),
     ("--tau", "0", "tau must be > 0"),
     ("--tau", "nan", "tau must be a finite number"),
+    ("--seed", "-3", "seed must be >= 0"),
 ])
 def test_eval_rejects_protocol_before_meshing(tmp_path, checkpoint_path,
                                               scene_path, capsys, monkeypatch,

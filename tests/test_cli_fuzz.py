@@ -1,6 +1,7 @@
 """Mutated checkpoint, scene, sample-set and fit-job documents through the
 CLI: every one must end in exit code 0, 1 or 2, never in a traceback, and a
-malformed document in exit code 1."""
+malformed document in exit code 1. Mutated argv of every subcommand must
+end in exit code 0, 1, 2 or 3, never in a traceback."""
 
 import copy
 import json
@@ -27,8 +28,11 @@ EVAL_ARGS = ["--resolution", "8", "--n-iou", "64", "--n-surface", "64"]
 FUZZ = settings(max_examples=60, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
+# strings a loader could mistake for numbers
+NUMERIC_STRINGS = st.sampled_from(["1", "1e3", "-0", "0.5", "nan"])
+
 JSON_VALUES = st.one_of(
-    st.none(), st.booleans(),
+    st.none(), st.booleans(), NUMERIC_STRINGS,
     st.integers(-3, 70), st.sampled_from([2 ** 31, 10 ** 6, -(10 ** 6)]),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(max_size=3),
@@ -39,7 +43,7 @@ JSON_VALUES = st.one_of(
 # fit-config values: no size above 64, so that no example allocates much
 # (an n_near of 2**31 would ask for gigabytes), and only relative paths
 FIT_VALUES = st.one_of(
-    st.none(), st.booleans(), st.integers(-3, 64),
+    st.none(), st.booleans(), NUMERIC_STRINGS, st.integers(-3, 64),
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(alphabet="ab.", max_size=3),
     st.lists(st.floats(-1.0, 1.0), max_size=4),
@@ -138,8 +142,12 @@ def mutated(draw, doc: dict):
 
 
 def _run(argv) -> int:
+    """main's exit code, also when argparse exits."""
     with np.errstate(all="ignore"):
-        return main(argv)
+        try:
+            return main(argv)
+        except SystemExit as e:
+            return e.code
 
 
 @FUZZ
@@ -188,3 +196,73 @@ def test_fit_on_mutated_sample_set_exits_1_when_malformed(fit_dir, doc):
 def test_fit_of_mutated_fit_job_exits_0_1_or_2(fit_dir, job):
     (fit_dir / "fit.json").write_text(json.dumps(job))
     assert _run(["fit", "fit.json"]) in (0, 1, 2)
+
+
+# A valid invocation of every subcommand at tiny sizes, on the files that
+# `argv_dir` writes. Drawn integers stay at or below 8, drawn flags are whole
+# words (argparse takes a prefix of a flag for the flag), and a size flag is
+# never deleted with its value, so no mutation asks for much work.
+SUBCOMMAND_ARGV = {
+    "sample": ["sample", "scene.json", "--n-near", "8", "--n-uniform", "4",
+               "--noise-stds", "0.01", "0.003", "--seed", "1", "--out", "s.json"],
+    "fit": ["fit", "fit.json"],
+    "downsample": ["downsample", "field.json", "--keep", "2", "--out", "d.json",
+                   "--indices-out", "kept.json"],
+    "refine": ["refine", "field.json", "scene.json", "--out", "r.json",
+               "--steps", "1", "--lr", "1e-3", "--eps", "0.005",
+               "--n-surface", "8", "--n-positive", "8", "--seed", "1",
+               "--report", "report.json"],
+    "mesh": ["mesh", "field.json", "--out", "m.obj", *MESH_ARGS],
+    "eval": ["eval", "field.json", "scene.json", *EVAL_ARGS, "--tau", "0.01",
+             "--seed", "1", "--out", "metrics.json"],
+    "gradcheck": ["gradcheck", "--fixtures", "1", "--seed", "1", "--h", "1e-6",
+                  "--tolerance", "1e-5"],
+}
+SIZE_FLAGS = {"--n-near", "--n-uniform", "--steps", "--n-surface",
+              "--n-positive", "--resolution", "--n-iou", "--fixtures"}
+
+ARGV_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "2", "8", "-1", "-3", "-0", "1.5", "1e3",
+                     "1e-3", "nan", "inf", "-inf", "x", "", "-", "--", "-h",
+                     "--bogus", "field.json", "scene.json", "fit.json"]),
+    st.text(alphabet=".e0123456789abx", max_size=4),
+)
+
+
+@st.composite
+def subcommand_argv(draw):
+    """A SUBCOMMAND_ARGV entry with one token replaced, one token (or a
+    flag other than a size flag, with its value) deleted, or one token
+    inserted."""
+    argv = list(SUBCOMMAND_ARGV[draw(st.sampled_from(sorted(SUBCOMMAND_ARGV)))])
+    i = draw(st.integers(0, len(argv)))
+    action = draw(st.sampled_from(["replace", "delete", "insert"]))
+    if action == "insert" or i == len(argv):
+        argv.insert(i, draw(ARGV_TOKENS))
+    elif action == "replace":
+        argv[i] = draw(ARGV_TOKENS)
+    else:
+        pair = argv[i].startswith("--") and argv[i] not in SIZE_FLAGS
+        del argv[i:i + (2 if pair else 1)]
+    return argv
+
+
+@pytest.fixture
+def argv_dir(fit_dir, monkeypatch):
+    """fit_dir plus a three-basis checkpoint, made the working directory;
+    gradcheck checks its cheapest loss only, so an example takes
+    milliseconds, and through the same code path."""
+    (fit_dir / "field.json").write_text(json.dumps(_checkpoint_doc()))
+    (fit_dir / "fit.json").write_text(json.dumps(FIT_JOB))
+    monkeypatch.setattr("sdfblend.gradcheck.LOSS_NAMES", ("reg",))
+    return fit_dir
+
+
+@FUZZ
+@given(argv=subcommand_argv())
+def test_mutated_argv_of_every_subcommand_exits_0_to_3(argv_dir, capsys, argv):
+    rc = _run(argv)
+    err = capsys.readouterr().err
+    assert rc in (0, 1, 2, 3) and "Traceback" not in err
+    if rc == 2:  # only a numerical failure, never a usage error
+        assert "numerical failure" in err

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdfblend.autodiff import Tape
+from sdfblend.autodiff import ROW_BLOCK, Tape
 from sdfblend.errors import CheckpointError, FieldError
 from sdfblend.field import (
-    MIN_INFERENCE_BLOCK, BasisField, Decoder, FieldProgram, LocalBasis,
-    decoder_eval, domain_downsample, domain_transform, rbf_weight,
-    rotation_from_6d, sdf_eval, top2,
+    BasisField, Decoder, FieldProgram, LocalBasis, decoder_eval,
+    domain_downsample, domain_transform, rbf_weight, rotation_from_6d,
+    sdf_eval, top2,
 )
 from sdfblend.gradcheck import random_field
 
@@ -408,7 +408,7 @@ def test_sdf_batch_keeps_per_field_nodes_and_one_block(monkeypatch):
 def test_sdf_batch_values_do_not_depend_on_the_call():
     """A point evaluated alone, or in a call of any length, gets the bits
     it gets inside a larger call: the last block is padded to whole
-    MIN_INFERENCE_BLOCKs."""
+    ROW_BLOCKs."""
     rng = np.random.default_rng(34)
     f = random_field(rng, n_bases=8, d_z=16, widths=(48, 48, 48))
     X = _fallback_probe_points(rng, 24000)
@@ -434,7 +434,7 @@ def test_inference_block_follows_decoder_width():
 def test_inference_block_is_whole_minimum_blocks():
     rng = np.random.default_rng(33)
     f = random_field(rng, n_bases=2, d_z=4, widths=(100,))  # 983 before rounding
-    assert f.inference_block() == 3 * MIN_INFERENCE_BLOCK
+    assert f.inference_block() == 3 * ROW_BLOCK
 
 
 # ---------------------------------------------------------------------------

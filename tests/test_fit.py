@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sdfblend import autodiff
-from sdfblend.autodiff import NonFiniteError
+from sdfblend.autodiff import NonFiniteError, Tape
 from sdfblend.field import BasisField, Decoder, domain_downsample
 from sdfblend.fit import (
     FitConfig, _batch_indices, _spawn_seeds, compact_fit, fit_field,
@@ -336,6 +336,32 @@ def subnormal_vjp_entries(monkeypatch):
     monkeypatch.setattr(autodiff, "_record", lambda tape, out, grads, pre=None:
                         record(tape, out, [(v, counted(f)) for v, f in grads], pre))
     return count
+
+
+def test_subnormal_guard_counts_the_decoder_vjp_outputs(subnormal_vjp_entries):
+    """The decoder is one node whose backward pass returns the input
+    gradient (frozen weights: computed on the live rows only) and the
+    weight and bias gradients; the guard sees every one of them."""
+    rng = np.random.default_rng(8)
+    x0 = rng.normal(size=(512, 7))
+    ws = [rng.normal(size=(7, 16)), rng.normal(size=(16, 1))]
+    bs = [rng.normal(size=16), rng.normal(size=1)]
+    g = np.zeros((512, 1))
+    g[::9] = 1e-310  # a subnormal cotangent on some rows, zero on the rest
+    for train_weights in (False, True):
+        tape = Tape()
+        const = tape.leaf if train_weights else (lambda v, name: tape.constant(v))
+        out = autodiff.mlp(tape.leaf(x0, "x"),
+                           [const(w, f"w{i}") for i, w in enumerate(ws)],
+                           [const(b, f"b{i}") for i, b in enumerate(bs)])
+        before = subnormal_vjp_entries[0]
+        grads = tape.nodes[out.idx].vjp(g)
+        assert len(grads) == (5 if train_weights else 1)
+        tiny = np.finfo(np.float64).tiny
+        expected = sum(int(np.count_nonzero((np.abs(a) > 0.0) & (np.abs(a) < tiny)))
+                       for a in grads)
+        assert expected > 0
+        assert subnormal_vjp_entries[0] - before == expected
 
 
 def test_refine_of_a_converged_fit_stays_out_of_subnormals(subnormal_vjp_entries):

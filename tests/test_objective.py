@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from sdfblend import autodiff as ad
 from sdfblend.autodiff import Tape, backward, finite_diff_check
 from sdfblend.field import BasisField, Decoder, FieldProgram
 from sdfblend.geom import PointCloud, SampleSet
 from sdfblend.gradcheck import random_field
 from sdfblend.objective import (
-    ADJ_EXPONENT_FLOOR, Anchor, LossWeights, RefineInputs, loss_adj,
+    ADJ_EXPONENT_FLOOR, ADJ_PREFILTER_SLACK, Anchor, LossWeights, RefineInputs, loss_adj,
     loss_adj_t, loss_chamfer, loss_face, loss_inte, loss_opt, loss_opt_t,
     loss_pos, loss_reg, loss_sdf, loss_sdf_euc, loss_smooth, loss_stable,
 )
@@ -340,6 +341,116 @@ def test_loss_adj_rows_beyond_the_floor_add_exact_zeros():
     assert value > 0.0
     assert np.all(grads["latents"][2] == 0.0)  # basis 2 is only in dropped rows
     assert np.any(grads["latents"][0] != 0.0)
+
+
+def _loss_adj_blend_all(prog, pts, w):
+    """loss_adj_t without the pre-filter: every point is blended, and rows
+    past the floor are zeroed by the tape's own exponent test. Also returns
+    the mask of the rows that test keeps."""
+    blend = prog.blend(pts)
+    diff = ad.sub(blend.f_p, blend.f_q)
+    m = ad.minimum(ad.absolute(blend.f_p), ad.absolute(blend.f_q))
+    e1 = ad.neg(ad.mul(m, m) * w.adj_sharp_surface)
+    dg = ad.sub(blend.g_p, blend.g_q)
+    e2 = ad.neg(ad.mul(dg, dg) * w.adj_sharp_balance)
+    term = ad.mul(ad.mul(ad.exp(e1), ad.exp(e2)), ad.mul(diff, diff))
+    drop = (e1.value + e2.value < -ADJ_EXPONENT_FLOOR) & np.isfinite(term.value)
+    return ad.vmean(ad.where(~drop, term, 0.0)), ~drop
+
+
+def _balance(f, pts, w):
+    top2 = f.select_top2_nearest(pts)
+    return w.adj_sharp_balance * (top2.g_p - top2.g_q) ** 2
+
+
+def _prefilter_fixture(seed):
+    """A random field, 1024 points and weights whose balance parts lie on
+    both sides of the floor, one of them inside the slack above it; with no
+    surface weight, the tape keeps exactly the rows below the floor."""
+    rng = np.random.default_rng(seed)
+    f = random_field(rng, n_bases=6, d_z=16, widths=(48, 48, 48))
+    f.log_scales += 1.0  # sharper domains: a wider spread of g_p - g_q
+    pts = rng.uniform(-0.45, 0.45, (1024, 3))
+    dg2 = _balance(f, pts, LossWeights(adj_sharp_balance=1.0))
+    # put a middle point's balance part halfway into the slack
+    w = LossWeights(adj_sharp_surface=0.0,
+                    adj_sharp_balance=(ADJ_EXPONENT_FLOOR + ADJ_PREFILTER_SLACK / 2)
+                    / np.sort(dg2)[len(dg2) // 2])
+    return f, pts, w
+
+
+@pytest.mark.parametrize("seed", [21, 22, 23])
+def test_loss_adj_prefilter_equals_blending_every_point_bit_for_bit(seed,
+                                                                     monkeypatch):
+    f, pts, w = _prefilter_fixture(seed)
+    balance = _balance(f, pts, w)
+    skipped = balance > ADJ_EXPONENT_FLOOR + ADJ_PREFILTER_SLACK
+    assert skipped.sum() >= 256  # a whole block is saved
+    in_slack = (balance > ADJ_EXPONENT_FLOOR) & ~skipped
+    assert in_slack.any() and (balance < ADJ_EXPONENT_FLOOR).any()
+    blended = []
+    blend = FieldProgram.blend
+    monkeypatch.setattr(FieldProgram, "blend", lambda self, points, *a, **k:
+                        blended.append(points) or blend(self, points, *a, **k))
+    pv = f.to_params()
+    for trainable in ({"centers", "latents"}, None):
+        tape = Tape()
+        total = loss_adj_t(FieldProgram(tape, pv.leaves(tape, trainable), f),
+                           pts, w)
+        value, grads = total.value, backward(tape, total)
+        tape = Tape()
+        total, kept = _loss_adj_blend_all(
+            FieldProgram(tape, pv.leaves(tape, trainable), f), pts, w)
+        expected, expected_grads = total.value, backward(tape, total)
+        # every row that the tape's own test keeps was blended
+        assert kept.any() and np.all((pts[kept][:, None] == blended[0][None]
+                                      ).all(axis=2).any(axis=1))
+        assert len(blended[0]) < len(pts)
+        blended.clear()
+        assert value > 0.0
+        assert np.float64(value).view(np.int64) == np.float64(expected).view(np.int64)
+        if trainable is None:
+            # trained decoder weights sum their gradient over the blended
+            # rows, fewer here, in another grouping: equal up to rounding
+            for name in expected_grads:
+                scale = np.abs(expected_grads[name]).max()
+                np.testing.assert_allclose(grads[name], expected_grads[name],
+                                           rtol=0.0, atol=1e-12 * scale,
+                                           err_msg=name)
+            continue
+        for name in expected_grads:
+            np.testing.assert_array_equal(grads[name].view(np.int64),
+                                          expected_grads[name].view(np.int64),
+                                          err_msg=name)
+
+
+def test_loss_adj_blends_a_point_whose_balance_is_not_finite(monkeypatch):
+    f, pts, w = _prefilter_fixture(21)
+    j = int(np.argmax(_balance(f, pts, w)))  # the first to be skipped
+    blended = []
+    blend = FieldProgram.blend
+
+    def spy(self, points, *args, **kwargs):
+        blended.append(np.asarray(points))
+        return blend(self, points, *args, **kwargs)
+
+    monkeypatch.setattr(FieldProgram, "blend", spy)
+
+    def point_j_blended():
+        blended.clear()
+        loss_adj(f, PointCloud(pts), w)
+        return any(np.all(b == pts[j], axis=1).any() for b in blended)
+
+    assert not point_j_blended()
+    select = BasisField.select_top2_nearest
+
+    def nan_weight_at_j(self, points, maps=None):
+        top2 = select(self, points, maps)
+        top2.g_p[j] = np.nan
+        return top2
+
+    monkeypatch.setattr(BasisField, "select_top2_nearest", nan_weight_at_j)
+    assert point_j_blended()
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdfblend.autodiff import ROW_BLOCK
 from sdfblend.errors import GridError
-from sdfblend.field import MIN_INFERENCE_BLOCK, BasisField, Decoder, FieldProgram
+from sdfblend.field import BasisField, Decoder, FieldProgram
 from sdfblend.formats import write_obj
 from sdfblend.geom import SceneSpec, Sphere
 from sdfblend.gradcheck import random_field
@@ -207,7 +208,7 @@ def test_certified_grid_evaluates_whole_blocks_of_open_corners(monkeypatch):
             return f.sdf(pts)
 
     _sample_grid(Spy(), GridSpec(40))
-    assert all(n % MIN_INFERENCE_BLOCK == 0 for n in blocks)
+    assert all(n % ROW_BLOCK == 0 for n in blocks)
     assert sum(calls) < 0.85 * 41 ** 3
 
 
