@@ -720,7 +720,7 @@ def finite_diff_check(objective: Callable[[Tape, ParamVector], Var],
     if h <= 0:
         raise ValueError("h must be positive")
 
-    tape = Tape(record_branches=True)
+    tape = Tape()
     out = objective(tape, params)
     base = _scalar(out.value)
     if not np.isfinite(base):

@@ -55,6 +55,7 @@ def cmd_sample(args) -> int:
     # argparse's `type=` checks the type only; the ranges are checked here
     check_number(args.n_near, "--n-near", 0, integer=True)
     check_number(args.n_uniform, "--n-uniform", 0, integer=True)
+    check_number(args.seed, "--seed", 0, integer=True)
     for std in args.noise_stds:
         _check_positive(std, "--noise-stds entries")
     scene = SceneSpec.load(args.scene)
@@ -109,6 +110,8 @@ def cmd_downsample(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    check_number(args.n_surface, "--n-surface", 1, integer=True)
+    check_number(args.n_positive, "--n-positive", 1, integer=True)
     field = BasisField.load(args.checkpoint)
     scene = SceneSpec.load(args.scene)
     config = FitConfig(refine_steps=args.steps, refine_lr=args.lr,
@@ -153,6 +156,7 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     check_number(args.fixtures, "--fixtures", 1, integer=True)
+    check_number(args.seed, "--seed", 0, integer=True)
     _check_positive(args.h, "--h")
     _check_positive(args.tolerance, "--tolerance")
     report = run_gradcheck(seed=args.seed, fixtures_per_loss=args.fixtures,
@@ -258,6 +262,9 @@ def main(argv=None) -> int:
     except NonFiniteError as e:
         _log(f"numerical failure: {e}")
         return EXIT_NUMERICAL
+    except MemoryError as e:  # e.g. a grid too large for this machine
+        _log(f"error: out of memory: {e}")
+        return EXIT_CONFIG
     except (SdfBlendError, OSError, ValueError, KeyError) as e:
         _log(f"error: {e}")
         return EXIT_CONFIG

@@ -253,6 +253,8 @@ def compact_fit(scene: SceneSpec, config: FitConfig
     Survivors keep their phase-1 parameters as a warm start. The report
     concatenates both phases' traces (phase boundary in diagnostics).
     """
+    # looked up in `field` at call time, so a wrapper installed on
+    # field.domain_downsample (bench/tracer.py) sees this call
     from .field import domain_downsample
 
     n_init = config.n_init if config.n_init is not None else config.n_bases

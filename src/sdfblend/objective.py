@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tape, Var
+from .autodiff import Var
 from .errors import FieldError, check_document, check_number
 from .field import BasisField, FieldProgram
 from .geom import PointCloud, SampleSet
@@ -301,62 +301,59 @@ def loss_opt_t(prog: FieldProgram, inputs: RefineInputs, weights: LossWeights,
 # Float wrappers (documented operation signatures)
 
 
-def _const_prog(field: BasisField) -> FieldProgram:
-    tape = Tape()
-    return FieldProgram(tape, field.to_params().leaves(tape, trainable=set()), field)
-
-
 def loss_sdf(field: BasisField, samples: SampleSet) -> float:
     if len(samples) == 0:
         raise ValueError("samples must be nonempty")
-    return float(loss_sdf_t(_const_prog(field), samples.points, samples.targets).value)
+    return float(loss_sdf_t(FieldProgram.constant(field), samples.points,
+                            samples.targets).value)
 
 
 def loss_smooth(field: BasisField, samples: SampleSet) -> float:
-    return float(loss_smooth_t(_const_prog(field), samples.points).value)
+    return float(loss_smooth_t(FieldProgram.constant(field), samples.points).value)
 
 
 def loss_sdf_euc(field: BasisField, samples: SampleSet) -> float:
-    return float(loss_sdf_euc_t(_const_prog(field), samples.points,
+    return float(loss_sdf_euc_t(FieldProgram.constant(field), samples.points,
                                 samples.targets).value)
 
 
 def loss_reg(field: BasisField) -> float:
-    return float(loss_reg_t(_const_prog(field)).value)
+    return float(loss_reg_t(FieldProgram.constant(field)).value)
 
 
 def loss_inte(field: BasisField, samples: SampleSet, weights: LossWeights,
               epoch: int) -> float:
-    total, _ = loss_inte_t(_const_prog(field), samples.points,
+    total, _ = loss_inte_t(FieldProgram.constant(field), samples.points,
                            samples.targets, weights, epoch)
     return float(total.value)
 
 
 def loss_face(field: BasisField, surface_pts: PointCloud, eps: float,
               convention: str = "outside") -> float:
-    return float(loss_face_t(_const_prog(field), surface_pts.points, eps,
+    return float(loss_face_t(FieldProgram.constant(field), surface_pts.points, eps,
                              convention).value)
 
 
 def loss_pos(field: BasisField, pos_pts: PointCloud, eps: float,
              convention: str = "outside") -> float:
-    return float(loss_pos_t(_const_prog(field), pos_pts.points, eps,
+    return float(loss_pos_t(FieldProgram.constant(field), pos_pts.points, eps,
                             convention).value)
 
 
 def loss_adj(field: BasisField, samples: PointCloud,
              weights: LossWeights | None = None) -> float:
     weights = weights or LossWeights()
-    return float(loss_adj_t(_const_prog(field), samples.points, weights).value)
+    return float(loss_adj_t(FieldProgram.constant(field), samples.points,
+                            weights).value)
 
 
 def loss_stable(field: BasisField, anchor: Anchor) -> float:
-    return float(loss_stable_t(_const_prog(field), anchor).value)
+    return float(loss_stable_t(FieldProgram.constant(field), anchor).value)
 
 
 def loss_opt(field: BasisField, inputs: RefineInputs, weights: LossWeights,
              anchor: Anchor) -> float:
-    total, _ = loss_opt_t(_const_prog(field), inputs, weights, anchor)
+    total, _ = loss_opt_t(FieldProgram.constant(field), inputs, weights, anchor)
     return float(total.value)
 
 

@@ -7,10 +7,10 @@ table. Vertices are emitted in sorted global-edge order and cells are
 processed in lexicographic order, so output is deterministic. Triangle
 winding is chosen so normals point toward positive field values.
 
-An evaluable with `box_signs(lo, hi)` (a BasisField) is evaluated only at
-the corners of cell blocks whose sign it cannot certify; the other corners
-hold a placeholder of their block's sign, which is all marching cubes
-reads of them.
+A BasisField is evaluated only at the corners of cell blocks whose sign
+`certify.box_signs` cannot prove; the other corners hold a placeholder of
+their block's sign, which is all marching cubes reads of them. Any other
+evaluable (a scene) is evaluated at every corner.
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .certify import box_signs
 from .errors import GridError
+from .field import BasisField
 from .geom import TriMesh
 from .mc_tables import EDGE_AXIS, EDGE_ORIGIN, EDGE_TABLE, TRI_TABLE
 
@@ -70,13 +72,12 @@ def _cell_signs(evaluable, axes) -> np.ndarray:
     """Certified sign per cell (+1, -1, or 0 where unproven), int8.
 
     Blocks of CERTIFY_BLOCKS[0] cells per axis are certified first through
-    `evaluable.box_signs`, then the blocks of each next size inside the
-    blocks left open; blocks at the far faces are cut to the grid. An
-    evaluable without `box_signs` certifies nothing.
+    `box_signs`, then the blocks of each next size inside the blocks left
+    open; blocks at the far faces are cut to the grid. Only a BasisField
+    is certified; any other evaluable certifies nothing.
     """
     cells = tuple(len(a) - 1 for a in axes)
-    box_signs = getattr(evaluable, "box_signs", None)
-    if box_signs is None:
+    if not isinstance(evaluable, BasisField):
         return np.zeros(cells, dtype=np.int8)
     sign, size = None, None
     for block in CERTIFY_BLOCKS:
@@ -88,7 +89,8 @@ def _cell_signs(evaluable, axes) -> np.ndarray:
         if len(open_blocks):
             first = open_blocks * block
             last = np.minimum(first + block, cells)
-            sign[tuple(open_blocks.T)] = box_signs(_corner_points(axes, first.T),
+            sign[tuple(open_blocks.T)] = box_signs(evaluable,
+                                                   _corner_points(axes, first.T),
                                                    _corner_points(axes, last.T))
     return _expand(sign, size, cells)
 

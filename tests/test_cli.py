@@ -98,8 +98,8 @@ def test_sample_is_byte_deterministic(tmp_path, scene_path):
 
 @pytest.mark.parametrize("flag", [
     ["--n-near", "-3"], ["--n-uniform", "-1"], ["--noise-stds", "nan", "0.003"],
-    ["--noise-stds", "0.01", "0"],
-], ids=["n_near", "n_uniform", "noise_stds_nan", "noise_stds_zero"])
+    ["--noise-stds", "0.01", "0"], ["--seed", "-1"],
+], ids=["n_near", "n_uniform", "noise_stds_nan", "noise_stds_zero", "seed"])
 def test_sample_rejects_flag_out_of_range_before_sampling(tmp_path, scene_path,
                                                           capsys, monkeypatch,
                                                           flag):
@@ -501,6 +501,41 @@ def test_refine_rejects_bad_step_count(tmp_path, checkpoint_path, scene_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [["--n-surface", "0"], ["--n-positive", "-5"]],
+                         ids=["n_surface", "n_positive"])
+def test_refine_rejects_flag_out_of_range_before_loading(tmp_path, checkpoint_path,
+                                                         scene_path, capsys,
+                                                         monkeypatch, flag):
+    monkeypatch.setattr(BasisField, "load", lambda *a: pytest.fail(
+        "loaded a checkpoint despite an out-of-range flag"))
+    out = tmp_path / "refined.json"
+    assert main(["refine", str(checkpoint_path), str(scene_path), *flag,
+                 "--out", str(out)]) == 1
+    assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["mesh", "eval"])
+def test_out_of_memory_exits_1(tmp_path, checkpoint_path, scene_path, capsys,
+                               monkeypatch, command):
+    """A MemoryError (numpy refusing a huge grid, say) is a config error."""
+    import sdfblend.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.78 TiB for an array with shape "
+                          "(12500, 12500, 12500) and data type int8")
+
+    monkeypatch.setattr(cli, "marching_cubes", refuse)
+    monkeypatch.setattr(cli, "evaluate", refuse)
+    out = tmp_path / "out"
+    argv = (["mesh", str(checkpoint_path)] if command == "mesh"
+            else ["eval", str(checkpoint_path), str(scene_path)])
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 1.78 TiB")
+    assert not out.exists()
+
+
 def test_refine_non_finite_loss_exits_2(tmp_path, scene_path, capsys):
     from tests.test_fit import overflowing_field
     ck = tmp_path / "overflow.json"
@@ -533,8 +568,9 @@ def test_gradcheck_cli_deterministic(capsys):
 
 @pytest.mark.parametrize("flag", [
     ["--fixtures", "0"], ["--h", "nan"], ["--h", "0"], ["--tolerance", "nan"],
-    ["--tolerance", "-0.5"],
-], ids=["fixtures", "h_nan", "h_zero", "tolerance_nan", "tolerance_negative"])
+    ["--tolerance", "-0.5"], ["--seed", "-1"],
+], ids=["fixtures", "h_nan", "h_zero", "tolerance_nan", "tolerance_negative",
+        "seed"])
 def test_gradcheck_rejects_flag_out_of_range(capsys, flag):
     assert main(["gradcheck", *flag]) == 1
     captured = capsys.readouterr()

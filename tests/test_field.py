@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sdfblend import certify
 from sdfblend.autodiff import ROW_BLOCK, Tape
 from sdfblend.errors import CheckpointError, FieldError
 from sdfblend.field import (
@@ -326,7 +327,6 @@ def test_nearest_pass_decodes_each_pair_once(monkeypatch, n_bases):
     """blend(with_nearest=True) decodes 2B rows plus one per point whose
     nearest basis is neither p nor q (B rows at N = 1), and its f_k is the
     nearest basis decoded on its own."""
-    from sdfblend.autodiff import Tape
     from sdfblend.field import FieldProgram
     rng = np.random.default_rng(40 + n_bases)
     f = random_field(rng, n_bases=n_bases)
@@ -336,8 +336,7 @@ def test_nearest_pass_decodes_each_pair_once(monkeypatch, n_bases):
     monkeypatch.setattr(FieldProgram, "decode",
                         lambda self, pts, idx, d=None: decoded.append(len(idx))
                         or decode(self, pts, idx, d))
-    tape = Tape()
-    prog = FieldProgram(tape, f.to_params().leaves(tape, trainable=set()), f)
+    prog = FieldProgram.constant(f)
     blend = prog.blend(X, with_nearest=True)
     nearest = f.nearest_center_index(X)
     outside = int(np.count_nonzero((nearest != blend.p) & (nearest != blend.q)))
@@ -362,10 +361,12 @@ def test_sums_of_three_squares_equal_the_reduce(monkeypatch, n_bases):
     runs = []
     for sum3 in (field_mod._sum3, lambda sq: sq.sum(axis=-1)):
         monkeypatch.setattr(field_mod, "_sum3", sum3)
+        monkeypatch.setattr(certify, "_sum3", sum3)
         runs.append((f.rbf_matrix(X), f.nearest_center_index(X),
-                     f._box_candidates(0.5 * (lo + hi), 0.5 * (hi - lo),
-                                       f._domain_maps() if n_bases > 1 else None),
-                     f.box_signs(lo, hi)))
+                     certify._box_candidates(f, 0.5 * (lo + hi), 0.5 * (hi - lo),
+                                             f._domain_maps() if n_bases > 1
+                                             else None),
+                     certify.box_signs(f, lo, hi)))
     (g, nearest, cand, signs), (g_ref, nearest_ref, cand_ref, signs_ref) = runs
     np.testing.assert_array_equal(g.view(np.int64), g_ref.view(np.int64))
     assert (g == 0.0).any()
@@ -469,13 +470,13 @@ def test_box_signs_never_contradict_the_field(seed, n_bases, weight_scale, width
     for w in f.decoder.weights:
         w *= weight_scale
     lo, hi, pts = _boxes_and_points(rng, 48, width, 40)
-    signs = f.box_signs(lo, hi)
+    signs = certify.box_signs(f, lo, hi)
     vals = f.sdf_batch(pts.reshape(-1, 3)).reshape(pts.shape[:2])
     assert np.all(vals[signs == 1] >= 0)
     assert np.all(vals[signs == -1] < 0)
     if n_bases > 1:
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        cand = f._box_candidates(mid, rad, f._domain_maps())
+        cand = certify._box_candidates(f, mid, rad, f._domain_maps())
         p, q, _, _ = f.select_top2_nearest(pts.reshape(-1, 3))
         box = np.repeat(np.arange(len(lo)), pts.shape[1])
         assert cand[box, p].all() and cand[box, q].all()
@@ -502,19 +503,18 @@ def test_back_substituted_bounds_contain_the_decoder(seed, n_bases, weight_scale
     lo, hi, pts = _boxes_and_points(rng, 24, width, 40)
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
     maps = f._domain_maps() if n_bases > 1 else None
-    box, basis = np.nonzero(f._box_candidates(mid, rad, maps))
-    layers = f._bound_layers()
-    fwd = f._decoder_bounds(mid[box], rad[box], basis, layers,
-                            np.full(len(box), -np.inf))
-    f_lo, f_hi = f._decoder_bounds(mid[box], rad[box], basis, layers,
-                                   np.full(len(box), np.inf))
+    box, basis = np.nonzero(certify._box_candidates(f, mid, rad, maps))
+    layers = certify._bound_layers(f)
+    fwd = certify._decoder_bounds(f, mid[box], rad[box], basis, layers,
+                                  np.full(len(box), -np.inf))
+    f_lo, f_hi = certify._decoder_bounds(f, mid[box], rad[box], basis, layers,
+                                         np.full(len(box), np.inf))
     assert np.all(f_lo >= fwd[0]) and np.all(f_hi <= fwd[1])
-    tape = Tape()
-    prog = FieldProgram(tape, f.to_params().leaves(tape, trainable=set()), f)
+    prog = FieldProgram.constant(f)
     n_pts = pts.shape[1]
     vals = prog.decode(pts[box].reshape(-1, 3),
                        np.repeat(basis, n_pts)).value.reshape(len(box), n_pts)
-    m = f._decoder_margin(lo.min(axis=0), hi.max(axis=0))[basis][:, None]
+    m = certify._decoder_margin(f, lo.min(axis=0), hi.max(axis=0))[basis][:, None]
     assert np.all(vals >= f_lo[:, None] - m)
     assert np.all(vals <= f_hi[:, None] + m)
 
@@ -523,7 +523,7 @@ def test_box_signs_certify_most_blocks_away_from_the_surface():
     rng = np.random.default_rng(39)  # a field with both signs in the domain
     f = random_field(rng, n_bases=3)
     lo, hi, pts = _boxes_and_points(rng, 200, 0.05, 40)
-    signs = f.box_signs(lo, hi)
+    signs = certify.box_signs(f, lo, hi)
     vals = f.sdf_batch(pts.reshape(-1, 3)).reshape(pts.shape[:2])
     one_sign = np.all(vals >= 0, axis=1) | np.all(vals < 0, axis=1)
     assert np.mean(signs != 0) > 0.5 * np.mean(one_sign)
@@ -534,7 +534,7 @@ def test_box_signs_certify_nothing_where_the_decoder_overflows():
     from tests.test_fit import overflowing_field
     f = overflowing_field()
     lo, hi, _ = _boxes_and_points(np.random.default_rng(35), 64, 0.1, 0)
-    assert not f.box_signs(lo, hi).any()
+    assert not certify.box_signs(f, lo, hi).any()
 
 
 # ---------------------------------------------------------------------------

@@ -192,42 +192,50 @@ def test_fallback_field_falls_back_on_the_grid():
     assert f.sdf_batch_diag(pts)[1] > 0
 
 
+def _count_sdf_points(monkeypatch, cls=BasisField) -> list[int]:
+    """Record the length of every `cls.sdf` call in the returned list."""
+    calls = []
+    sdf = cls.sdf
+    monkeypatch.setattr(cls, "sdf",
+                        lambda self, pts: calls.append(len(pts)) or sdf(self, pts))
+    return calls
+
+
 def test_certified_grid_evaluates_whole_blocks_of_open_corners(monkeypatch):
     f = BasisField.load(BENCH_CHECKPOINT)
-    calls, blocks = [], []
+    blocks = []
     blend = FieldProgram.blend
     monkeypatch.setattr(FieldProgram, "blend",
                         lambda self, pts, **kw: blocks.append(len(pts))
                         or blend(self, pts, **kw))
-
-    class Spy:
-        box_signs = staticmethod(f.box_signs)
-
-        def sdf(self, pts):
-            calls.append(len(pts))
-            return f.sdf(pts)
-
-    _sample_grid(Spy(), GridSpec(40))
+    calls = _count_sdf_points(monkeypatch)
+    _sample_grid(f, GridSpec(40))
     assert all(n % ROW_BLOCK == 0 for n in blocks)
     assert sum(calls) < 0.85 * 41 ** 3
 
 
-def test_certified_grid_at_128_evaluates_under_268k_corners():
+def test_certified_grid_at_128_evaluates_under_268k_corners(monkeypatch):
     """Back-substituted certificates leave at most 268,000 of the 2,146,689
     corners of the bench checkpoint's resolution-128 grid to evaluate (the
     forward bound alone left 383,152)."""
     f = BasisField.load(BENCH_CHECKPOINT)
-    calls = []
-
-    class Spy:
-        box_signs = staticmethod(f.box_signs)
-
-        def sdf(self, pts):
-            calls.append(len(pts))
-            return f.sdf(pts)
-
-    _sample_grid(Spy(), GridSpec(128))
+    calls = _count_sdf_points(monkeypatch)
+    _sample_grid(f, GridSpec(128))
     assert sum(calls) <= 268_000
+
+
+def test_scene_grid_is_never_certified(monkeypatch):
+    """A scene is evaluated at every corner, without a call to box_signs."""
+    import sdfblend.surface as surface_mod
+    monkeypatch.setattr(surface_mod, "box_signs", lambda *a: pytest.fail(
+        "box_signs called for a scene"))
+    scene, grid = SceneSpec(root=Sphere(radius=0.4)), GridSpec(16)
+    pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
+    ref = scene.sdf(pts.reshape(-1, 3))
+    calls = _count_sdf_points(monkeypatch, SceneSpec)
+    vals = _sample_grid(scene, grid)
+    assert sum(calls) == 17 ** 3
+    np.testing.assert_array_equal(vals.reshape(-1), ref)
 
 
 def test_overflowing_field_still_names_the_first_corner():
