@@ -2,7 +2,8 @@
 
 box_signs(field, lo, hi) proves, box by box, that the blended field has
 one sign over the whole box, so that surfacing need not evaluate the grid
-corners inside it. The proof, for the functions below:
+corners inside it; with `edges` it proves the same, from the same pass,
+for given sub-boxes of each box. The proof, for the functions below:
 
 Candidates: A_i (x - c_i) is affine, so each component has an exact
 interval over a box, and ||A_i (x - c_i)||^2 lies in [u_min_i,
@@ -66,6 +67,28 @@ all. With the evaluated decoder's L (1 + gamma_n)^L gamma_n S_out
 the total stays below (4^L / 3 + 2^L + 5 L + 1) gamma_n S_out,
 which is less than 4^(L+1) gamma_n S_out for every L >= 1.
 
+Sub-boxes (box_signs with `edges`), with the same margin. The
+back-substituted bound of a pair is a linear form c + g . d in the
+offset d = x - mid, valid over the whole box; over a sub-box it is
+concretised in t = d / rad as c + (g rad) . t_mid + |g rad| . t_rad,
+one axis at a time. The sub-box ends e lie in [lo, hi], and their
+computed t = (e - mid) / rad lies within 2^-51 of the exact value
+since |t| <= 1 + 2^-39; t_mid is the midpoint of the two ends
+and t_rad the larger half-width plus 2^-40, so t_mid +- t_rad covers
+the exact t-range of the sub-box despite the rounding of the ends,
+the midpoint and the half-width, as rad covers [lo, hi]. The form's
+maximum over a region that holds the sub-box is at least its maximum
+over the sub-box, so the bound holds there. Only the concretisation
+term of (b) changes: the products g rad, their products with t_mid
+and t_rad and the four sums are each at most (1 + 2^-39) S_out in
+magnitude, so they err by less than 2 gamma_n S_out beyond the
+whole-box concretisation (n >= 6), and the total stays below
+(4^L / 3 + 2^L + 5 L + 3) gamma_n S_out < 4^(L+1) gamma_n S_out.
+A pair whose bound clears the margin over the whole box, forward or
+back-substituted, keeps its sign over every sub-box, and the
+candidates of a box include every basis that top-2 selection may
+pick in its sub-boxes.
+
 A NaN anywhere keeps a basis as a candidate, a pair with a
 non-finite forward bound or interval end is never back-substituted,
 and a non-finite bound or margin never certifies.
@@ -84,20 +107,30 @@ CERTIFY_BOX_CHUNK = 2048
 CERTIFY_U_CAP = 700.0
 
 
-def box_signs(field: BasisField, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def box_signs(field: BasisField, lo: np.ndarray, hi: np.ndarray,
+              edges: np.ndarray | None = None):
     """Certified sign of the field over K closed boxes [lo[k], hi[k]].
 
     Returns int8 (K,): +1 where `sdf_batch` gives a finite value >= 0 at
     every point of the box, -1 where it gives a finite value < 0, and 0
     where neither is proven.
 
+    `edges`, (K, 3, s + 1), splits box k along axis a at the nondecreasing
+    coordinates edges[k, a] from lo[k, a] to hi[k, a]. With it, the
+    signs of the s^3 closed sub-boxes between consecutive edges, int8
+    (K, s, s, s) in the same sense, are returned as well, from the same
+    bound pass: a sub-box takes a sign when every candidate of its box
+    clears the margin over it.
+
     The proof is in the module docstring.
     """
     lo = np.asarray(lo, dtype=np.float64).reshape(-1, 3)
     hi = np.asarray(hi, dtype=np.float64).reshape(-1, 3)
     out = np.zeros(len(lo), dtype=np.int8)
+    sub_out = (None if edges is None else
+               np.zeros((len(lo),) + (edges.shape[2] - 1,) * 3, dtype=np.int8))
     if not len(lo):
-        return out
+        return out if edges is None else (out, sub_out)
     mid = 0.5 * (lo + hi)
     # widened so that mid +- rad covers [lo, hi] despite rounding
     rad = np.maximum(hi - mid, mid - lo) * (1.0 + 2.0 ** -40)
@@ -115,18 +148,61 @@ def box_signs(field: BasisField, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         box, basis = np.nonzero(_box_candidates(field, mid_k, rad_k, maps))
         pos = np.zeros(len(box), dtype=bool)
         neg = np.zeros(len(box), dtype=bool)
+        if edges is not None:
+            t_sub = _sub_intervals(edges[sl], mid_k, rad_k)
+            # per box and sub-box: the candidates that clear +margin over
+            # the sub-box but not over the whole box, minus those that
+            # clear -margin
+            sub_clear = np.zeros((len(mid_k),) + sub_out.shape[1:], dtype=np.int32)
         for p0 in range(0, len(box), pair_chunk):
             ps = slice(p0, p0 + pair_chunk)
             m = margin[basis[ps]]
-            f_lo, f_hi = _decoder_bounds(field, mid_k[box[ps]], rad_k[box[ps]],
-                                         basis[ps], layers, m)
+            bounds = _decoder_bounds(
+                field, mid_k[box[ps]], rad_k[box[ps]], basis[ps], layers, m,
+                None if edges is None else tuple(t[box[ps]] for t in t_sub))
+            f_lo, f_hi = bounds[:2]
             finite = np.isfinite(f_lo) & np.isfinite(f_hi)
             pos[ps] = finite & (f_lo > m)
             neg[ps] = finite & (f_hi < -m)
+            if edges is not None:
+                part, s_lo, s_hi = bounds[2:]
+                finite = np.isfinite(s_lo + s_hi)
+                m = m[part, None, None, None]
+                _add_rows(sub_clear, box[ps][part],
+                          (finite & (s_lo > m)).view(np.int8)
+                          - (finite & (s_hi < -m)).view(np.int8))
         n_cand = np.bincount(box, minlength=len(mid_k))
-        signs[np.bincount(box, weights=pos, minlength=len(mid_k)) == n_cand] = 1
-        signs[np.bincount(box, weights=neg, minlength=len(mid_k)) == n_cand] = -1
-    return out
+        n_pos = np.bincount(box, weights=pos, minlength=len(mid_k))
+        n_neg = np.bincount(box, weights=neg, minlength=len(mid_k))
+        signs[n_pos == n_cand] = 1
+        signs[n_neg == n_cand] = -1
+        if edges is not None:
+            sub, n_cand = sub_out[sl], n_cand[:, None, None, None]
+            sub_clear += (n_pos - n_neg).astype(np.int32)[:, None, None, None]
+            sub[sub_clear == n_cand] = 1
+            sub[sub_clear == -n_cand] = -1
+    return out if edges is None else (out, sub_out)
+
+
+def _add_rows(total: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """total[index[i]] += rows[i] for an ascending `index`, one add per run
+    of equal indices (np.add.at adds row by row)."""
+    if len(index):
+        start = np.flatnonzero(np.diff(index, prepend=-1))
+        total[index[start]] += np.add.reduceat(rows, start, axis=0,
+                                               dtype=total.dtype)
+
+
+def _sub_intervals(edges: np.ndarray, mid: np.ndarray, rad: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and radius in t (x = mid + rad * t) of the intervals between
+    consecutive edges, (K, 3, s) each; the radius is widened so that the
+    interval covers its ends despite the rounding of t."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = (edges - mid[:, :, None]) / rad[:, :, None]
+    t_mid = 0.5 * (t[..., :-1] + t[..., 1:])
+    t_rad = np.maximum(t[..., 1:] - t_mid, t_mid - t[..., :-1]) + 2.0 ** -40
+    return t_mid, t_rad
 
 
 def _box_candidates(field: BasisField, mid: np.ndarray, rad: np.ndarray, maps
@@ -179,15 +255,20 @@ def _bound_layers(field: BasisField) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _decoder_bounds(field: BasisField, mid: np.ndarray, rad: np.ndarray,
-                    basis: np.ndarray, layers, margin: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
+                    basis: np.ndarray, layers, margin: np.ndarray, t_sub=None):
     """Lower and upper bound of decoder basis[p] over the box mid[p] +-
     rad[p], from affine forms in t in [-1, 1]^3 (x = mid + rad * t):
     entries 0-2 of a (4, P, width) form hold the t coefficients, entry 3
     the constant. `layers`: _bound_layers(), so one matmul on [L | U]
     gives the next [L | U]. The pairs whose finite bound clears neither
     margin[p] nor -margin[p] are then tightened by _back_substitute
-    (margin +inf tightens every finite pair, -inf none)."""
+    (margin +inf tightens every finite pair, -inf none).
+
+    With t_sub = (t_mid, t_rad), (P, 3, s) sub-intervals of t per pair
+    and axis, it also returns `part`, the pairs whose tightened bound is
+    finite and still clears neither margin, and their lower and upper
+    bounds over each sub-box, (len(part), s, s, s), from the same
+    back-substituted linear forms."""
     dec = field.decoder
     n = len(basis)
     x = np.zeros((4, n, dec.in_dim))
@@ -227,25 +308,40 @@ def _decoder_bounds(field: BasisField, mid: np.ndarray, rad: np.ndarray,
             lu[..., :half] *= lower
             relax.append((slope, drop, lower))
         f_lo, f_hi = l[:, 0], u[:, 0]
-        tight = (finite & np.isfinite(f_lo) & np.isfinite(f_hi)
-                 & ~(f_lo > margin) & ~(f_hi < -margin))
-        if tight.any():
-            b_lo, b_hi = _back_substitute(
-                field,
-                x[3, tight], rad[tight],
-                [[r[tight] for r in rel] for rel in relax])
-            f_lo[tight] = np.maximum(f_lo[tight], b_lo)
-            f_hi[tight] = np.minimum(f_hi[tight], b_hi)
-    return f_lo, f_hi
+        tight = np.flatnonzero(finite & np.isfinite(f_lo) & np.isfinite(f_hi)
+                               & ~(f_lo > margin) & ~(f_hi < -margin))
+        if len(tight):
+            const, coef = _back_substitute(
+                field, x[3, tight], [[r[tight] for r in rel] for rel in relax])
+            bound = const + np.einsum("ijk,jk->ij", np.abs(coef), rad[tight])
+            f_lo[tight] = np.maximum(f_lo[tight], -bound[1])
+            f_hi[tight] = np.minimum(f_hi[tight], bound[0])
+        if t_sub is None:
+            return f_lo, f_hi
+        s = t_sub[0].shape[2]
+        if not len(tight):
+            empty = np.zeros((0, s, s, s))
+            return f_lo, f_hi, tight, empty, empty
+        keep = (np.isfinite(f_lo[tight]) & np.isfinite(f_hi[tight])
+                & ~(f_lo[tight] > margin[tight]) & ~(f_hi[tight] < -margin[tight]))
+        part = tight[keep]
+        # the t form c + (coef * rad) . t over t_mid +- t_rad, axis by axis
+        ct = coef[:, keep] * rad[part]
+        a = (ct[..., None] * t_sub[0][part]
+             + np.abs(ct)[..., None] * t_sub[1][part])
+        bound = (const[:, keep, None, None, None] + a[:, :, 0, :, None, None]
+                 + a[:, :, 1, None, :, None] + a[:, :, 2, None, None, :])
+    return f_lo, f_hi, part, -bound[1], bound[0]
 
 
-def _back_substitute(field: BasisField, x_mid: np.ndarray, rad: np.ndarray,
-                     relax) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper decoder bound per pair over the inputs x_mid[p] +
-    (rad[p] * t, 0), t in [-1, 1]^3, from the output rows +W_L and -W_L
+def _back_substitute(field: BasisField, x_mid: np.ndarray, relax
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Linear upper bounds, per pair, of the decoder over the inputs
+    x_mid[p] + (d, 0) for d in its box, from the output rows +W_L and -W_L
     carried back through the hidden-layer relaxations `relax` of
-    _decoder_bounds; see box_signs. Row 0 bounds f from above, row 1
-    bounds -f from above."""
+    _decoder_bounds; see box_signs. Returns (const, coef), (2, P) and
+    (2, P, 3): row 0 bounds f from above by const[0] + coef[0] . d, row 1
+    bounds -f from above by const[1] + coef[1] . d."""
     dec = field.decoder
     n = len(x_mid)
     coef = np.repeat([[[1.0]], [[-1.0]]], n, axis=1)
@@ -267,6 +363,5 @@ def _back_substitute(field: BasisField, x_mid: np.ndarray, rad: np.ndarray,
         down = np.minimum(coef, 0.0)
         const -= np.einsum("ijk,jk->ij", up, drop)
         coef = up * slope + down * lower
-    bound = const + np.einsum("ijk,jk->ij", coef_in, x_mid)
-    bound += np.einsum("ijk,jk->ij", np.abs(coef_in[..., :3]), rad)
-    return -bound[1], bound[0]
+    const += np.einsum("ijk,jk->ij", coef_in, x_mid)
+    return const, coef_in[..., :3]

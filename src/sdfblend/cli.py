@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from .autodiff import NonFiniteError
 from .errors import (CheckpointError, SdfBlendError, check_document,
-                     check_number, read_json)
+                     check_number, check_positive, read_json)
 from .field import BasisField, domain_downsample
 from .fit import FitConfig, compact_fit, fit_field, init_field, refine_from_scene
 from .formats import write_obj
@@ -44,20 +43,13 @@ def _dump_json(doc: dict, path) -> None:
         f.write("\n")
 
 
-def _check_positive(value, what: str) -> float:
-    """`value` if it is a finite number > 0; else ValueError naming `what`."""
-    if check_number(value, what, -math.inf) <= 0:
-        raise ValueError(f"{what} must be > 0, got {value!r}")
-    return value
-
-
 def cmd_sample(args) -> int:
     # argparse's `type=` checks the type only; the ranges are checked here
     check_number(args.n_near, "--n-near", 0, integer=True)
     check_number(args.n_uniform, "--n-uniform", 0, integer=True)
     check_number(args.seed, "--seed", 0, integer=True)
     for std in args.noise_stds:
-        _check_positive(std, "--noise-stds entries")
+        check_positive(std, "--noise-stds entries")
     scene = SceneSpec.load(args.scene)
     samples = sample_training_set(scene, args.n_near, args.n_uniform,
                                   tuple(args.noise_stds), args.seed)
@@ -157,8 +149,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     check_number(args.fixtures, "--fixtures", 1, integer=True)
     check_number(args.seed, "--seed", 0, integer=True)
-    _check_positive(args.h, "--h")
-    _check_positive(args.tolerance, "--tolerance")
+    check_positive(args.h, "--h")
+    check_positive(args.tolerance, "--tolerance")
     report = run_gradcheck(seed=args.seed, fixtures_per_loss=args.fixtures,
                            h=args.h, corrupt=args.corrupt)
     for name, res in report.results.items():

@@ -72,6 +72,13 @@ def check_number(value, what: str, minimum: float, integer: bool = False,
     return value
 
 
+def check_positive(value, what: str):
+    """`value` if it is a finite number > 0; else ValueError naming `what`."""
+    if check_number(value, what, -math.inf) <= 0:
+        raise ValueError(f"{what} must be > 0, got {value!r}")
+    return value
+
+
 def check_json(value, kind: type, what: str, error: type[Exception]):
     """`value` if it is a `kind` (dict: JSON object, or list), else `error`
     naming `what`."""

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .autodiff import AdamState, NonFiniteError, Tape, adam_step, backward
-from .errors import check_document, check_number
+from .errors import check_document, check_number, check_positive
 from .field import (
     DOMAIN_PARAM_NAMES, IDENTITY_ROT6, BasisField, Decoder, FieldProgram,
 )
@@ -59,10 +59,10 @@ class FitConfig:
             check_number(getattr(self, name), name, 1, integer=True)
         for name in ("d_z", "seed", "n_near", "n_uniform"):
             check_number(getattr(self, name), name, 0, integer=True)
-        for name in ("lr", "refine_lr", "reg_boundary_frac", "adj_spread"):
+        for name in ("reg_boundary_frac", "adj_spread"):
             check_number(getattr(self, name), name, 0.0)
-        if self.lr <= 0 or self.refine_lr <= 0:
-            raise ValueError("learning rates must be > 0")
+        for name in ("lr", "refine_lr"):
+            check_positive(getattr(self, name), name)
         if self.n_init is not None:
             check_number(self.n_init, "n_init", self.n_bases, integer=True)
         if not isinstance(self.weights, LossWeights):
@@ -76,10 +76,8 @@ class FitConfig:
         if any(i > len(self.decoder_widths) for i in self.decoder_skip):
             raise ValueError("decoder_skip entries must name decoder layers")
         self.noise_stds = tuple(
-            float(check_number(s, "noise_stds entries", 0.0))
+            float(check_positive(s, "noise_stds entries"))
             for s in _as_list(self.noise_stds, "noise_stds", length=2))
-        if min(self.noise_stds) <= 0:
-            raise ValueError(f"noise_stds entries must be > 0, got {self.noise_stds}")
         if self.trainable is not None:
             self.trainable = _as_list(self.trainable, "trainable")
             names = set(DOMAIN_PARAM_NAMES) | {

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import check_number
+from .errors import check_number, check_positive
 from .geom import PointCloud, sample_mesh_surface
-from .surface import GridSpec, marching_cubes
+from .surface import CellSigns, GridSpec, marching_cubes
 
 # Samples per IoU draw; bounds a scene oracle's memory
 # (SceneSpec.sdf is not blocked, unlike BasisField.sdf_batch).
@@ -33,8 +33,7 @@ class EvalProtocol:
     def __post_init__(self):
         check_number(self.n_iou, "n_iou", 1, integer=True)
         check_number(self.n_surface, "n_surface", 1, integer=True)
-        if check_number(self.tau, "tau", 0.0) <= 0:
-            raise ValueError("tau must be > 0")
+        check_positive(self.tau, "tau")
         check_number(self.seed, "seed", 0, integer=True)
 
     def to_json_dict(self) -> dict:
@@ -77,11 +76,14 @@ def _union_bounds(a, b) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(lo_a, lo_b), np.maximum(hi_a, hi_b)
 
 
-def iou(a, b, n: int, seed: int) -> float:
+def iou(a, b, n: int, seed: int, cells_a: CellSigns | None = None) -> float:
     """Occupancy IoU over uniform samples in the union bounding box.
 
     `a` and `b` expose sdf(points) and bounds(); occupancy is sdf < 0.
-    Returns 1.0 when neither occupies any sample.
+    Returns 1.0 when neither occupies any sample. A sample in a certified
+    cell of `cells_a` (from marching_cubes(a, grid, with_cells=True))
+    takes that cell's sign, which is the sign of `a.sdf` there, so `a` is
+    evaluated only at the other samples and the counts are the same.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -93,7 +95,7 @@ def iou(a, b, n: int, seed: int) -> float:
     while remaining > 0:
         m = min(remaining, IOU_CHUNK)
         pts = rng.uniform(lo, hi, size=(m, 3))
-        occ_a = a.sdf(pts) < 0.0
+        occ_a = _occupied(a, pts, cells_a)
         occ_b = b.sdf(pts) < 0.0
         n_both += int(np.count_nonzero(occ_a & occ_b))
         n_either += int(np.count_nonzero(occ_a | occ_b))
@@ -101,6 +103,20 @@ def iou(a, b, n: int, seed: int) -> float:
     if n_either == 0:
         return 1.0
     return n_both / n_either
+
+
+def _occupied(evaluable, pts: np.ndarray, cells: CellSigns | None
+              ) -> np.ndarray:
+    """sdf < 0 at each point; a point in a certified cell of `cells` takes
+    the cell's sign without an evaluation."""
+    if cells is None:
+        return evaluable.sdf(pts) < 0.0
+    sign = cells.at(pts)
+    occupied = sign < 0
+    open_pts = np.flatnonzero(sign == 0)
+    if len(open_pts):
+        occupied[open_pts] = evaluable.sdf(pts[open_pts]) < 0.0
+    return occupied
 
 
 def cKDTree(points: np.ndarray):
@@ -117,8 +133,8 @@ def nearest_distances(a: PointCloud, b: PointCloud
     each point of `b` to `a`: one KD-tree per cloud."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("nearest-neighbor distances need nonempty point clouds")
-    d_ab, _ = cKDTree(b.points).query(a.points)
-    d_ba, _ = cKDTree(a.points).query(b.points)
+    d_ab, _ = cKDTree(b.points).query(a.points, workers=2)
+    d_ba, _ = cKDTree(a.points).query(b.points, workers=2)
     return d_ab, d_ba
 
 
@@ -133,8 +149,7 @@ def _chamfer_l2(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
 
 def f_score(a: PointCloud, b: PointCloud, tau: float = 0.01) -> float:
     """Harmonic mean of precision/recall at distance threshold tau."""
-    if tau <= 0:
-        raise ValueError("tau must be > 0")
+    check_positive(tau, "tau")
     return _f_score(*nearest_distances(a, b), tau)
 
 
@@ -151,19 +166,20 @@ def evaluate(subject, reference, protocol: EvalProtocol | None = None) -> Metric
 
     `subject` and `reference` are sdf-evaluables (field or scene). Surface
     samples are drawn on each extracted mesh; IoU is computed directly on
-    the two fields. Deterministic per protocol seed.
+    the two fields, reading the subject's certified cells. Deterministic
+    per protocol seed.
     """
     protocol = protocol or EvalProtocol()
     ss = np.random.SeedSequence(protocol.seed)
     s_a, s_b, s_iou = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
-    mesh_a = marching_cubes(subject, protocol.grid)
+    mesh_a, cells_a = marching_cubes(subject, protocol.grid, with_cells=True)
     mesh_b = marching_cubes(reference, protocol.grid)
     cloud_a = sample_mesh_surface(mesh_a, protocol.n_surface, s_a)
     cloud_b = sample_mesh_surface(mesh_b, protocol.n_surface, s_b)
     # chamfer and F-score share one query in each direction
     d_ab, d_ba = nearest_distances(cloud_a, cloud_b)
     return MetricReport(
-        iou=iou(subject, reference, protocol.n_iou, s_iou),
+        iou=iou(subject, reference, protocol.n_iou, s_iou, cells_a),
         chamfer_l2=_chamfer_l2(d_ab, d_ba),
         f_score=_f_score(d_ab, d_ba, protocol.tau),
         n_iou_samples=protocol.n_iou,

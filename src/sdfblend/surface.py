@@ -7,10 +7,14 @@ table. Vertices are emitted in sorted global-edge order and cells are
 processed in lexicographic order, so output is deterministic. Triangle
 winding is chosen so normals point toward positive field values.
 
-A BasisField is evaluated only at the corners of cell blocks whose sign
-`certify.box_signs` cannot prove; the other corners hold a placeholder of
-their block's sign, which is all marching cubes reads of them. Any other
-evaluable (a scene) is evaluated at every corner.
+A BasisField is evaluated only at the corners of cells whose sign
+`certify.box_signs` cannot prove. Each bound pass over a level of cell
+blocks also signs, from the same linear bounds, the blocks of the next
+level inside them, and the last level's pass signs single cells. The
+other corners hold a placeholder of their cells' sign, which is all
+marching cubes reads of them. The cell signs (CellSigns) outlive the
+corner values: `metrics.iou` takes a sample's sign from its certified
+cell. Any other evaluable (a scene) is evaluated at every corner.
 """
 
 from __future__ import annotations
@@ -31,9 +35,9 @@ from .mc_tables import EDGE_AXIS, EDGE_ORIGIN, EDGE_TABLE, TRI_TABLE
 # is not blocked, unlike BasisField.sdf_batch).
 GRID_CHUNK = 65536
 
-# Cells per block edge at each certification level of _sample_grid: blocks
-# of 8^3 cells, then 4^3 inside those left uncertified (a 2^3 level costs
-# more bound passes than the corner evaluations it saves).
+# Cells per block edge at each bound pass of _cell_signs: blocks of 8^3
+# cells, whose pass also signs their 4^3 sub-blocks, then the 4^3 blocks
+# left open, whose pass signs their single cells.
 CERTIFY_BLOCKS = (8, 4)
 
 
@@ -71,39 +75,75 @@ class GridSpec:
 def _cell_signs(evaluable, axes) -> np.ndarray:
     """Certified sign per cell (+1, -1, or 0 where unproven), int8.
 
-    Blocks of CERTIFY_BLOCKS[0] cells per axis are certified first through
-    `box_signs`, then the blocks of each next size inside the blocks left
-    open; blocks at the far faces are cut to the grid. Only a BasisField
-    is certified; any other evaluable certifies nothing.
+    Blocks of CERTIFY_BLOCKS[0] cells per axis are bounded first through
+    `box_signs`, which also signs the blocks of the next size inside
+    each of them; the blocks left open at the last level are split into
+    single cells. Blocks at the far faces are cut to the grid, and their
+    sub-blocks take their coordinates from `axes`. Only a BasisField is
+    certified; any other evaluable certifies nothing.
     """
     cells = tuple(len(a) - 1 for a in axes)
     if not isinstance(evaluable, BasisField):
         return np.zeros(cells, dtype=np.int8)
-    sign, size = None, None
-    for block in CERTIFY_BLOCKS:
-        n_blocks = tuple(-(-c // block) for c in cells)
-        sign = (np.zeros(n_blocks, dtype=np.int8) if sign is None
-                else _expand(sign, size // block, n_blocks))
-        size = block
+    size = CERTIFY_BLOCKS[0]
+    sign = np.zeros(tuple(-(-c // size) for c in cells), dtype=np.int8)
+    for sub in CERTIFY_BLOCKS[1:] + (1,):
+        s = size // sub
+        # every sub-block inherits its block's sign; the grid is cut below
+        nxt = _expand(sign, s)
         open_blocks = np.argwhere(sign == 0)
         if len(open_blocks):
-            first = open_blocks * block
-            last = np.minimum(first + block, cells)
-            sign[tuple(open_blocks.T)] = box_signs(evaluable,
-                                                   _corner_points(axes, first.T),
-                                                   _corner_points(axes, last.T))
-    return _expand(sign, size, cells)
+            ends = np.minimum(open_blocks[:, :, None] * size
+                              + sub * np.arange(s + 1), np.reshape(cells, (3, 1)))
+            edges = np.stack([axes[a][ends[:, a]] for a in range(3)], axis=1)
+            blocks = nxt.reshape(sign.shape[0], s, sign.shape[1], s,
+                                 sign.shape[2], s).transpose(0, 2, 4, 1, 3, 5)
+            blocks[tuple(open_blocks.T)] = box_signs(
+                evaluable, edges[..., 0], edges[..., -1], edges)[1]
+        sign = nxt[tuple(slice(-(-c // sub)) for c in cells)]
+        size = sub
+    return sign
 
 
-def _expand(a: np.ndarray, factor: int, shape: tuple[int, ...]) -> np.ndarray:
-    """Repeat every entry `factor` times along each axis, cut to `shape`."""
+def _expand(a: np.ndarray, factor: int) -> np.ndarray:
+    """Repeat every entry `factor` times along each axis."""
     for axis in range(3):
         a = np.repeat(a, factor, axis=axis)
-    return a[:shape[0], :shape[1], :shape[2]]
+    return a
 
 
-def _sample_grid(evaluable, grid: GridSpec) -> np.ndarray:
-    """Field values at the grid corners that marching cubes can read.
+@dataclass(frozen=True)
+class CellSigns:
+    """The certified sign of a field over each closed cell of a grid.
+
+    `sign` is int8 per cell: +1 where `sdf_batch` gives a finite value >= 0
+    at every point of the cell, -1 where it gives a finite value < 0, and
+    0 where neither is proven. `axes` are the grid's corner coordinates.
+    """
+
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
+    sign: np.ndarray
+
+    def at(self, pts: np.ndarray) -> np.ndarray:
+        """The sign of a cell that holds each point, int8; 0 for a point
+        outside the grid (or NaN). A point on a face between cells reads
+        one of them, and both hold it."""
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+        inside = np.ones(len(pts), dtype=bool)
+        ijk = []
+        for a, ax in enumerate(self.axes):
+            # ax[i] <= x < ax[i + 1], compared with the corner coordinates
+            # themselves; the far face belongs to the last cell
+            i = np.searchsorted(ax, pts[:, a], side="right") - 1
+            i[pts[:, a] == ax[-1]] = len(ax) - 2
+            inside &= (i >= 0) & (i < len(ax) - 1)
+            ijk.append(np.clip(i, 0, len(ax) - 2))
+        return np.where(inside, self.sign[tuple(ijk)], 0).astype(np.int8)
+
+
+def _sample_grid(evaluable, grid: GridSpec) -> tuple[np.ndarray, CellSigns]:
+    """Field values at the grid corners that marching cubes can read, and
+    the certified cell signs.
 
     A corner whose every adjacent cell has a certified sign holds a signed
     placeholder (+1.0 or -1.0); every other corner holds its evaluated
@@ -132,7 +172,7 @@ def _sample_grid(evaluable, grid: GridSpec) -> np.ndarray:
     if bad.size:
         corner = _corner_points(axes, np.unravel_index(bad[0], shape))
         raise GridError(f"non-finite field value at grid corner {corner.tolist()}")
-    return vals.reshape(shape)
+    return vals.reshape(shape), CellSigns(axes, cell_sign)
 
 
 def _corner_points(axes, ijk) -> np.ndarray:
@@ -141,13 +181,20 @@ def _corner_points(axes, ijk) -> np.ndarray:
     return np.stack([axes[a][ijk[a]] for a in range(3)], axis=-1)
 
 
-def marching_cubes(evaluable, grid: GridSpec) -> TriMesh:
+def marching_cubes(evaluable, grid: GridSpec, with_cells: bool = False):
     """Extract the zero level set of `evaluable.sdf` as a triangle mesh.
 
-    Returns an empty mesh when the field has no sign change on the grid.
-    Raises GridError if any grid corner evaluates non-finite.
+    Returns an empty mesh when the field has no sign change on the grid;
+    with `with_cells`, returns (mesh, CellSigns of the grid). Raises
+    GridError if any grid corner evaluates non-finite.
     """
-    vals = _sample_grid(evaluable, grid)
+    vals, cells = _sample_grid(evaluable, grid)
+    mesh = _extract(vals, grid)
+    return (mesh, cells) if with_cells else mesh
+
+
+def _extract(vals: np.ndarray, grid: GridSpec) -> TriMesh:
+    """The marching-cubes mesh of the corner values `vals` of `grid`."""
     nx, ny, nz = vals.shape  # corner counts
 
     inside = vals < 0.0

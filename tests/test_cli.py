@@ -160,6 +160,9 @@ def test_fit_rejects_bad_batch_size(tmp_path, scene_path, capsys, batch_size):
     ("noise_stds", [0.01], "noise_stds must be a list of 2 entries"),
     ("trainable", ["nope"], "trainable entries match no parameter"),
     ("noise_stds", [0.01, 0.0], "noise_stds entries must be > 0"),
+    ("noise_stds", [-1.0, 0.003], "noise_stds entries must be > 0, got -1.0"),
+    ("lr", -1.0, "lr must be > 0, got -1.0"),
+    ("refine_lr", 0.0, "refine_lr must be > 0, got 0.0"),
 ])
 def test_fit_rejects_malformed_config_fields(tmp_path, scene_path, capsys,
                                              field, value, message):
@@ -460,6 +463,7 @@ def test_eval_reports_and_rejects_bad_version(tmp_path, checkpoint_path,
     ("--tau", "0", "tau must be > 0"),
     ("--tau", "nan", "tau must be a finite number"),
     ("--seed", "-3", "seed must be >= 0"),
+    ("--tau", "-1", "tau must be > 0, got -1.0"),
 ])
 def test_eval_rejects_protocol_before_meshing(tmp_path, checkpoint_path,
                                               scene_path, capsys, monkeypatch,
@@ -512,6 +516,28 @@ def test_refine_rejects_flag_out_of_range_before_loading(tmp_path, checkpoint_pa
     assert main(["refine", str(checkpoint_path), str(scene_path), *flag,
                  "--out", str(out)]) == 1
     assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["refine", "{checkpoint}", "{scene}", "--lr", "-1", "--out", "{out}"],
+     "refine_lr must be > 0, got -1.0"),
+    (["sample", "{scene}", "--noise-stds", "-1", "0.003", "--out", "{out}"],
+     "--noise-stds entries must be > 0, got -1.0"),
+    (["gradcheck", "--h", "-1"], "--h must be > 0, got -1.0"),
+    (["gradcheck", "--tolerance", "0"], "--tolerance must be > 0, got 0.0"),
+], ids=["refine_lr", "sample_noise_stds", "gradcheck_h", "gradcheck_tolerance"])
+def test_strict_positive_values_are_reported_as_greater_than_zero(
+        tmp_path, checkpoint_path, scene_path, capsys, argv, message):
+    """A value that must be > 0 says so, not ">= 0", whether it is refused for
+    being negative or zero."""
+    out = tmp_path / "out.json"
+    argv = [a.format(checkpoint=checkpoint_path, scene=scene_path, out=out)
+            for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert ">=" not in err
     assert not out.exists()
 
 

@@ -483,6 +483,53 @@ def test_box_signs_never_contradict_the_field(seed, n_bases, weight_scale, width
 
 
 @settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bases=st.sampled_from([1, 2, 3, 8]),
+       weight_scale=st.sampled_from([1.0, 1e6]),
+       width=st.floats(0.005, 0.4), log_scale_shift=st.sampled_from([0.0, 4.0]),
+       skip=st.booleans(), split=st.sampled_from([1, 2, 4]))
+def test_sub_box_signs_never_contradict_the_field(seed, n_bases, weight_scale,
+                                                  width, log_scale_shift, skip,
+                                                  split):
+    """No point of a certified sub-box has the other sign, with boxes split
+    at random coordinates (some sub-boxes of zero width), also with decoder
+    weights scaled x1e6, domains narrow enough to fall back and a skip
+    decoder; the boxes keep the signs they get without sub-boxes, and a
+    signed box signs all its sub-boxes alike."""
+    rng = np.random.default_rng(seed)
+    f = random_field(rng, n_bases=n_bases)
+    if skip:
+        f = BasisField(f.centers, f.latents, f.log_scales, f.rot6s, f.offsets,
+                       Decoder.init(f.d_z, (8, 8), skip_at=(0, 2), rng=rng))
+    f.log_scales += log_scale_shift
+    for w in f.decoder.weights:
+        w *= weight_scale
+    lo, hi, _ = _boxes_and_points(rng, 24, width, 0)
+    cuts = rng.uniform(size=(24, 3, split - 1))
+    cuts[rng.uniform(size=cuts.shape) < 0.2] = 1.0
+    inner = np.minimum(lo[..., None] + cuts * (hi - lo)[..., None], hi[..., None])
+    edges = np.concatenate([lo[..., None], np.sort(inner, axis=2), hi[..., None]],
+                           axis=2)
+    signs, sub = certify.box_signs(f, lo, hi, edges)
+    np.testing.assert_array_equal(signs, certify.box_signs(f, lo, hi))
+    # 12 uniform points and the 8 corners of every sub-box, clipped into it
+    ijk = np.array(list(itertools.product(range(split), repeat=3)))
+    sub_lo = np.stack([edges[:, a, ijk[:, a]] for a in range(3)], axis=-1)
+    sub_hi = np.stack([edges[:, a, ijk[:, a] + 1] for a in range(3)], axis=-1)
+    t = np.concatenate([
+        rng.uniform(size=(24, len(ijk), 12, 3)),
+        np.broadcast_to(np.array(list(itertools.product((0.0, 1.0), repeat=3))),
+                        (24, len(ijk), 8, 3)),
+    ], axis=2)
+    pts = np.clip(sub_lo[:, :, None] + t * (sub_hi - sub_lo)[:, :, None],
+                  sub_lo[:, :, None], sub_hi[:, :, None])
+    vals = f.sdf_batch(pts.reshape(-1, 3)).reshape(pts.shape[:3])
+    sub = sub.reshape(24, -1)
+    assert np.all(vals[sub == 1] >= 0)
+    assert np.all(vals[sub == -1] < 0)
+    assert np.all(sub[signs == 1] == 1) and np.all(sub[signs == -1] == -1)
+
+
+@settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_bases=st.sampled_from([1, 3, 8]),
        weight_scale=st.sampled_from([1.0, 1e6]),
        width=st.floats(0.005, 0.4), log_scale_shift=st.sampled_from([0.0, 4.0]),

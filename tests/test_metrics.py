@@ -1,13 +1,22 @@
 """IoU, chamfer and F-score metrics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from sdfblend.field import BasisField
+from sdfblend.fixtures import sphere_scene
 from sdfblend.geom import PointCloud, SceneSpec, Sphere, union
+from sdfblend.gradcheck import random_field
 from sdfblend.metrics import (
-    EvalProtocol, MetricReport, chamfer_l2, evaluate, f_score, iou,
+    EvalProtocol, MetricReport, _occupied, chamfer_l2, evaluate, f_score, iou,
+    nearest_distances,
 )
-from sdfblend.surface import GridSpec
+from sdfblend.surface import GridSpec, marching_cubes
+
+BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "data" / "sphere_fit.json"
 
 
 def sphere(r, at=(0, 0, 0)):
@@ -159,3 +168,66 @@ def test_evaluate_is_deterministic():
     r1 = evaluate(scene, scene, protocol)
     r2 = evaluate(scene, scene, protocol)
     assert r1.to_json_dict() == r2.to_json_dict()
+
+
+def test_nearest_distances_on_two_workers_equal_one_worker():
+    rng = np.random.default_rng(3)
+    a = PointCloud(rng.normal(size=(20000, 3)))
+    b = PointCloud(rng.normal(size=(15000, 3)))
+    d_ab, d_ba = nearest_distances(a, b)
+    ref_ab, _ = cKDTree(b.points).query(a.points, workers=1)
+    ref_ba, _ = cKDTree(a.points).query(b.points, workers=1)
+    np.testing.assert_array_equal(d_ab.view(np.int64), ref_ab.view(np.int64))
+    np.testing.assert_array_equal(d_ba.view(np.int64), ref_ba.view(np.int64))
+
+
+def _iou_probe_points(rng, grid, n):
+    """Uniform points in a box wider than the grid, points with one, two or
+    three coordinates exactly on cell faces (the grid's far faces too), and
+    every grid corner."""
+    axes = grid.axes()
+    wide = rng.uniform(grid.lo - 0.2, grid.hi + 0.2, size=(n, 3))
+    on_faces = rng.uniform(grid.lo, grid.hi, size=(3 * n, 3))
+    snap = rng.uniform(size=on_faces.shape) < 0.5
+    for a in range(3):
+        face = axes[a][rng.integers(0, len(axes[a]), size=len(on_faces))]
+        on_faces[snap[:, a], a] = face[snap[:, a]]
+    corners = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    return np.concatenate([wide, on_faces, corners])
+
+
+IOU_FIELDS = {
+    "bench": (lambda: BasisField.load(BENCH_CHECKPOINT), 40),
+    "N=3": (lambda: random_field(np.random.default_rng(46), n_bases=3), 32),
+    "N=8 non-cubic": (lambda: random_field(np.random.default_rng(48), n_bases=8),
+                      (37, 50, 29)),
+}
+
+
+@pytest.mark.parametrize("case", list(IOU_FIELDS))
+def test_iou_with_cell_signs_equals_iou_with_every_sample_evaluated(case):
+    """A sample in a certified cell takes the cell's sign: the occupancy of
+    every sample, inside the grid box, outside it and exactly on cell faces,
+    equals that of the evaluated field, so the counts and IoU are the same."""
+    make, resolution = IOU_FIELDS[case]
+    f = make()
+    grid = GridSpec(resolution)
+    _, cells = marching_cubes(f, grid, with_cells=True)
+    assert (cells.sign != 0).any()
+    pts = _iou_probe_points(np.random.default_rng(5), grid, 20000)
+    np.testing.assert_array_equal(_occupied(f, pts, cells), f.sdf(pts) < 0.0)
+    scene = sphere_scene()
+    for seed in (0, 7):
+        assert (iou(f, scene, 30000, seed, cells)
+                == iou(f, scene, 30000, seed))
+
+
+def test_iou_evaluates_the_bench_field_at_under_10_percent_of_samples(monkeypatch):
+    f = BasisField.load(BENCH_CHECKPOINT)
+    _, cells = marching_cubes(f, GridSpec(128), with_cells=True)
+    calls = []
+    sdf = BasisField.sdf
+    monkeypatch.setattr(BasisField, "sdf",
+                        lambda self, pts: calls.append(len(pts)) or sdf(self, pts))
+    iou(f, sphere_scene(), 100_000, 0, cells)
+    assert 0 < sum(calls) < 10_000

@@ -1,5 +1,6 @@
 """Marching cubes extraction."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,12 @@ CERTIFIED_CASES = {
     "N=32": (lambda: random_field(np.random.default_rng(47), n_bases=32), 32),
     "fallback": (_fallback_heavy_field, 24),
     "skip_at": (_skip_field, 32),
+    # blocks cut at the far faces, and a grid of three resolutions
+    "N=1 res 50": (lambda: random_field(np.random.default_rng(45), n_bases=1), 50),
+    "bench res 37": (lambda: BasisField.load(BENCH_CHECKPOINT), 37),
+    "skip_at res 37": (_skip_field, 37),
+    "N=32 non-cubic": (lambda: random_field(np.random.default_rng(47), n_bases=32),
+                       (37, 50, 29)),
 }
 
 
@@ -174,12 +181,17 @@ def test_certified_grid_equals_dense_oracle(case, tmp_path):
     make, resolution = CERTIFIED_CASES[case]
     f = make()
     grid = GridSpec(resolution)
-    vals = _sample_grid(f, grid)
-    ref = _sample_grid(dense(f), grid)
+    vals, cells = _sample_grid(f, grid)
+    ref, _ = _sample_grid(dense(f), grid)
     placeholder = (vals == 1.0) | (vals == -1.0)
     assert placeholder.any()
     np.testing.assert_array_equal(vals < 0, ref < 0)
     np.testing.assert_array_equal(vals[~placeholder], ref[~placeholder])
+    # every corner of a certified cell has the cell's sign
+    for offset in itertools.product((0, 1), repeat=3):
+        corner = ref[tuple(slice(o, o + c) for o, c in zip(offset, cells.sign.shape))]
+        assert np.all(corner[cells.sign == 1] >= 0)
+        assert np.all(corner[cells.sign == -1] < 0)
     write_obj(marching_cubes(f, grid), tmp_path / "certified.obj")
     write_obj(marching_cubes(dense(f), grid), tmp_path / "dense.obj")
     assert (tmp_path / "certified.obj").read_bytes() == (tmp_path / "dense.obj").read_bytes()
@@ -224,6 +236,17 @@ def test_certified_grid_at_128_evaluates_under_268k_corners(monkeypatch):
     assert sum(calls) <= 268_000
 
 
+def test_certified_grid_at_128_evaluates_under_145k_corners(monkeypatch):
+    """Signing the 4^3 blocks inside each 8^3 block, and single cells inside
+    each open 4^3 block, from the back-substituted bounds of their pass
+    leaves at most 145,000 corners of the bench checkpoint's resolution-128
+    grid to evaluate (blocks down to 4^3 left 262,216)."""
+    f = BasisField.load(BENCH_CHECKPOINT)
+    calls = _count_sdf_points(monkeypatch)
+    _sample_grid(f, GridSpec(128))
+    assert sum(calls) <= 145_000
+
+
 def test_scene_grid_is_never_certified(monkeypatch):
     """A scene is evaluated at every corner, without a call to box_signs."""
     import sdfblend.surface as surface_mod
@@ -233,8 +256,9 @@ def test_scene_grid_is_never_certified(monkeypatch):
     pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
     ref = scene.sdf(pts.reshape(-1, 3))
     calls = _count_sdf_points(monkeypatch, SceneSpec)
-    vals = _sample_grid(scene, grid)
+    vals, cells = _sample_grid(scene, grid)
     assert sum(calls) == 17 ** 3
+    assert not cells.sign.any()
     np.testing.assert_array_equal(vals.reshape(-1), ref)
 
 
