@@ -138,7 +138,7 @@ class CellSigns:
             i[pts[:, a] == ax[-1]] = len(ax) - 2
             inside &= (i >= 0) & (i < len(ax) - 1)
             ijk.append(np.clip(i, 0, len(ax) - 2))
-        return np.where(inside, self.sign[tuple(ijk)], 0).astype(np.int8)
+        return np.where(inside, self.sign[tuple(ijk)], 0)
 
 
 def _sample_grid(evaluable, grid: GridSpec) -> tuple[np.ndarray, CellSigns]:
