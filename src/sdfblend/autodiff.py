@@ -1,8 +1,10 @@
 """Reverse-mode automatic differentiation over small dense array computations.
 
-The engine records every primitive operation on a :class:`Tape` in creation
+A :class:`Var` carries its value. The :class:`Tape` records only the
+trainable leaves and the ops that a trainable leaf reaches, in creation
 order (which is automatically topological: an operand must exist before the
-op that consumes it). Values are float64 numpy arrays or scalars. A backward
+op that consumes it); a constant, and an op on constants only, is a Var
+that no node backs. Values are float64 numpy arrays or scalars. A backward
 pass walks the tape in reverse and accumulates vector-Jacobian products into
 the leaf parameters.
 
@@ -69,46 +71,32 @@ class _Node:
         self.vjp = vjp
         self.leaf_name = leaf_name
 
-    @property
-    def differentiable(self) -> bool:
-        """A trainable leaf, or an op that a trainable leaf reaches."""
-        return self.vjp is not None or self.leaf_name is not None
-
 
 class Tape:
-    """Creation-ordered list of primitive ops; inputs always precede users.
+    """Creation-ordered list of the nodes that backward walks: the trainable
+    leaves, and the ops that a trainable leaf reaches; inputs always precede
+    users.
 
-    An op records as parents only the operands that a trainable leaf
-    reaches, with one vector-Jacobian closure for them; an op on constants
-    is itself a constant. A tape without trainable leaves (`has_leaves`
-    false) therefore evaluates values (and branch tokens) only.
+    Such an op records as parents only the operands that a trainable leaf
+    reaches, with one vector-Jacobian closure for them. A constant, or an op
+    on constants, is not recorded, so a tape without trainable leaves holds
+    no node and evaluates values (and branch tokens) only.
     """
 
     def __init__(self, record_branches: bool = False):
         self.nodes: list[_Node] = []
         self.record_branches = record_branches
-        self.has_leaves = False
         self._branches: list[bytes] = []
 
     def _push(self, node: _Node) -> "Var":
         self.nodes.append(node)
-        return Var(self, len(self.nodes) - 1)
+        return Var(self, node.value, len(self.nodes) - 1)
 
     def constant(self, value) -> "Var":
-        return self._push(_Node(_as_value(value)))
+        return Var(self, _as_value(value))
 
     def leaf(self, value, name: str) -> "Var":
-        self.has_leaves = True
         return self._push(_Node(_as_value(value), leaf_name=name))
-
-    def truncate(self, n: int) -> None:
-        """Drop every node after the first `n` (their Vars become invalid);
-        only a tape without trainable leaves, and so without differentiable
-        nodes, that records no branch tokens can be cut back."""
-        if self.record_branches or self.has_leaves:
-            raise ValueError("only a tape of constants without branch tokens "
-                             "can be truncated")
-        del self.nodes[n:]
 
     def note_branch(self, token: np.ndarray | bytes) -> None:
         """Record an evaluation-path token (e.g. selected basis indices)."""
@@ -141,17 +129,15 @@ def _shape(v) -> tuple:
 
 
 class Var:
-    """Handle to one tape node."""
+    """A value on a tape; `idx` is its node's index in `tape.nodes`, or None
+    for a constant, which no node backs."""
 
-    __slots__ = ("tape", "idx")
+    __slots__ = ("tape", "value", "idx")
 
-    def __init__(self, tape: Tape, idx: int):
+    def __init__(self, tape: Tape, value, idx: int | None = None):
         self.tape = tape
+        self.value = value
         self.idx = idx
-
-    @property
-    def value(self):
-        return self.tape.nodes[self.idx].value
 
     @property
     def shape(self):
@@ -194,24 +180,23 @@ class Var:
         return f"Var(idx={self.idx}, shape={self.shape})"
 
 
-def _reached(tape: Tape, v) -> bool:
+def _reached(v) -> bool:
     """Whether a trainable leaf reaches operand `v` (a Var or a constant)."""
-    return (tape.has_leaves and isinstance(v, Var)
-            and tape.nodes[v.idx].differentiable)
+    return isinstance(v, Var) and v.idx is not None
 
 
 def _record(tape: Tape, out, grads, pre=None) -> Var:
-    """Push `out`, computed from the operands of the (operand, vjp) pairs in
+    """`out`, computed from the operands of the (operand, vjp) pairs in
     `grads`. Only operands that a trainable leaf reaches become parents, and
-    only their VJPs run, after `pre(g)` if given; with none, the node is a
-    constant and no closure is kept."""
+    only their VJPs run, after `pre(g)` if given; with none, `out` is a
+    constant: no node is pushed and no closure is kept."""
     parents, fns = [], []
     for v, f in grads:
-        if _reached(tape, v):
+        if _reached(v):
             parents.append(v.idx)
             fns.append(f)
     if not parents:
-        return tape._push(_Node(out))
+        return Var(tape, out)
 
     def vjp(g):
         if pre is not None:
@@ -226,10 +211,7 @@ def _binary(a, b, fwd, vjp_a, vjp_b):
     tape = a.tape if isinstance(a, Var) else b.tape
     av = a.value if isinstance(a, Var) else _as_value(a)
     bv = b.value if isinstance(b, Var) else _as_value(b)
-    out = fwd(av, bv)
-    if not tape.has_leaves:  # skip building closures nothing would keep
-        return tape._push(_Node(out))
-    return _record(tape, out, [
+    return _record(tape, fwd(av, bv), [
         (a, lambda g: _unbroadcast(vjp_a(g, av, bv), _shape(av))),
         (b, lambda g: _unbroadcast(vjp_b(g, av, bv), _shape(bv))),
     ])
@@ -238,8 +220,6 @@ def _binary(a, b, fwd, vjp_a, vjp_b):
 def _unary(a: Var, fwd, dfwd):
     av = a.value
     out = fwd(av)
-    if not a.tape.has_leaves:
-        return a.tape._push(_Node(out))
     return _record(a.tape, out, [(a, lambda g: g * dfwd(av, out))])
 
 
@@ -308,46 +288,29 @@ def sigmoid(a: Var):
     return _record(a.tape, out, [(a, lambda g: g * out * (1.0 - out))])
 
 
-def maximum(a, b):
-    def fwd(x, y):
-        return np.maximum(x, y)
-
-    def make(tape, av, bv):
-        left = av >= bv  # ties: left argument wins
-        if tape.record_branches:
-            tape.note_branch(np.asarray(left, dtype=np.int8))
-        return left
-
-    if isinstance(a, Var):
-        left = make(a.tape, a.value, b.value if isinstance(b, Var) else _as_value(b))
-    else:
-        left = make(b.tape, _as_value(a), b.value)
+def _select(a, b, fwd, left_wins):
+    """Elementwise max or min: `fwd(x, y)`, with the gradient routed to the
+    left argument where `left_wins(x, y)` (ties included), which is noted as
+    a branch token."""
+    tape = a.tape if isinstance(a, Var) else b.tape
+    av = a.value if isinstance(a, Var) else _as_value(a)
+    bv = b.value if isinstance(b, Var) else _as_value(b)
+    left = left_wins(av, bv)
+    if tape.record_branches:
+        tape.note_branch(np.asarray(left, dtype=np.int8))
     return _binary(
         a, b, fwd,
         lambda g, x, y: g * left,
         lambda g, x, y: g * ~left if isinstance(left, np.ndarray) else g * (not left),
     )
+
+
+def maximum(a, b):
+    return _select(a, b, np.maximum, lambda x, y: x >= y)
 
 
 def minimum(a, b):
-    def fwd(x, y):
-        return np.minimum(x, y)
-
-    def make(tape, av, bv):
-        left = av <= bv  # ties: left argument wins
-        if tape.record_branches:
-            tape.note_branch(np.asarray(left, dtype=np.int8))
-        return left
-
-    if isinstance(a, Var):
-        left = make(a.tape, a.value, b.value if isinstance(b, Var) else _as_value(b))
-    else:
-        left = make(b.tape, _as_value(a), b.value)
-    return _binary(
-        a, b, fwd,
-        lambda g, x, y: g * left,
-        lambda g, x, y: g * ~left if isinstance(left, np.ndarray) else g * (not left),
-    )
+    return _select(a, b, np.minimum, lambda x, y: x <= y)
 
 
 def where(mask, a, b):
@@ -409,9 +372,9 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
                 tape.note_branch(np.asarray(h > 0.0, dtype=np.int8))
         outs.append(h)
     operands = [x, *weights, *biases]
-    need = [_reached(tape, v) for v in operands]
+    need = [_reached(v) for v in operands]
     if not any(need):
-        return tape._push(_Node(h))
+        return Var(tape, h)
     need_w, need_b = need[1:last + 2], need[last + 2:]
     # layer i's input needs a cotangent iff i >= stop
     stop = 0 if need[0] else next(i for i in range(last + 1)
@@ -548,15 +511,15 @@ def backward(tape: Tape, output: Var) -> dict[str, np.ndarray]:
     """Gradients of a scalar output w.r.t. every leaf on the tape.
 
     Leaves not reachable from `output` get exact-zero gradients, and so do
-    all leaves when no trainable leaf reaches `output`.
+    all leaves when `output` is a constant.
     """
-    out_val = tape.nodes[output.idx].value
-    if not np.isscalar(out_val) and np.ndim(out_val) != 0:
+    if not np.isscalar(output.value) and np.ndim(output.value) != 0:
         raise ValueError("backward() requires a scalar output node")
-    grads: list = [None] * (output.idx + 1)
-    grads[output.idx] = 1.0
+    grads: list = [None] * len(tape.nodes)
+    if output.idx is not None:
+        grads[output.idx] = 1.0
     result: dict[str, np.ndarray] = {}
-    for i in range(output.idx, -1, -1):
+    for i in range(len(tape.nodes) - 1, -1, -1):
         g = grads[i]
         node = tape.nodes[i]
         if node.leaf_name is not None:
@@ -702,7 +665,7 @@ class FdCheckResult:
 
 class _ConstantTape(Tape):
     """A tape that puts every leaf on as a constant: a central-difference
-    probe needs values and branch tokens only, never a gradient closure."""
+    probe needs values and branch tokens only, never a tape node."""
 
     def leaf(self, value, name: str) -> Var:
         return self.constant(value)

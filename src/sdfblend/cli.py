@@ -21,7 +21,7 @@ from .geom import SampleSet, SceneSpec, sample_training_set
 from .gradcheck import run_gradcheck
 from .metrics import EvalProtocol, evaluate
 from .objective import LossWeights
-from .surface import GridSpec, marching_cubes
+from .surface import MIN_RESOLUTION, GridSpec, marching_cubes
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -90,6 +90,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_downsample(args) -> int:
+    check_number(args.keep, "--keep", 1, integer=True)  # <= n_bases: at load
     field = BasisField.load(args.checkpoint)
     kept = domain_downsample(field, args.keep)
     field.take(kept).save(args.out)
@@ -102,8 +103,12 @@ def cmd_downsample(args) -> int:
 
 
 def cmd_refine(args) -> int:
+    check_number(args.steps, "--steps", 1, integer=True)
+    check_positive(args.lr, "--lr")
+    check_number(args.eps, "--eps", 0.0)
     check_number(args.n_surface, "--n-surface", 1, integer=True)
     check_number(args.n_positive, "--n-positive", 1, integer=True)
+    check_number(args.seed, "--seed", 0, integer=True)
     field = BasisField.load(args.checkpoint)
     scene = SceneSpec.load(args.scene)
     config = FitConfig(refine_steps=args.steps, refine_lr=args.lr,
@@ -120,6 +125,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_mesh(args) -> int:
+    check_number(args.resolution, "--resolution", MIN_RESOLUTION, integer=True)
     field = BasisField.load(args.checkpoint)
     grid = GridSpec(args.resolution)
     mesh = marching_cubes(field, grid)
@@ -132,6 +138,11 @@ def cmd_mesh(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    check_number(args.n_iou, "--n-iou", 1, integer=True)
+    check_number(args.n_surface, "--n-surface", 1, integer=True)
+    check_positive(args.tau, "--tau")
+    check_number(args.resolution, "--resolution", MIN_RESOLUTION, integer=True)
+    check_number(args.seed, "--seed", 0, integer=True)
     field = BasisField.load(args.checkpoint)
     scene = SceneSpec.load(args.scene)
     protocol = EvalProtocol(n_iou=args.n_iou, n_surface=args.n_surface,

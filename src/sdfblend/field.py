@@ -345,20 +345,17 @@ class BasisField:
     def sdf_batch_diag(self, pts: np.ndarray) -> tuple[np.ndarray, int]:
         """Blended signed distance for (B, 3) points plus fallback count.
 
-        Evaluates the blend on one tape of constants, which keeps no
-        gradient closures, `inference_block()` points at a time (sized to
-        stay in cache), cutting the tape back to its per-field nodes after
-        each block. The last block is padded with copies of its last point
-        to whole ad.ROW_BLOCKs, so every point gets the value it gets in
-        any other call, bit for bit (see inference_block).
+        Evaluates the blend on one tape of constants, which holds no node,
+        `inference_block()` points at a time (sized to stay in cache). The
+        last block is padded with copies of its last point to whole
+        ad.ROW_BLOCKs, so every point gets the value it gets in any other
+        call, bit for bit (see inference_block).
         """
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         chunk = self.inference_block()
         out = np.empty(len(pts))
         n_fallback = 0
         prog = FieldProgram.constant(self)
-        tape = prog.tape
-        mark = len(tape.nodes)
         for lo in range(0, len(pts), chunk):
             block = pts[lo:lo + chunk]
             m = len(block)
@@ -368,7 +365,6 @@ class BasisField:
             res = prog.blend(block)
             out[lo:lo + m] = res.sdf.value[:m]
             n_fallback += int(np.count_nonzero(res.fallback[:m]))
-            tape.truncate(mark)
         return out, n_fallback
 
     def sdf_batch(self, pts: np.ndarray) -> np.ndarray:
@@ -601,7 +597,7 @@ class FieldProgram:
     @classmethod
     def constant(cls, field: BasisField) -> "FieldProgram":
         """The program of `field` on a new tape with every parameter a
-        constant: values only, no gradient closures or branch tokens."""
+        constant: values only, no tape node or branch token."""
         tape = Tape()
         return cls(tape, field.to_params().leaves(tape, trainable=set()), field)
 

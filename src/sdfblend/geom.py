@@ -21,8 +21,6 @@ import numpy as np
 from .errors import (CheckpointError, SamplingError, SceneError, check_array,
                      check_document, check_json, check_number, read_json)
 
-UNIT_BOX = (np.full(3, -0.5), np.full(3, 0.5))
-
 SAMPLE_TAGS = ("near-surface", "uniform", "surface", "positive")
 
 SCENE_SCHEMA_VERSION = 1

@@ -40,6 +40,8 @@ GRID_CHUNK = 65536
 # left open, whose pass signs their single cells.
 CERTIFY_BLOCKS = (8, 4)
 
+MIN_RESOLUTION = 8  # cells per axis of a GridSpec, at least
+
 
 @dataclass
 class GridSpec:
@@ -56,8 +58,9 @@ class GridSpec:
             self.resolution = tuple(int(r) for r in self.resolution)
         self.lo = np.asarray(self.lo, dtype=np.float64).reshape(3)
         self.hi = np.asarray(self.hi, dtype=np.float64).reshape(3)
-        if min(self.resolution) < 8:
-            raise GridError(f"resolution {self.resolution} below minimum 8")
+        if min(self.resolution) < MIN_RESOLUTION:
+            raise GridError(f"resolution {self.resolution} below minimum "
+                            f"{MIN_RESOLUTION}")
         if np.any(self.hi <= self.lo):
             raise GridError("grid box is empty")
 

@@ -287,35 +287,34 @@ def test_mlp_row_sparse_backward_finite_difference():
 
 
 def test_finite_diff_probes_put_leaves_on_as_constants():
-    seen = []
+    tapes = []
 
     def objective(tape, p):
-        v = p.leaves(tape)
-        seen.append(tape.has_leaves)
-        return ad.vsum(ad.mul(v["x"], v["x"]))
+        tapes.append(tape)
+        x = p.leaves(tape)["x"]
+        return ad.vsum(ad.mul(ad.absolute(x), x))
 
-    res = finite_diff_check(objective, ParamVector.from_arrays({"x": np.arange(3.0)}))
+    res = finite_diff_check(objective, ParamVector.from_arrays({"x": np.arange(1.0, 4.0)}))
     assert res.n_checked == 3 and res.max_rel_err < 1e-8
-    # the analytic pass records gradients; its 2 probes per coordinate do not
-    assert seen == [True] + [False] * 6
+    # the analytic pass records gradients; its 2 probes per coordinate hold
+    # no node, yet note the branch tokens that decide exclusion
+    assert len(tapes) == 7
+    assert [len(t.nodes) > 0 for t in tapes] == [True] + [False] * 6
+    assert all(t.branch_signature() == b"\x01" * 3 for t in tapes[1:])
 
 
-def test_truncate_only_on_silent_no_grad_tapes():
-    """Only a tape of constants without branch tokens can be cut back."""
-    t = Tape()
-    t.constant(1.0)
-    mark = len(t.nodes)
-    for _ in range(3):
-        ad.exp(t.constant(2.0))
-    t.truncate(mark)
-    assert len(t.nodes) == mark
-    trainable = Tape()
-    ad.exp(trainable.leaf(1.0, "a"))
-    for refused in (trainable, Tape(record_branches=True)):
-        with pytest.raises(ValueError):
-            refused.truncate(0)
-    with pytest.raises(ValueError):  # a leaf in the kept prefix counts too
-        trainable.truncate(1)
+def test_ops_on_constants_leave_the_tape_empty():
+    """An op on constants is a constant: no node is pushed, whether or not
+    the tape records branch tokens."""
+    rng = np.random.default_rng(13)
+    for record_branches in (False, True):
+        t = Tape(record_branches=record_branches)
+        u, v = (t.constant(rng.uniform(0.5, 2.0, (4, 3))) for _ in range(2))
+        outs = _all_ops(t, u, v, t.constant(rng.normal(size=(3, 2))))
+        assert len(outs) == 21
+        assert all(isinstance(o, ad.Var) and o.idx is None for o in outs)
+        assert t.nodes == []
+        assert (t.branch_signature() != b"") == record_branches
 
 
 @pytest.mark.parametrize("trainable", [False, True])
@@ -388,22 +387,20 @@ def _all_ops(t, u, v, m):
 
 
 def test_ops_on_constants_record_no_parents_and_no_vjp():
+    """With one trainable operand only that operand becomes a parent; see
+    test_ops_on_constants_leave_the_tape_empty for ops on constants only."""
     rng = np.random.default_rng(12)
     u0, v0 = rng.uniform(0.5, 2.0, (4, 3)), rng.uniform(0.5, 2.0, (4, 3))
     m0 = rng.normal(size=(3, 2))
     t = Tape()
-    u, v, m = t.constant(u0), t.constant(v0), t.constant(m0)
+    u, v, m = t.leaf(u0, "u"), t.constant(v0), t.constant(m0)
     outs = _all_ops(t, u, v, m)
     assert len(outs) == 21
-    for node in t.nodes:  # the tape holds no VJP at all
-        assert node.parents == () and node.vjp is None
-    # with one trainable operand only that operand becomes a parent
-    t = Tape()
-    u, v, m = t.leaf(u0, "u"), t.constant(v0), t.constant(m0)
-    for out in _all_ops(t, u, v, m):
+    for out in outs:
         node = t.nodes[out.idx]
         assert node.vjp is not None
         assert node.parents == (u.idx,)
+    assert len(t.nodes) == 1 + len(outs)  # the leaf and one node per op
 
 
 def test_backward_of_a_constant_output_gives_zero_gradients():
@@ -412,9 +409,16 @@ def test_backward_of_a_constant_output_gives_zero_gradients():
     c = t.constant(np.array([3.0, 4.0]))
     ad.mul(a, c)
     out = ad.vsum(ad.exp(c))
+    assert out.idx is None
+    t.leaf(np.array([5.0, 6.0, 7.0]), "late")  # created after the output
     g = backward(t, out)
-    assert g.keys() == {"a"}
-    np.testing.assert_array_equal(g["a"], [0.0, 0.0])
+    assert g.keys() == {"a", "late"}
+    np.testing.assert_array_equal(g["a"].view(np.int64), np.zeros(2, np.int64))
+    np.testing.assert_array_equal(g["late"].view(np.int64), np.zeros(3, np.int64))
+    # a leaf created after a recorded output gets an exact zero too
+    g = backward(t, ad.vsum(ad.mul(a, c)))
+    np.testing.assert_array_equal(g["a"], [3.0, 4.0])
+    np.testing.assert_array_equal(g["late"].view(np.int64), np.zeros(3, np.int64))
 
 
 # ---------------------------------------------------------------------------

@@ -278,10 +278,20 @@ def test_downsample_keep_all_and_wrapper_contract(tmp_path, checkpoint_path,
     assert json.loads(capsys.readouterr().out)["kept"] == [0, 1, 2, 3]
 
 
-def test_downsample_invalid_keep_exits_1(tmp_path, checkpoint_path):
+def test_downsample_invalid_keep_exits_1(tmp_path, checkpoint_path, capsys,
+                                        monkeypatch):
     rc = main(["downsample", str(checkpoint_path), "--keep", "9",
                "--out", str(tmp_path / "x.json")])
     assert rc == 1
+    assert "n_keep=9 out of range for 4 bases" in capsys.readouterr().err
+    # a count below 1 is refused under the flag's name before any load
+    monkeypatch.setattr(BasisField, "load", lambda *a: pytest.fail(
+        "loaded a checkpoint despite an out-of-range flag"))
+    rc = main(["downsample", str(checkpoint_path), "--keep", "0",
+               "--out", str(tmp_path / "x.json")])
+    assert rc == 1
+    assert "--keep must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_mesh_writes_loadable_obj(tmp_path, checkpoint_path):
@@ -293,10 +303,14 @@ def test_mesh_writes_loadable_obj(tmp_path, checkpoint_path):
     assert len(mesh.vertices) > 0
 
 
-def test_mesh_low_resolution_exits_1(tmp_path, checkpoint_path):
+def test_mesh_low_resolution_exits_1(tmp_path, checkpoint_path, capsys,
+                                    monkeypatch):
+    monkeypatch.setattr(BasisField, "load", lambda *a: pytest.fail(
+        "loaded a checkpoint despite an out-of-range flag"))
     rc = main(["mesh", str(checkpoint_path), "--resolution", "4",
                "--out", str(tmp_path / "m.obj")])
     assert rc == 1
+    assert "--resolution must be >= 8, got 4" in capsys.readouterr().err
 
 
 def test_mesh_empty_field_warns_but_succeeds(tmp_path, capsys):
@@ -458,12 +472,13 @@ def test_eval_reports_and_rejects_bad_version(tmp_path, checkpoint_path,
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--n-iou", "0", "n_iou must be >= 1"),
-    ("--n-surface", "0", "n_surface must be >= 1"),
+    ("--n-iou", "0", "--n-iou must be >= 1"),
+    ("--n-surface", "0", "--n-surface must be >= 1"),
     ("--tau", "0", "tau must be > 0"),
     ("--tau", "nan", "tau must be a finite number"),
     ("--seed", "-3", "seed must be >= 0"),
     ("--tau", "-1", "tau must be > 0, got -1.0"),
+    ("--resolution", "4", "--resolution must be >= 8, got 4"),
 ])
 def test_eval_rejects_protocol_before_meshing(tmp_path, checkpoint_path,
                                               scene_path, capsys, monkeypatch,
@@ -471,9 +486,12 @@ def test_eval_rejects_protocol_before_meshing(tmp_path, checkpoint_path,
     def no_mesh(*args, **kwargs):
         raise AssertionError("meshed before the protocol was checked")
     monkeypatch.setattr("sdfblend.metrics.marching_cubes", no_mesh)
+    monkeypatch.setattr(BasisField, "load", lambda *a: pytest.fail(
+        "loaded a checkpoint despite an out-of-range flag"))
     assert main(["eval", str(checkpoint_path), str(scene_path),
                  flag, value]) == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and f"{flag} must be" in err
 
 
 def test_refine_cli_defaults_and_freezing(tmp_path, checkpoint_path,
@@ -501,12 +519,14 @@ def test_refine_rejects_bad_step_count(tmp_path, checkpoint_path, scene_path,
     rc = main(["refine", str(checkpoint_path), str(scene_path),
                "--out", str(out), "--steps", steps])
     assert rc == 1
-    assert "refine_steps must be >= 1" in capsys.readouterr().err
+    assert "--steps must be >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [["--n-surface", "0"], ["--n-positive", "-5"]],
-                         ids=["n_surface", "n_positive"])
+@pytest.mark.parametrize("flag", [
+    ["--n-surface", "0"], ["--n-positive", "-5"], ["--steps", "0"],
+    ["--lr", "0"], ["--eps", "-1"], ["--seed", "-1"],
+], ids=["n_surface", "n_positive", "steps", "lr", "eps", "seed"])
 def test_refine_rejects_flag_out_of_range_before_loading(tmp_path, checkpoint_path,
                                                          scene_path, capsys,
                                                          monkeypatch, flag):
@@ -521,7 +541,7 @@ def test_refine_rejects_flag_out_of_range_before_loading(tmp_path, checkpoint_pa
 
 @pytest.mark.parametrize("argv, message", [
     (["refine", "{checkpoint}", "{scene}", "--lr", "-1", "--out", "{out}"],
-     "refine_lr must be > 0, got -1.0"),
+     "--lr must be > 0, got -1.0"),
     (["sample", "{scene}", "--noise-stds", "-1", "0.003", "--out", "{out}"],
      "--noise-stds entries must be > 0, got -1.0"),
     (["gradcheck", "--h", "-1"], "--h must be > 0, got -1.0"),

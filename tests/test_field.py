@@ -313,7 +313,7 @@ def test_no_grad_blend_equals_recording_tape(n_bases):
         tape = Tape()
         prog = FieldProgram(tape, pv.leaves(tape, trainable), f)
         results.append((prog.blend(X, with_nearest=True), prog.n_fallback_total))
-        assert all(node.vjp is None for node in tape.nodes) == (trainable == set())
+        assert (tape.nodes == []) == (trainable == set())
     (grad, grad_nf), (free, free_nf) = results
     for name in ("sdf", "f_p", "f_q", "g_p", "g_q", "a_p", "a_q", "f_k"):
         np.testing.assert_array_equal(getattr(free, name).value,
@@ -375,20 +375,16 @@ def test_sums_of_three_squares_equal_the_reduce(monkeypatch, n_bases):
     np.testing.assert_array_equal(signs, signs_ref)
 
 
-def test_sdf_batch_keeps_per_field_nodes_and_one_block(monkeypatch):
+def test_sdf_batch_holds_no_tape_node(monkeypatch):
+    """Inference keeps no node at all, so no block's values outlive it, and
+    builds the domain maps once per call."""
     import sdfblend.field as field_mod
     tapes, n_maps = [], []
 
     class SpyTape(field_mod.Tape):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.peak, self.marks = 0, set()
             tapes.append(self)
-
-        def truncate(self, n):
-            self.peak = max(self.peak, len(self.nodes))
-            self.marks.add(n)
-            super().truncate(n)
 
     domain_maps = BasisField._domain_maps
     monkeypatch.setattr(field_mod, "Tape", SpyTape)
@@ -402,8 +398,7 @@ def test_sdf_batch_keeps_per_field_nodes_and_one_block(monkeypatch):
     f.sdf_batch_diag(X)  # 4 blocks, the last one padded
     (one, many) = tapes
     assert len(n_maps) == 2  # domain maps built once per call
-    assert one.marks == many.marks == {len(many.nodes)}
-    assert many.peak == one.peak > len(many.nodes)
+    assert one.nodes == many.nodes == []
 
 
 def test_sdf_batch_values_do_not_depend_on_the_call():

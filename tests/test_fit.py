@@ -282,9 +282,12 @@ def test_refine_gradients_of_frozen_parameters_are_exactly_zero():
         total, _ = loss_opt_t(prog, inputs, LossWeights(), anchor)
         grads[trainable is None] = backward(tape, total)
         if trainable is not None:
-            # no VJP is formed for a frozen operand, e.g. a decoder weight
-            assert all(tape.nodes[i].differentiable
-                       for node in tape.nodes for i in node.parents)
+            # no node is formed for a frozen parameter, e.g. a decoder
+            # weight, nor for an op that no trained leaf reaches
+            assert {n.leaf_name for n in tape.nodes
+                    if n.vjp is None} == trainable
+            assert all(n.leaf_name is None and n.parents
+                       for n in tape.nodes if n.vjp is not None)
     refine_grads, all_grads = grads[False], grads[True]
     assert refine_grads.keys() == {"centers", "latents"}
     flat = pv.flatten_grads(refine_grads)
