@@ -542,11 +542,12 @@ def backward(tape: Tape, output: Var) -> dict[str, np.ndarray]:
 
 
 class ParamVector:
-    """Flat float64 parameter storage with a name -> (offset, shape) registry."""
+    """Flat float64 parameter storage with a name -> (offset, shape, size)
+    registry."""
 
     def __init__(self):
         self.data = np.zeros(0, dtype=np.float64)
-        self._slots: dict[str, tuple[int, tuple[int, ...]]] = {}
+        self._slots: dict[str, tuple[int, tuple[int, ...], int]] = {}
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ParamVector":

@@ -1,9 +1,11 @@
 """Sign certificates: the sign of a BasisField proven over boxes.
 
-box_signs(field, lo, hi) proves, box by box, that the blended field has
-one sign over the whole box, so that surfacing need not evaluate the grid
-corners inside it; with `edges` it proves the same, from the same pass,
-for given sub-boxes of each box. The proof, for the functions below:
+box_signs(field, edges) proves, sub-box by sub-box, that the blended
+field has one sign over the whole sub-box, so that surfacing need not
+evaluate the grid corners inside it. One bound pass per box bounds its
+candidates over the whole box, and a pair that clears no margin there is
+bounded again over each sub-box of the box. The proof, for the functions
+below:
 
 Candidates: A_i (x - c_i) is affine, so each component has an exact
 interval over a box, and ||A_i (x - c_i)||^2 lies in [u_min_i,
@@ -67,7 +69,7 @@ all. With the evaluated decoder's L (1 + gamma_n)^L gamma_n S_out
 the total stays below (4^L / 3 + 2^L + 5 L + 1) gamma_n S_out,
 which is less than 4^(L+1) gamma_n S_out for every L >= 1.
 
-Sub-boxes (box_signs with `edges`), with the same margin. The
+Sub-boxes, with the same margin. The
 back-substituted bound of a pair is a linear form c + g . d in the
 offset d = x - mid, valid over the whole box; over a sub-box it is
 concretised in t = d / rad as c + (g rad) . t_mid + |g rad| . t_rad,
@@ -107,30 +109,24 @@ CERTIFY_BOX_CHUNK = 2048
 CERTIFY_U_CAP = 700.0
 
 
-def box_signs(field: BasisField, lo: np.ndarray, hi: np.ndarray,
-              edges: np.ndarray | None = None):
-    """Certified sign of the field over K closed boxes [lo[k], hi[k]].
+def box_signs(field: BasisField, edges: np.ndarray) -> np.ndarray:
+    """Certified sign of the field over the sub-boxes of K closed boxes.
 
-    Returns int8 (K,): +1 where `sdf_batch` gives a finite value >= 0 at
-    every point of the box, -1 where it gives a finite value < 0, and 0
-    where neither is proven.
-
-    `edges`, (K, 3, s + 1), splits box k along axis a at the nondecreasing
-    coordinates edges[k, a] from lo[k, a] to hi[k, a]. With it, the
-    signs of the s^3 closed sub-boxes between consecutive edges, int8
-    (K, s, s, s) in the same sense, are returned as well, from the same
-    bound pass: a sub-box takes a sign when every candidate of its box
-    clears the margin over it.
+    `edges`, (K, 3, s + 1), splits box k, from edges[k, :, 0] to
+    edges[k, :, -1], along axis a at the nondecreasing coordinates
+    edges[k, a]. Returns int8 (K, s, s, s), per closed sub-box between
+    consecutive edges: +1 where `sdf_batch` gives a finite value >= 0 at
+    every point of the sub-box, -1 where it gives a finite value < 0, and
+    0 where neither is proven. A sub-box takes a sign when every candidate
+    of its box clears the margin over it; with s = 1 the only sub-box is
+    the box itself.
 
     The proof is in the module docstring.
     """
-    lo = np.asarray(lo, dtype=np.float64).reshape(-1, 3)
-    hi = np.asarray(hi, dtype=np.float64).reshape(-1, 3)
-    out = np.zeros(len(lo), dtype=np.int8)
-    sub_out = (None if edges is None else
-               np.zeros((len(lo),) + (edges.shape[2] - 1,) * 3, dtype=np.int8))
-    if not len(lo):
-        return out if edges is None else (out, sub_out)
+    lo, hi = edges[..., 0], edges[..., -1]
+    out = np.zeros((len(edges),) + (edges.shape[2] - 1,) * 3, dtype=np.int8)
+    if not len(edges):
+        return out
     mid = 0.5 * (lo + hi)
     # widened so that mid +- rad covers [lo, hi] despite rounding
     rad = np.maximum(hi - mid, mid - lo) * (1.0 + 2.0 ** -40)
@@ -142,46 +138,38 @@ def box_signs(field: BasisField, lo: np.ndarray, hi: np.ndarray,
     # sizes points, so each pass works from cache
     widest = max(field.decoder.layer_in + field.decoder.layer_out)
     pair_chunk = max(1, INFERENCE_BLOCK_BYTES // (4 * 2 * widest * 8))
-    for k0 in range(0, len(lo), CERTIFY_BOX_CHUNK):
+    for k0 in range(0, len(edges), CERTIFY_BOX_CHUNK):
         sl = slice(k0, k0 + CERTIFY_BOX_CHUNK)
-        mid_k, rad_k, signs = mid[sl], rad[sl], out[sl]
+        mid_k, rad_k = mid[sl], rad[sl]
         box, basis = np.nonzero(_box_candidates(field, mid_k, rad_k, maps))
-        pos = np.zeros(len(box), dtype=bool)
-        neg = np.zeros(len(box), dtype=bool)
-        if edges is not None:
-            t_sub = _sub_intervals(edges[sl], mid_k, rad_k)
-            # per box and sub-box: the candidates that clear +margin over
-            # the sub-box but not over the whole box, minus those that
-            # clear -margin
-            sub_clear = np.zeros((len(mid_k),) + sub_out.shape[1:], dtype=np.int32)
+        t_sub = _sub_intervals(edges[sl], mid_k, rad_k)
+        # per pair: +1 if it clears +margin over the whole box, -1 if it
+        # clears -margin; per box and sub-box: the candidates that clear
+        # +margin over the sub-box but not over the whole box, minus those
+        # that clear -margin
+        whole = np.zeros(len(box), dtype=np.int8)
+        sub_clear = np.zeros((len(mid_k),) + out.shape[1:], dtype=np.int32)
         for p0 in range(0, len(box), pair_chunk):
             ps = slice(p0, p0 + pair_chunk)
             m = margin[basis[ps]]
-            bounds = _decoder_bounds(
+            f_lo, f_hi, part, s_lo, s_hi = _decoder_bounds(
                 field, mid_k[box[ps]], rad_k[box[ps]], basis[ps], layers, m,
-                None if edges is None else tuple(t[box[ps]] for t in t_sub))
-            f_lo, f_hi = bounds[:2]
+                tuple(t[box[ps]] for t in t_sub))
             finite = np.isfinite(f_lo) & np.isfinite(f_hi)
-            pos[ps] = finite & (f_lo > m)
-            neg[ps] = finite & (f_hi < -m)
-            if edges is not None:
-                part, s_lo, s_hi = bounds[2:]
-                finite = np.isfinite(s_lo + s_hi)
-                m = m[part, None, None, None]
-                _add_rows(sub_clear, box[ps][part],
-                          (finite & (s_lo > m)).view(np.int8)
-                          - (finite & (s_hi < -m)).view(np.int8))
-        n_cand = np.bincount(box, minlength=len(mid_k))
-        n_pos = np.bincount(box, weights=pos, minlength=len(mid_k))
-        n_neg = np.bincount(box, weights=neg, minlength=len(mid_k))
-        signs[n_pos == n_cand] = 1
-        signs[n_neg == n_cand] = -1
-        if edges is not None:
-            sub, n_cand = sub_out[sl], n_cand[:, None, None, None]
-            sub_clear += (n_pos - n_neg).astype(np.int32)[:, None, None, None]
-            sub[sub_clear == n_cand] = 1
-            sub[sub_clear == -n_cand] = -1
-    return out if edges is None else (out, sub_out)
+            whole[ps] = ((finite & (f_lo > m)).view(np.int8)
+                         - (finite & (f_hi < -m)).view(np.int8))
+            finite = np.isfinite(s_lo + s_hi)
+            m = m[part, None, None, None]
+            _add_rows(sub_clear, box[ps][part],
+                      (finite & (s_lo > m)).view(np.int8)
+                      - (finite & (s_hi < -m)).view(np.int8))
+        n_cand = np.bincount(box, minlength=len(mid_k))[:, None, None, None]
+        sub_clear += np.bincount(box, weights=whole, minlength=len(mid_k)
+                                 ).astype(np.int32)[:, None, None, None]
+        sub = out[sl]
+        sub[sub_clear == n_cand] = 1
+        sub[sub_clear == -n_cand] = -1
+    return out
 
 
 def _add_rows(total: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
@@ -255,7 +243,7 @@ def _bound_layers(field: BasisField) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _decoder_bounds(field: BasisField, mid: np.ndarray, rad: np.ndarray,
-                    basis: np.ndarray, layers, margin: np.ndarray, t_sub=None):
+                    basis: np.ndarray, layers, margin: np.ndarray, t_sub):
     """Lower and upper bound of decoder basis[p] over the box mid[p] +-
     rad[p], from affine forms in t in [-1, 1]^3 (x = mid + rad * t):
     entries 0-2 of a (4, P, width) form hold the t coefficients, entry 3
@@ -264,9 +252,10 @@ def _decoder_bounds(field: BasisField, mid: np.ndarray, rad: np.ndarray,
     margin[p] nor -margin[p] are then tightened by _back_substitute
     (margin +inf tightens every finite pair, -inf none).
 
-    With t_sub = (t_mid, t_rad), (P, 3, s) sub-intervals of t per pair
-    and axis, it also returns `part`, the pairs whose tightened bound is
-    finite and still clears neither margin, and their lower and upper
+    `t_sub` = (t_mid, t_rad), (P, 3, s) sub-intervals of t per pair and
+    axis (_sub_intervals). Returns (f_lo, f_hi, part, s_lo, s_hi): the
+    bounds over each whole box; `part`, the pairs whose tightened bound
+    is finite and still clears neither margin; and their lower and upper
     bounds over each sub-box, (len(part), s, s, s), from the same
     back-substituted linear forms."""
     dec = field.decoder
@@ -316,8 +305,6 @@ def _decoder_bounds(field: BasisField, mid: np.ndarray, rad: np.ndarray,
             bound = const + np.einsum("ijk,jk->ij", np.abs(coef), rad[tight])
             f_lo[tight] = np.maximum(f_lo[tight], -bound[1])
             f_hi[tight] = np.minimum(f_hi[tight], bound[0])
-        if t_sub is None:
-            return f_lo, f_hi
         s = t_sub[0].shape[2]
         if not len(tight):
             empty = np.zeros((0, s, s, s))

@@ -27,6 +27,7 @@ class CheckpointError(SdfBlendError):
 class GridError(SdfBlendError):
     """Invalid surfacing grid specification."""
 
+
 class FieldError(SdfBlendError):
     """Invalid basis-field state (degenerate rotation, bad shapes)."""
 

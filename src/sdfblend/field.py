@@ -635,10 +635,6 @@ class FieldProgram:
         w = ad.mul(ad.gather_rows(self.scales, idx), rd)
         return ad.vsum(ad.mul(w, w), axis=1)
 
-    def rbf(self, pts: np.ndarray, idx: np.ndarray) -> Var:
-        """Domain weight of basis idx[b] at pts[b]; shape (B,)."""
-        return ad.exp(ad.neg(self.domain_quadratic(pts, idx)))
-
     def select(self, pts: np.ndarray, with_nearest: bool = False) -> Top2:
         """Top-2 selection of `pts` for a blend: counts its fallbacks and
         notes p, q, the fallback mask and, `with_nearest`, the nearest basis
@@ -668,7 +664,7 @@ class FieldProgram:
         tape = self.tape
         if self.field.n_bases == 1:
             f_p = self.decode(pts, p)
-            g_p = self.rbf(pts, p)
+            g_p = ad.exp(ad.neg(self.domain_quadratic(pts, p)))
             one = tape.constant(np.ones(n))
             zero = tape.constant(np.zeros(n))
             return BlendResult(sdf=f_p, f_p=f_p, f_q=f_p, g_p=g_p, g_q=g_p,

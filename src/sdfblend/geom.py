@@ -26,6 +26,9 @@ SAMPLE_TAGS = ("near-surface", "uniform", "surface", "positive")
 SCENE_SCHEMA_VERSION = 1
 SAMPLES_SCHEMA_VERSION = 1
 
+# largest entry of |R^T R - I| a primitive's rotation may have
+ROTATION_TOL = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # Value types
@@ -354,6 +357,14 @@ class SceneSpec:
                 v = np.atleast_1d(getattr(node, name))
                 if np.any(v <= 0.0):
                     raise SceneError(f"{type(node).__name__}.{name} must be > 0")
+            # _to_local applies R^T and bounds() maps corners with R: both
+            # hold only for an orthogonal R (det -1 is still an isometry)
+            if node.rotation is not None:
+                r = node.rotation
+                err = np.abs(r.T @ r - np.eye(3)).max()
+                if not err <= ROTATION_TOL:
+                    raise SceneError(f"{type(node).__name__}.rotation is not "
+                                     f"orthonormal (max |R^T R - I| = {err:.3g})")
             return
         if isinstance(node, _Combine):
             if not node.children:

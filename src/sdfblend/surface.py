@@ -9,8 +9,8 @@ winding is chosen so normals point toward positive field values.
 
 A BasisField is evaluated only at the corners of cells whose sign
 `certify.box_signs` cannot prove. Each bound pass over a level of cell
-blocks also signs, from the same linear bounds, the blocks of the next
-level inside them, and the last level's pass signs single cells. The
+blocks signs, from their linear bounds, the blocks of the next level
+inside them, and the last level's pass signs single cells. The
 other corners hold a placeholder of their cells' sign, which is all
 marching cubes reads of them. The cell signs (CellSigns) outlive the
 corner values: `metrics.iou` takes a sample's sign from its certified
@@ -78,11 +78,12 @@ class GridSpec:
 def _cell_signs(evaluable, axes) -> np.ndarray:
     """Certified sign per cell (+1, -1, or 0 where unproven), int8.
 
-    Blocks of CERTIFY_BLOCKS[0] cells per axis are bounded first through
-    `box_signs`, which also signs the blocks of the next size inside
-    each of them; the blocks left open at the last level are split into
-    single cells. Blocks at the far faces are cut to the grid, and their
-    sub-blocks take their coordinates from `axes`. Only a BasisField is
+    Blocks of CERTIFY_BLOCKS[0] cells per axis go first through
+    `box_signs`, which signs the blocks of the next size inside each of
+    them; the blocks left open go through again at the next size, and at
+    the last level they are split into single cells. Blocks at the far
+    faces are cut to the grid, and their sub-blocks take their
+    coordinates from `axes`. Only a BasisField is
     certified; any other evaluable certifies nothing.
     """
     cells = tuple(len(a) - 1 for a in axes)
@@ -101,8 +102,7 @@ def _cell_signs(evaluable, axes) -> np.ndarray:
             edges = np.stack([axes[a][ends[:, a]] for a in range(3)], axis=1)
             blocks = nxt.reshape(sign.shape[0], s, sign.shape[1], s,
                                  sign.shape[2], s).transpose(0, 2, 4, 1, 3, 5)
-            blocks[tuple(open_blocks.T)] = box_signs(
-                evaluable, edges[..., 0], edges[..., -1], edges)[1]
+            blocks[tuple(open_blocks.T)] = box_signs(evaluable, edges)
         sign = nxt[tuple(slice(-(-c // sub)) for c in cells)]
         size = sub
     return sign

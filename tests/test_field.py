@@ -366,7 +366,7 @@ def test_sums_of_three_squares_equal_the_reduce(monkeypatch, n_bases):
                      certify._box_candidates(f, 0.5 * (lo + hi), 0.5 * (hi - lo),
                                              f._domain_maps() if n_bases > 1
                                              else None),
-                     certify.box_signs(f, lo, hi)))
+                     _whole_box_signs(f, lo, hi)))
     (g, nearest, cand, signs), (g_ref, nearest_ref, cand_ref, signs_ref) = runs
     np.testing.assert_array_equal(g.view(np.int64), g_ref.view(np.int64))
     assert (g == 0.0).any()
@@ -450,6 +450,11 @@ def _boxes_and_points(rng, n_boxes, width, n_pts):
     return lo, hi, lo[:, None] + t * (hi - lo)[:, None]
 
 
+def _whole_box_signs(f, lo, hi):
+    """box_signs of the boxes [lo[k], hi[k]] as one sub-box each, (K,)."""
+    return certify.box_signs(f, np.stack([lo, hi], axis=2))[:, 0, 0, 0]
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_bases=st.sampled_from([1, 2, 3, 8]),
        weight_scale=st.sampled_from([1.0, 1e6]),
@@ -465,7 +470,7 @@ def test_box_signs_never_contradict_the_field(seed, n_bases, weight_scale, width
     for w in f.decoder.weights:
         w *= weight_scale
     lo, hi, pts = _boxes_and_points(rng, 48, width, 40)
-    signs = certify.box_signs(f, lo, hi)
+    signs = _whole_box_signs(f, lo, hi)
     vals = f.sdf_batch(pts.reshape(-1, 3)).reshape(pts.shape[:2])
     assert np.all(vals[signs == 1] >= 0)
     assert np.all(vals[signs == -1] < 0)
@@ -488,8 +493,8 @@ def test_sub_box_signs_never_contradict_the_field(seed, n_bases, weight_scale,
     """No point of a certified sub-box has the other sign, with boxes split
     at random coordinates (some sub-boxes of zero width), also with decoder
     weights scaled x1e6, domains narrow enough to fall back and a skip
-    decoder; the boxes keep the signs they get without sub-boxes, and a
-    signed box signs all its sub-boxes alike."""
+    decoder; and a box signed as its one sub-box signs all its sub-boxes
+    alike."""
     rng = np.random.default_rng(seed)
     f = random_field(rng, n_bases=n_bases)
     if skip:
@@ -504,8 +509,8 @@ def test_sub_box_signs_never_contradict_the_field(seed, n_bases, weight_scale,
     inner = np.minimum(lo[..., None] + cuts * (hi - lo)[..., None], hi[..., None])
     edges = np.concatenate([lo[..., None], np.sort(inner, axis=2), hi[..., None]],
                            axis=2)
-    signs, sub = certify.box_signs(f, lo, hi, edges)
-    np.testing.assert_array_equal(signs, certify.box_signs(f, lo, hi))
+    sub = certify.box_signs(f, edges)
+    signs = _whole_box_signs(f, lo, hi)
     # 12 uniform points and the 8 corners of every sub-box, clipped into it
     ijk = np.array(list(itertools.product(range(split), repeat=3)))
     sub_lo = np.stack([edges[:, a, ijk[:, a]] for a in range(3)], axis=-1)
@@ -547,10 +552,12 @@ def test_back_substituted_bounds_contain_the_decoder(seed, n_bases, weight_scale
     maps = f._domain_maps() if n_bases > 1 else None
     box, basis = np.nonzero(certify._box_candidates(f, mid, rad, maps))
     layers = certify._bound_layers(f)
+    t_sub = certify._sub_intervals(np.stack([lo, hi], axis=2)[box], mid[box],
+                                   rad[box])
     fwd = certify._decoder_bounds(f, mid[box], rad[box], basis, layers,
-                                  np.full(len(box), -np.inf))
+                                  np.full(len(box), -np.inf), t_sub)
     f_lo, f_hi = certify._decoder_bounds(f, mid[box], rad[box], basis, layers,
-                                         np.full(len(box), np.inf))
+                                         np.full(len(box), np.inf), t_sub)[:2]
     assert np.all(f_lo >= fwd[0]) and np.all(f_hi <= fwd[1])
     prog = FieldProgram.constant(f)
     n_pts = pts.shape[1]
@@ -565,7 +572,7 @@ def test_box_signs_certify_most_blocks_away_from_the_surface():
     rng = np.random.default_rng(39)  # a field with both signs in the domain
     f = random_field(rng, n_bases=3)
     lo, hi, pts = _boxes_and_points(rng, 200, 0.05, 40)
-    signs = certify.box_signs(f, lo, hi)
+    signs = _whole_box_signs(f, lo, hi)
     vals = f.sdf_batch(pts.reshape(-1, 3)).reshape(pts.shape[:2])
     one_sign = np.all(vals >= 0, axis=1) | np.all(vals < 0, axis=1)
     assert np.mean(signs != 0) > 0.5 * np.mean(one_sign)
@@ -576,7 +583,7 @@ def test_box_signs_certify_nothing_where_the_decoder_overflows():
     from tests.test_fit import overflowing_field
     f = overflowing_field()
     lo, hi, _ = _boxes_and_points(np.random.default_rng(35), 64, 0.1, 0)
-    assert not certify.box_signs(f, lo, hi).any()
+    assert not _whole_box_signs(f, lo, hi).any()
 
 
 # ---------------------------------------------------------------------------

@@ -99,11 +99,18 @@ def test_scene_validation_errors():
     ({"type": "box", "half_extents": [0.1, 0.1]}, "half_extents has shape"),
     ({"type": "box", "half_extents": [0.1, 0.1, 0.1], "rotate": [1, 0, 0]},
      "rotate is a list"),
+    ({"type": "sphere", "radius": 0.2, "translate": [0, 0.25, 0],
+      "rotation": [[1, 0.9, 0], [0, 1, 0], [0, 0, 1]]},
+     "Sphere.rotation is not orthonormal"),
+    ({"type": "box", "half_extents": [0.1, 0.1, 0.1],
+      "rotation": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]},
+     "Box.rotation is not orthonormal"),
     ({"type": "union", "children": 3}, "children is a int"),
     ({"type": "union", "children": [[]]}, "scene node is a list"),
     ({"type": ["sphere"]}, "unknown scene node type"),
 ], ids=["nan_radius", "nan_translate", "extents_shape", "rotate_kind",
-        "children_kind", "node_kind", "type_kind"])
+        "shear_rotation", "scale_rotation", "children_kind", "node_kind",
+        "type_kind"])
 def test_scene_document_rejects_malformed_values(root, message):
     """Every malformed scene fails where it is loaded, never later as a
     non-finite or shapeless evaluation."""
@@ -111,6 +118,19 @@ def test_scene_document_rejects_malformed_values(root, message):
         SceneSpec.from_json_dict({"version": 1, "root": root})
     with pytest.raises(SceneError, match="scene document is a list"):
         SceneSpec.from_json_dict([{"version": 1, "root": root}])
+
+
+def test_scene_rotation_must_be_orthogonal():
+    """A shear is refused also where a scene is built in code; a reflection
+    (det -1) is an isometry and stays exact."""
+    shear = np.array([[1.0, 0.9, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(SceneError, match="Sphere.rotation is not orthonormal"):
+        SceneSpec(root=Sphere(radius=0.2, translate=[0, 0.25, 0], rotation=shear))
+    flip = Box(half_extents=[0.1, 0.2, 0.3], rotation=np.diag([1.0, -1.0, 1.0]))
+    pts = np.random.default_rng(0).uniform(-0.5, 0.5, (256, 3))
+    np.testing.assert_allclose(SceneSpec(root=flip).sdf(pts),
+                               SceneSpec(root=Box(half_extents=[0.1, 0.2, 0.3])
+                                         ).sdf(pts), rtol=0, atol=1e-15)
 
 
 def test_scene_json_round_trip(tmp_path):

@@ -12,7 +12,7 @@ from sdfblend.field import BasisField, Decoder, FieldProgram
 from sdfblend.formats import write_obj
 from sdfblend.geom import SceneSpec, Sphere
 from sdfblend.gradcheck import random_field
-from sdfblend.surface import GridSpec, _sample_grid, marching_cubes
+from sdfblend.surface import CellSigns, GridSpec, _sample_grid, marching_cubes
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "data" / "sphere_fit.json"
 
@@ -272,3 +272,23 @@ def test_overflowing_field_still_names_the_first_corner():
                 marching_cubes(evaluable, GridSpec(16))
             messages.append(str(err.value))
     assert messages == ["non-finite field value at grid corner [-0.55, -0.55, -0.55]"] * 2
+
+
+def test_cell_signs_at_reads_the_cell_of_each_point():
+    """CellSigns.at on a non-cubic grid whose cells hold their flat index
+    + 1: a point outside a face, or NaN, reads 0; lo reads the first cell,
+    the far face the last cell, and an interior face the cell above it."""
+    shape = (8, 9, 10)
+    axes = GridSpec(shape, lo=[-0.3, -0.2, -0.1], hi=[0.5, 0.4, 0.3]).axes()
+    cells = CellSigns(axes, np.arange(1, np.prod(shape) + 1).reshape(shape))
+    mid = np.array([0.5 * (ax[3] + ax[4]) for ax in axes])  # in cell (3, 3, 3)
+    pts = [mid, [ax[0] for ax in axes], [ax[-1] for ax in axes]]
+    want = [(3, 3, 3), (0, 0, 0), (7, 8, 9)]
+    for a, ax in enumerate(axes):
+        for x, i in [(ax[0], 0), (ax[-1], shape[a] - 1), (ax[5], 5),
+                     (np.nextafter(ax[0], -1.0), None),
+                     (np.nextafter(ax[-1], 1.0), None), (np.nan, None)]:
+            pts.append(np.where(np.arange(3) == a, x, mid))
+            want.append(None if i is None else tuple(np.where(np.arange(3) == a, i, 3)))
+    expected = [0 if w is None else np.ravel_multi_index(w, shape) + 1 for w in want]
+    np.testing.assert_array_equal(cells.at(np.array(pts)), expected)
