@@ -100,7 +100,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import INFERENCE_BLOCK_BYTES, BasisField, _sum3
+from .field import INFERENCE_BLOCK_BYTES, BasisField, FieldProgram, _sum3
 
 # Sign certificates (box_signs): boxes per candidate pass, and the
 # domain quadratic above which exp(-u) may leave the normal float64 range, so
@@ -130,7 +130,7 @@ def box_signs(field: BasisField, edges: np.ndarray) -> np.ndarray:
     mid = 0.5 * (lo + hi)
     # widened so that mid +- rad covers [lo, hi] despite rounding
     rad = np.maximum(hi - mid, mid - lo) * (1.0 + 2.0 ** -40)
-    maps = field._domain_maps() if field.n_bases > 1 else None
+    maps = FieldProgram.constant(field).maps
     margin = _decoder_margin(field, lo.min(axis=0), hi.max(axis=0))
     layers = _bound_layers(field)
     # (box, basis) pairs per bound pass: the four [L | U] forms of the
@@ -197,7 +197,7 @@ def _box_candidates(field: BasisField, mid: np.ndarray, rad: np.ndarray, maps
                     ) -> np.ndarray:
     """(K, N) mask of the bases that top-2 selection may pick somewhere
     in the boxes mid[k] +- rad[k]; see box_signs."""
-    if maps is None:
+    if field.n_bases == 1:
         return np.ones((len(mid), 1), dtype=bool)
     a_stack, c_mapped = maps
     a_abs = np.abs(a_stack)

@@ -47,6 +47,8 @@ def cmd_sample(args) -> int:
     # argparse's `type=` checks the type only; the ranges are checked here
     check_number(args.n_near, "--n-near", 0, integer=True)
     check_number(args.n_uniform, "--n-uniform", 0, integer=True)
+    check_number(args.n_near + args.n_uniform, "--n-near + --n-uniform", 1,
+                 integer=True)
     check_number(args.seed, "--seed", 0, integer=True)
     for std in args.noise_stds:
         check_positive(std, "--noise-stds entries")

@@ -57,24 +57,13 @@ def rotation_from_6d(r_raw: np.ndarray) -> np.ndarray:
 
 
 def rotations_from_6d(r_raw: np.ndarray) -> np.ndarray:
-    """Vectorized rotation_from_6d over an (N, 6) stack; errors name the row."""
+    """Vectorized rotation_from_6d over an (N, 6) stack; errors name the row.
+
+    Runs _rotation_columns on a tape of constants, so these are the bits
+    that every FieldProgram blends and selects with."""
     r = np.asarray(r_raw, dtype=np.float64).reshape(-1, 6)
-    a1, a2 = r[:, :3], r[:, 3:]
-    n1 = np.linalg.norm(a1, axis=1)
-    bad = np.flatnonzero(n1 < 1e-12)
-    if bad.size:
-        raise FieldError(f"degenerate rotation at basis {bad[0]}: first vector ~ 0")
-    b1 = a1 / n1[:, None]
-    res = a2 - np.sum(b1 * a2, axis=1, keepdims=True) * b1
-    n2 = np.linalg.norm(res, axis=1)
-    bad = np.flatnonzero(n2 < 1e-12)
-    if bad.size:
-        raise FieldError(
-            f"degenerate rotation at basis {bad[0]}: second vector parallel to first"
-        )
-    b2 = res / n2[:, None]
-    b3 = np.cross(b1, b2)
-    return np.stack([b1, b2, b3], axis=2)  # columns
+    cols = _rotation_columns(Tape().constant(r))
+    return np.stack([c.value for c in cols], axis=2)
 
 
 IDENTITY_ROT6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
@@ -267,23 +256,11 @@ class BasisField:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _domain_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked A_i rows as one (3, 3N) matrix plus A_i c_i offsets (N, 3).
-
-        With these, ||A_i (x - c_i)||^2 for every basis is one dgemm:
-        (X @ A_stack).reshape(B, N, 3) minus the offsets.
-        """
-        R = rotations_from_6d(self.rot6s)
-        A = np.exp(self.log_scales)[:, :, None] * R  # (N, 3, 3)
-        # a_stack[j, 3n+i] = A[n, i, j] so that X @ a_stack applies every A_n
-        a_stack = A.transpose(2, 0, 1).reshape(3, -1)
-        c_mapped = np.einsum("nij,nj->ni", A, self.effective_centers)
-        return a_stack, c_mapped
-
     def rbf_matrix(self, pts: np.ndarray, maps=None) -> np.ndarray:
-        """All domain weights out[b, i] = g_i(pts[b]), (B, N); `maps`: _domain_maps()."""
+        """All domain weights out[b, i] = g_i(pts[b]), (B, N); `maps`: the
+        FieldProgram.maps of this field, if already built."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
-        a_stack, c_mapped = self._domain_maps() if maps is None else maps
+        a_stack, c_mapped = maps or FieldProgram.constant(self).maps
         w = (pts @ a_stack).reshape(len(pts), self.n_bases, 3)
         w -= c_mapped[None, :, :]
         w *= w
@@ -410,8 +387,9 @@ class BasisField:
 
         Raises CheckpointError on an unknown version, an object or list
         where the schema has the other kind or a number, a decoder with the
-        wrong number of layers, an array of the wrong shape, or any
-        non-finite value.
+        wrong number of layers, an array of the wrong shape, any non-finite
+        value, a domain scale that overflows, or an `r_raw` row that
+        rotations_from_6d refuses.
         """
         check_document(doc, CHECKPOINT_SCHEMA_VERSION, "checkpoint",
                        CheckpointError)
@@ -464,6 +442,10 @@ class BasisField:
             if not np.all(np.isfinite(np.exp(arrays[2]))):
                 raise CheckpointError("checkpoint bases 's_raw' overflows exp: "
                                       "domain scales must be finite")
+        try:
+            rotations_from_6d(arrays[3])
+        except FieldError as e:
+            raise CheckpointError(f"checkpoint bases 'r_raw': {e}") from e
         return cls(*arrays, dec)
 
     def save(self, path) -> None:
@@ -578,28 +560,36 @@ class BlendResult:
 class FieldProgram:
     """Builds the field's forward computation on a tape.
 
-    `leaves` maps parameter names (see BasisField.to_params) to tape
-    variables; constants and trainable leaves are both allowed, so the same
-    program serves fitting, frozen-parameter refinement and plain inference.
+    Puts every parameter of `field` (see BasisField.to_params) on the tape,
+    as a leaf if its name is in `trainable` (None: all) and as a constant
+    otherwise, so the same program serves fitting, frozen-parameter
+    refinement and plain inference.
     """
 
-    def __init__(self, tape: Tape, leaves: dict[str, Var], field: BasisField):
+    def __init__(self, tape: Tape, field: BasisField,
+                 trainable: set[str] | None = None):
         self.tape = tape
-        self.leaves = leaves
         self.field = field
+        self.leaves = leaves = field.to_params().leaves(tape, trainable)
         # per-field values, built once per program ahead of any per-point node
         self.eff_centers = ad.add(leaves["centers"], leaves["offsets"])
         self.rot_cols = _rotation_columns(leaves["rot6s"])
         self.scales = ad.exp(leaves["log_scales"])
-        self.maps = field._domain_maps() if field.n_bases > 1 else None
+        # the domain maps of selection and certification: every A_i =
+        # diag(scale_i) @ R_i stacked as one (3, 3N) matrix, a_stack[j, 3n+i]
+        # = A[n, i, j], and the offsets A_i c_i (N, 3), so ||A_i (x - c_i)||^2
+        # of every basis is one dgemm, (X @ a_stack).reshape(B, N, 3) - offsets
+        A = self.scales.value[:, :, None] * np.stack(
+            [c.value for c in self.rot_cols], axis=2)
+        self.maps = (A.transpose(2, 0, 1).reshape(3, -1),
+                     np.einsum("nij,nj->ni", A, self.eff_centers.value))
         self.n_fallback_total = 0
 
     @classmethod
     def constant(cls, field: BasisField) -> "FieldProgram":
         """The program of `field` on a new tape with every parameter a
         constant: values only, no tape node or branch token."""
-        tape = Tape()
-        return cls(tape, field.to_params().leaves(tape, trainable=set()), field)
+        return cls(Tape(), field, set())
 
     def centered(self, pts: np.ndarray, idx: np.ndarray) -> Var:
         """x - c of basis idx[b] at pts[b], (B, 3): the input of both
@@ -698,16 +688,27 @@ class FieldProgram:
 
 
 def _rotation_columns(r: Var) -> tuple[Var, Var, Var]:
-    """Rotation columns (N, 3) each of an (N, 6) stack, as rotations_from_6d."""
+    """Rotation columns (b1, b2, b1 x b2), (N, 3) each, of an (N, 6) stack:
+    b1 the normalized first 3-vector and b2 the normalized rejection of the
+    second. Raises FieldError, naming the first such row, where a norm is
+    below 1e-12."""
     a1 = ad.cols(r, 0, 3)
     a2 = ad.cols(r, 3, 6)
     n1 = ad.sqrt(ad.vsum(ad.mul(a1, a1), axis=1, keepdims=True))
+    _check_norms(n1, "first vector ~ 0")
     b1 = ad.div(a1, n1)
     proj = ad.vsum(ad.mul(b1, a2), axis=1, keepdims=True)
     res = ad.sub(a2, ad.mul(proj, b1))
     n2 = ad.sqrt(ad.vsum(ad.mul(res, res), axis=1, keepdims=True))
+    _check_norms(n2, "second vector parallel to first")
     b2 = ad.div(res, n2)
     return b1, b2, _cross_rows(b1, b2)
+
+
+def _check_norms(norms: Var, what: str) -> None:
+    bad = np.flatnonzero(norms.value < 1e-12)
+    if bad.size:
+        raise FieldError(f"degenerate rotation at basis {bad[0]}: {what}")
 
 
 def _cross_rows(a: Var, b: Var) -> Var:

@@ -10,6 +10,7 @@ bit-identical.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -171,21 +172,20 @@ def init_field(scene: SceneSpec, config: FitConfig) -> BasisField:
     )
 
 
-def _batch_indices(n_samples: int, batch_size: int, steps: int, seed: int
-                   ) -> list[np.ndarray]:
-    """Shuffled minibatch index arrays, reshuffled each pass; deterministic."""
+def _batch_indices(n_samples: int, batch_size: int, seed: int
+                   ) -> Iterator[np.ndarray]:
+    """Endless stream of shuffled minibatch index arrays, reshuffled each
+    pass; deterministic. Only the current pass's permutation is held."""
     rng = np.random.default_rng(seed)
     batch = min(batch_size, n_samples)
-    out: list[np.ndarray] = []
     order = rng.permutation(n_samples)
     at = 0
-    for _ in range(steps):
+    while True:
         if at + batch > n_samples:
             order = rng.permutation(n_samples)
             at = 0
-        out.append(order[at:at + batch])
+        yield order[at:at + batch]
         at += batch
-    return out
 
 
 def _optimize(field: BasisField, trainable: set[str] | None, lr: float,
@@ -200,8 +200,7 @@ def _optimize(field: BasisField, trainable: set[str] | None, lr: float,
     t0 = time.perf_counter()
     for step in range(steps):
         tape = Tape()
-        prog = FieldProgram(tape, pv.leaves(tape, trainable),
-                            field.with_params(pv))
+        prog = FieldProgram(tape, field.with_params(pv), trainable)
         total, parts = step_loss(prog, step)
         value = float(total.value)
         if not np.isfinite(value):
@@ -233,10 +232,10 @@ def fit_field(field: BasisField, samples: SampleSet, config: FitConfig
     trainable = set(config.trainable) if config.trainable is not None else None
     reg_boundary = config.reg_boundary_frac * config.steps
     (s_batch,) = _spawn_seeds(config.seed, 1)
-    batches = _batch_indices(len(samples), config.batch_size, config.steps, s_batch)
+    batches = _batch_indices(len(samples), config.batch_size, s_batch)
 
     def step_loss(prog, step):
-        idx = batches[step]
+        idx = next(batches)  # _optimize calls this once per step, in order
         epoch = 0 if step < reg_boundary else 1
         return loss_inte_t(prog, samples.points[idx], samples.targets[idx],
                            config.weights, epoch)

@@ -104,7 +104,7 @@ def _make_objective(loss_name: str, field: BasisField, pts, targets, weights,
     eps = weights.hinge_eps
 
     def objective(tape: Tape, pv: ParamVector) -> Var:
-        prog = FieldProgram(tape, pv.leaves(tape), field.with_params(pv))
+        prog = FieldProgram(tape, field.with_params(pv))
         if loss_name == "sdf":
             return loss_sdf_t(prog, pts, targets)
         if loss_name == "smooth":

@@ -61,6 +61,9 @@ class GridSpec:
         if min(self.resolution) < MIN_RESOLUTION:
             raise GridError(f"resolution {self.resolution} below minimum "
                             f"{MIN_RESOLUTION}")
+        if not np.all(np.isfinite((self.lo, self.hi))):
+            raise GridError(f"grid box bounds must be finite, got lo "
+                            f"{self.lo.tolist()}, hi {self.hi.tolist()}")
         if np.any(self.hi <= self.lo):
             raise GridError("grid box is empty")
 

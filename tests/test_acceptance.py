@@ -84,9 +84,7 @@ def test_criterion_2_blending_invariants():
         n = int(rng.integers(2, 9))
         f = random_field(rng, n_bases=n)
         pts = rng.uniform(-0.5, 0.5, (600, 3))
-        pv = f.to_params()
-        tape = Tape()
-        blend = FieldProgram(tape, pv.leaves(tape, set()), f).blend(pts)
+        blend = FieldProgram(Tape(), f, set()).blend(pts)
         s = blend.a_p.value + blend.a_q.value
         assert np.all(blend.a_p.value >= 0) and np.all(blend.a_q.value >= 0)
         max_pou = max(max_pou, float(np.max(np.abs(s - 1.0))))

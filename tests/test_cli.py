@@ -99,11 +99,15 @@ def test_sample_is_byte_deterministic(tmp_path, scene_path):
 @pytest.mark.parametrize("flag", [
     ["--n-near", "-3"], ["--n-uniform", "-1"], ["--noise-stds", "nan", "0.003"],
     ["--noise-stds", "0.01", "0"], ["--seed", "-1"],
-], ids=["n_near", "n_uniform", "noise_stds_nan", "noise_stds_zero", "seed"])
+    ["--n-near", "0", "--n-uniform", "0"],
+], ids=["n_near", "n_uniform", "noise_stds_nan", "noise_stds_zero", "seed",
+        "no_samples"])
 def test_sample_rejects_flag_out_of_range_before_sampling(tmp_path, scene_path,
                                                           capsys, monkeypatch,
                                                           flag):
     import sdfblend.cli as cli
+    monkeypatch.setattr(cli.SceneSpec, "load", lambda *a: pytest.fail(
+        "read the scene despite an out-of-range flag"))
     monkeypatch.setattr(cli, "sample_training_set", lambda *a, **k: pytest.fail(
         "sampled despite an out-of-range flag"))
     out = tmp_path / "s.json"
@@ -414,14 +418,24 @@ def test_mesh_rejects_checkpoint_of_wrong_structure(tmp_path, capsys, path,
     ("skip_at", 99, "skip_at entry 99 names no layer"),
     ("skip_at", -1, "skip_at entries must be >= 0"),
     ("skip_at", 1.0, "skip_at entries must be an integer"),
+    # (number of bases, r_raw of the last basis)
+    pytest.param("r_raw", (1, [0, 0, 0, 0, 1, 0]),
+                 "'r_raw': degenerate rotation at basis 0: first vector ~ 0",
+                 id="r_raw-n1"),
+    pytest.param("r_raw", (3, [1, 2, 3, 2, 4, 6]),
+                 "'r_raw': degenerate rotation at basis 2: second vector "
+                 "parallel to first", id="r_raw-n3"),
 ])
 def test_mesh_rejects_checkpoint_that_cannot_evaluate(tmp_path, capsys, key,
                                                       value, message):
     from sdfblend.errors import CheckpointError
     from sdfblend.gradcheck import random_field
-    doc = random_field(np.random.default_rng(7), n_bases=3).to_json_dict()
+    n_bases = value[0] if key == "r_raw" else 3
+    doc = random_field(np.random.default_rng(7), n_bases=n_bases).to_json_dict()
     if key == "s_raw":
         doc["bases"][1]["s_raw"][2] = value
+    elif key == "r_raw":
+        doc["bases"][-1]["r_raw"] = value[1]
     else:
         doc["decoder"]["skip_at"] = [value]
     with pytest.raises(CheckpointError, match=message):

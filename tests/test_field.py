@@ -12,7 +12,7 @@ from sdfblend.errors import CheckpointError, FieldError
 from sdfblend.field import (
     BasisField, Decoder, FieldProgram, LocalBasis, decoder_eval,
     domain_downsample, domain_transform, rbf_weight, rotation_from_6d,
-    sdf_eval, top2,
+    rotations_from_6d, sdf_eval, top2,
 )
 from sdfblend.gradcheck import random_field
 
@@ -104,6 +104,82 @@ def test_rotation_orthogonality_property(seed):
     np.testing.assert_allclose(R.T @ R, np.eye(3), atol=1e-9)
     assert abs(np.linalg.det(R) - 1.0) <= 1e-9
     np.testing.assert_allclose(R, oracle_rotation(r6), atol=1e-12)
+
+
+def numpy_rotations_from_6d(r_raw):
+    """The 6D Gram-Schmidt in plain numpy: the bit-level reference of
+    field._rotation_columns, which rotations_from_6d and every
+    FieldProgram run."""
+    r = np.asarray(r_raw, dtype=np.float64).reshape(-1, 6)
+    a1, a2 = r[:, :3], r[:, 3:]
+    n1 = np.linalg.norm(a1, axis=1)
+    bad = np.flatnonzero(n1 < 1e-12)
+    if bad.size:
+        raise FieldError(f"degenerate rotation at basis {bad[0]}: first vector ~ 0")
+    b1 = a1 / n1[:, None]
+    res = a2 - np.sum(b1 * a2, axis=1, keepdims=True) * b1
+    n2 = np.linalg.norm(res, axis=1)
+    bad = np.flatnonzero(n2 < 1e-12)
+    if bad.size:
+        raise FieldError(
+            f"degenerate rotation at basis {bad[0]}: second vector parallel to first"
+        )
+    b2 = res / n2[:, None]
+    b3 = np.cross(b1, b2)
+    return np.stack([b1, b2, b3], axis=2)  # columns
+
+
+def numpy_domain_maps(field):
+    """The (a_stack, c_mapped) of `field` from numpy_rotations_from_6d:
+    the reference of FieldProgram.maps."""
+    A = np.exp(field.log_scales)[:, :, None] * numpy_rotations_from_6d(field.rot6s)
+    return (A.transpose(2, 0, 1).reshape(3, -1),
+            np.einsum("nij,nj->ni", A, field.effective_centers))
+
+
+def _field_with_rotations(rng, r6):
+    n = len(r6)
+    return BasisField(rng.uniform(-0.5, 0.5, (n, 3)), rng.normal(size=(n, 2)),
+                      rng.uniform(-3.0, 3.0, (n, 3)), r6,
+                      rng.normal(0.0, 0.01, (n, 3)), Decoder(2, (4,)))
+
+
+def test_rotations_and_maps_equal_the_numpy_gram_schmidt():
+    """rotations_from_6d and every FieldProgram's maps run the tape's
+    Gram-Schmidt: the bits of the numpy one, on stacks of 1-200 rows at
+    magnitudes 1e-5 to 1e5, a third of them with a second vector nearly
+    parallel to the first."""
+    rng = np.random.default_rng(61)
+    for _ in range(300):
+        n = int(rng.integers(1, 201))
+        r6 = rng.normal(size=(n, 6)) * 10.0 ** rng.uniform(-5, 5, (n, 1))
+        near = rng.random(n) < 1 / 3
+        r6[near, 3:] = (r6[near, :3] * rng.uniform(-3, 3, (near.sum(), 1))
+                        + r6[near, 3:] * 10.0 ** rng.uniform(-6, -2, (near.sum(), 1)))
+        f = _field_with_rotations(rng, r6)
+        np.testing.assert_array_equal(rotations_from_6d(r6).view(np.int64),
+                                      numpy_rotations_from_6d(r6).view(np.int64))
+        for got, ref in zip(FieldProgram.constant(f).maps, numpy_domain_maps(f)):
+            np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({2: [0, 0, 0, 0, 1, 0]}, "basis 2: first vector ~ 0"),
+    ({1: [1, 2, 3, 2, 4, 6]}, "basis 1: second vector parallel to first"),
+    ({1: [1, 2, 3, 2, 4, 6], 3: [0, 0, 0, 1, 0, 0]}, "basis 3: first vector ~ 0"),
+    ({0: [1e-13, 0, 0, 0, 1, 0]}, "basis 0: first vector ~ 0"),
+])
+def test_degenerate_rotations_raise_the_numpy_message(rows, message):
+    rng = np.random.default_rng(62)
+    r6 = rng.normal(size=(4, 6))
+    for k, row in rows.items():
+        r6[k] = row
+    f = _field_with_rotations(rng, r6)
+    for build in (numpy_rotations_from_6d, rotations_from_6d,
+                  lambda r: FieldProgram.constant(f)):
+        with pytest.raises(FieldError) as got:
+            build(r6)
+        assert str(got.value) == f"degenerate rotation at {message}"
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +343,7 @@ def test_partition_of_unity():
     rng = np.random.default_rng(16)
     f = random_field(rng, n_bases=5)
     X = rng.uniform(-0.5, 0.5, (200, 3))
-    pv = f.to_params()
-    tape = Tape()
-    blend = FieldProgram(tape, pv.leaves(tape, set()), f).blend(X)
+    blend = FieldProgram(Tape(), f, set()).blend(X)
     assert blend.f_k is None  # the nearest basis is decoded only on request
     a_p, a_q = blend.a_p.value, blend.a_q.value
     np.testing.assert_allclose(a_p + a_q, 1.0, atol=1e-12)
@@ -307,11 +381,10 @@ def test_no_grad_blend_equals_recording_tape(n_bases):
     rng = np.random.default_rng(30 + n_bases)
     f = random_field(rng, n_bases=n_bases)
     X = _fallback_probe_points(rng, 300)
-    pv = f.to_params()
     results = []
     for trainable in (None, set()):  # every parameter a leaf, then none
         tape = Tape()
-        prog = FieldProgram(tape, pv.leaves(tape, trainable), f)
+        prog = FieldProgram(tape, f, trainable)
         results.append((prog.blend(X, with_nearest=True), prog.n_fallback_total))
         assert (tape.nodes == []) == (trainable == set())
     (grad, grad_nf), (free, free_nf) = results
@@ -364,8 +437,7 @@ def test_sums_of_three_squares_equal_the_reduce(monkeypatch, n_bases):
         monkeypatch.setattr(certify, "_sum3", sum3)
         runs.append((f.rbf_matrix(X), f.nearest_center_index(X),
                      certify._box_candidates(f, 0.5 * (lo + hi), 0.5 * (hi - lo),
-                                             f._domain_maps() if n_bases > 1
-                                             else None),
+                                             FieldProgram.constant(f).maps),
                      _whole_box_signs(f, lo, hi)))
     (g, nearest, cand, signs), (g_ref, nearest_ref, cand_ref, signs_ref) = runs
     np.testing.assert_array_equal(g.view(np.int64), g_ref.view(np.int64))
@@ -377,19 +449,19 @@ def test_sums_of_three_squares_equal_the_reduce(monkeypatch, n_bases):
 
 def test_sdf_batch_holds_no_tape_node(monkeypatch):
     """Inference keeps no node at all, so no block's values outlive it, and
-    builds the domain maps once per call."""
+    builds the per-field values (one rotation) once per call."""
     import sdfblend.field as field_mod
-    tapes, n_maps = [], []
+    tapes, n_rotations = [], []
 
     class SpyTape(field_mod.Tape):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             tapes.append(self)
 
-    domain_maps = BasisField._domain_maps
+    rotation_columns = field_mod._rotation_columns
     monkeypatch.setattr(field_mod, "Tape", SpyTape)
-    monkeypatch.setattr(BasisField, "_domain_maps",
-                        lambda self: n_maps.append(1) or domain_maps(self))
+    monkeypatch.setattr(field_mod, "_rotation_columns",
+                        lambda r: n_rotations.append(1) or rotation_columns(r))
     rng = np.random.default_rng(32)
     f = random_field(rng, n_bases=5, widths=(48, 48))
     block = f.inference_block()
@@ -397,7 +469,7 @@ def test_sdf_batch_holds_no_tape_node(monkeypatch):
     f.sdf_batch_diag(X[:block])
     f.sdf_batch_diag(X)  # 4 blocks, the last one padded
     (one, many) = tapes
-    assert len(n_maps) == 2  # domain maps built once per call
+    assert len(n_rotations) == 2  # per-field values built once per call
     assert one.nodes == many.nodes == []
 
 
@@ -476,7 +548,7 @@ def test_box_signs_never_contradict_the_field(seed, n_bases, weight_scale, width
     assert np.all(vals[signs == -1] < 0)
     if n_bases > 1:
         mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        cand = certify._box_candidates(f, mid, rad, f._domain_maps())
+        cand = certify._box_candidates(f, mid, rad, FieldProgram.constant(f).maps)
         p, q, _, _ = f.select_top2_nearest(pts.reshape(-1, 3))
         box = np.repeat(np.arange(len(lo)), pts.shape[1])
         assert cand[box, p].all() and cand[box, q].all()
@@ -549,8 +621,8 @@ def test_back_substituted_bounds_contain_the_decoder(seed, n_bases, weight_scale
         w *= weight_scale
     lo, hi, pts = _boxes_and_points(rng, 24, width, 40)
     mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    maps = f._domain_maps() if n_bases > 1 else None
-    box, basis = np.nonzero(certify._box_candidates(f, mid, rad, maps))
+    box, basis = np.nonzero(certify._box_candidates(
+        f, mid, rad, FieldProgram.constant(f).maps))
     layers = certify._bound_layers(f)
     t_sub = certify._sub_intervals(np.stack([lo, hi], axis=2)[box], mid[box],
                                    rad[box])

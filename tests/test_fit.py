@@ -1,5 +1,6 @@
 """Fitting pipelines: initialization, optimization loop, compaction, refinement."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -119,14 +120,30 @@ def test_fit_trace_entries_match_recomputed_losses():
     f_partial, _ = fit_field(f0, samples, cfg_partial)
 
     (s_batch,) = _spawn_seeds(cfg.seed, 1)
-    batches = _batch_indices(len(samples), cfg.batch_size, steps, s_batch)
-    idx = batches[check_at]
+    batches = _batch_indices(len(samples), cfg.batch_size, s_batch)
+    idx = next(itertools.islice(batches, check_at, None))
     from sdfblend.geom import SampleSet
     batch = SampleSet(samples.points[idx], samples.targets[idx],
                       samples.tags[idx])
     epoch = 0 if check_at < cfg.reg_boundary_frac * steps else 1
     recomputed = loss_inte(f_partial, batch, cfg.weights, epoch)
     assert report.trace["total"][check_at] == pytest.approx(recomputed, rel=1e-12)
+
+
+def test_batch_stream_reshuffles_after_each_whole_pass():
+    # 1000 samples in batches of 300: three batches per permutation, the
+    # last 100 indices of each pass unused, as the stream has always done
+    batches = _batch_indices(1000, 300, 7)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        order = rng.permutation(1000)
+        for at in (0, 300, 600):
+            np.testing.assert_array_equal(next(batches), order[at:at + 300])
+    # a batch larger than the set is the whole set, reshuffled every step
+    whole = _batch_indices(5, 300, 1)
+    rng = np.random.default_rng(1)
+    for _ in range(3):
+        np.testing.assert_array_equal(next(whole), rng.permutation(5))
 
 
 def overflowing_field():
@@ -278,7 +295,7 @@ def test_refine_gradients_of_frozen_parameters_are_exactly_zero():
     grads = {}
     for trainable in ({"centers", "latents"}, None):  # refine, then all
         tape = Tape()
-        prog = FieldProgram(tape, pv.leaves(tape, trainable), f)
+        prog = FieldProgram(tape, f, trainable)
         total, _ = loss_opt_t(prog, inputs, LossWeights(), anchor)
         grads[trainable is None] = backward(tape, total)
         if trainable is not None:

@@ -324,11 +324,10 @@ def test_loss_adj_rows_beyond_the_floor_add_exact_zeros():
     assert np.exp(-w.adj_sharp_surface * 0.255 ** 2) * 0.255 ** 2 > 1e-300
     kept = np.array([[-0.1, 0.0, 0.0], [-0.1, 0.01, 0.0]])
     dropped = np.array([[0.1, 0.0, 0.0], [0.1, 0.0, -0.01], [0.1, 0.02, 0.0]])
-    pv = f.to_params()
 
     def adj_and_grads(pts):
         tape = Tape()
-        prog = FieldProgram(tape, pv.leaves(tape, {"centers", "latents"}), f)
+        prog = FieldProgram(tape, f, {"centers", "latents"})
         total = loss_adj_t(prog, pts, w)
         return float(total.value), backward(tape, total)
 
@@ -392,15 +391,13 @@ def test_loss_adj_prefilter_equals_blending_every_point_bit_for_bit(seed,
     blend = FieldProgram.blend
     monkeypatch.setattr(FieldProgram, "blend", lambda self, points, *a, **k:
                         blended.append(points) or blend(self, points, *a, **k))
-    pv = f.to_params()
     for trainable in ({"centers", "latents"}, None):
         tape = Tape()
-        total = loss_adj_t(FieldProgram(tape, pv.leaves(tape, trainable), f),
-                           pts, w)
+        total = loss_adj_t(FieldProgram(tape, f, trainable), pts, w)
         value, grads = total.value, backward(tape, total)
         tape = Tape()
         total, kept = _loss_adj_blend_all(
-            FieldProgram(tape, pv.leaves(tape, trainable), f), pts, w)
+            FieldProgram(tape, f, trainable), pts, w)
         expected, expected_grads = total.value, backward(tape, total)
         # every row that the tape's own test keeps was blended
         assert kept.any() and np.all((pts[kept][:, None] == blended[0][None]
@@ -524,7 +521,7 @@ def test_loss_opt_gradient_restricted_to_centers_and_latents():
     anchor = Anchor(f.centers + 0.01, f.latents - 0.02)
     pv = f.to_params()
     tape = Tape()
-    prog = FieldProgram(tape, pv.leaves(tape, {"centers", "latents"}), f)
+    prog = FieldProgram(tape, f, {"centers", "latents"})
     total, _ = loss_opt_t(prog, inputs, LossWeights(), anchor)
     flat = pv.flatten_grads(backward(tape, total))
     for name in pv.names():
@@ -574,7 +571,7 @@ def test_loss_gradients_pass_fd_check():
     w = LossWeights()
 
     def objective(tape, pv):
-        prog = FieldProgram(tape, pv.leaves(tape), f.with_params(pv))
+        prog = FieldProgram(tape, f.with_params(pv))
         from sdfblend.objective import loss_inte_t
         return loss_inte_t(prog, pts, y, w, epoch=0)[0]
 
@@ -594,7 +591,7 @@ def test_loss_inte_gradient_with_nearest_rows_outside_the_top2():
     w = LossWeights()
 
     def objective(tape, pv):
-        prog = FieldProgram(tape, pv.leaves(tape), f.with_params(pv))
+        prog = FieldProgram(tape, f.with_params(pv))
         from sdfblend.objective import loss_inte_t
         return loss_inte_t(prog, pts, y, w, epoch=0)[0]
 

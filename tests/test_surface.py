@@ -119,6 +119,11 @@ def test_grid_validation():
         GridSpec(7)
     with pytest.raises(GridError):
         GridSpec(16, lo=[0, 0, 0], hi=[0, 1, 1])
+    # NaN compares false, so `hi <= lo` alone lets it through
+    with pytest.raises(GridError, match="finite"):
+        GridSpec(16, lo=[np.nan] * 3)
+    with pytest.raises(GridError, match="finite"):
+        GridSpec(16, lo=[-np.inf] * 3)
 
 
 def test_nonfinite_field_aborts_with_coordinate():
