@@ -259,10 +259,6 @@ def exp(a: Var):
     return _unary(a, np.exp, lambda x, o: o)
 
 
-def tanh(a: Var):
-    return _unary(a, np.tanh, lambda x, o: 1.0 - o * o)
-
-
 def sqrt(a: Var):
     return _unary(a, np.sqrt, lambda x, o: 0.5 / o)
 
@@ -551,18 +547,17 @@ class ParamVector:
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ParamVector":
+        """A copy of `arrays` as one vector, laid out in dict order."""
         pv = cls()
+        offset = 0
+        flat = [pv.data]
         for name, arr in arrays.items():
-            pv.register(name, arr)
+            arr = np.asarray(arr, dtype=np.float64)
+            pv._slots[name] = (offset, arr.shape, arr.size)
+            offset += arr.size
+            flat.append(arr.ravel())
+        pv.data = np.concatenate(flat)
         return pv
-
-    def register(self, name: str, arr: np.ndarray) -> None:
-        if name in self._slots:
-            raise ValueError(f"parameter {name!r} already registered")
-        arr = np.asarray(arr, dtype=np.float64)
-        offset = self.data.size
-        self._slots[name] = (offset, arr.shape, arr.size)
-        self.data = np.concatenate([self.data, arr.ravel()])
 
     def names(self) -> list[str]:
         return list(self._slots)
@@ -589,7 +584,7 @@ class ParamVector:
         return out
 
     def leaves(self, tape: Tape, trainable: set[str] | None = None) -> dict[str, Var]:
-        """Put every registered array on a tape; non-trainable ones as constants."""
+        """Put every named array on a tape; non-trainable ones as constants."""
         out = {}
         for name in self._slots:
             arr = self.view(name)

@@ -20,6 +20,7 @@ whose effective center is Euclidean-nearest (weight 1) and counts the event.
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import dataclass
 
@@ -172,33 +173,47 @@ class Decoder:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "Decoder":
-        return Decoder(self.d_z, self.widths, self.skip_at,
-                       [w.copy() for w in self.weights],
-                       [b.copy() for b in self.biases])
-
 
 DOMAIN_PARAM_NAMES = ("centers", "latents", "log_scales", "rot6s", "offsets")
 
 
 class BasisField:
-    """A set of local bases plus one shared decoder; the complete shape."""
+    """A set of local bases plus one shared decoder; the complete shape.
+
+    Its parameters are one flat vector, `params`, in the name order
+    DOMAIN_PARAM_NAMES then dec_w<i>/dec_b<i> per decoder layer; the
+    arrays of the field and of its decoder are views of it.
+    """
 
     def __init__(self, centers, latents, log_scales, rot6s, offsets,
                  decoder: Decoder):
-        self.centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-        n = self.centers.shape[0]
+        centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+        n = centers.shape[0]
         if n < 1:
             raise FieldError("a field needs at least one basis")
-        self.latents = np.asarray(latents, dtype=np.float64).reshape(n, -1)
-        self.log_scales = np.asarray(log_scales, dtype=np.float64).reshape(n, 3)
-        self.rot6s = np.asarray(rot6s, dtype=np.float64).reshape(n, 6)
-        self.offsets = np.asarray(offsets, dtype=np.float64).reshape(n, 3)
-        if self.latents.shape[1] != decoder.d_z:
+        arrays = dict(zip(DOMAIN_PARAM_NAMES, (
+            centers, np.reshape(latents, (n, -1)),
+            np.reshape(log_scales, (n, 3)), np.reshape(rot6s, (n, 6)),
+            np.reshape(offsets, (n, 3)))))
+        d_latent = arrays["latents"].shape[1]
+        if d_latent != decoder.d_z:
             raise FieldError(
-                f"latent width {self.latents.shape[1]} != decoder d_z {decoder.d_z}"
+                f"latent width {d_latent} != decoder d_z {decoder.d_z}"
             )
-        self.decoder = decoder
+        for i, (w, b) in enumerate(zip(decoder.weights, decoder.biases)):
+            arrays[f"dec_w{i}"] = w
+            arrays[f"dec_b{i}"] = b
+        self._bind(ParamVector.from_arrays(arrays), decoder)
+
+    def _bind(self, params: ParamVector, decoder: Decoder) -> None:
+        """Make `params` this field's store: every array a view of it."""
+        self.params = params
+        (self.centers, self.latents, self.log_scales, self.rot6s,
+         self.offsets) = (params.view(name) for name in DOMAIN_PARAM_NAMES)
+        layers = range(decoder.n_layers)
+        self.decoder = Decoder(decoder.d_z, decoder.widths, decoder.skip_at,
+                               [params.view(f"dec_w{i}") for i in layers],
+                               [params.view(f"dec_b{i}") for i in layers])
 
     # -- structure ---------------------------------------------------------
 
@@ -219,16 +234,15 @@ class BasisField:
         return self.centers + self.offsets
 
     def take(self, indices) -> "BasisField":
-        """Sub-field with the given bases, decoder shared."""
+        """Sub-field with the given bases; it owns its data, decoder
+        included."""
         idx = np.asarray(indices, dtype=np.int64)
         return BasisField(self.centers[idx], self.latents[idx],
                          self.log_scales[idx], self.rot6s[idx],
                          self.offsets[idx], self.decoder)
 
     def copy(self) -> "BasisField":
-        return BasisField(self.centers.copy(), self.latents.copy(),
-                          self.log_scales.copy(), self.rot6s.copy(),
-                          self.offsets.copy(), self.decoder.copy())
+        return self.with_params(self.to_params())
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return (DEFAULT_FIELD_BOUNDS[0].copy(), DEFAULT_FIELD_BOUNDS[1].copy())
@@ -236,23 +250,16 @@ class BasisField:
     # -- parameter vector ----------------------------------------------------
 
     def to_params(self) -> ParamVector:
-        arrays = {
-            "centers": self.centers, "latents": self.latents,
-            "log_scales": self.log_scales, "rot6s": self.rot6s,
-            "offsets": self.offsets,
-        }
-        for i, (w, b) in enumerate(zip(self.decoder.weights, self.decoder.biases)):
-            arrays[f"dec_w{i}"] = w
-            arrays[f"dec_b{i}"] = b
-        return ParamVector.from_arrays(arrays)
+        """A copy of `params`."""
+        return self.params.copy()
 
     def with_params(self, pv: ParamVector) -> "BasisField":
-        dec = Decoder(self.decoder.d_z, self.decoder.widths, self.decoder.skip_at,
-                      [pv.view(f"dec_w{i}").copy() for i in range(self.decoder.n_layers)],
-                      [pv.view(f"dec_b{i}").copy() for i in range(self.decoder.n_layers)])
-        return BasisField(pv.view("centers").copy(), pv.view("latents").copy(),
-                          pv.view("log_scales").copy(), pv.view("rot6s").copy(),
-                          pv.view("offsets").copy(), dec)
+        """This field's structure over the values of `pv`, laid out as
+        `params`, without a copy: its arrays view `pv.data`. It keeps its
+        own ParamVector object, so rebinding `pv.data` leaves it as it is."""
+        field = BasisField.__new__(BasisField)
+        field._bind(copy.copy(pv), self.decoder)
+        return field
 
     # -- evaluation ----------------------------------------------------------
 
@@ -560,17 +567,17 @@ class BlendResult:
 class FieldProgram:
     """Builds the field's forward computation on a tape.
 
-    Puts every parameter of `field` (see BasisField.to_params) on the tape,
-    as a leaf if its name is in `trainable` (None: all) and as a constant
-    otherwise, so the same program serves fitting, frozen-parameter
-    refinement and plain inference.
+    Puts `field.params`, every parameter of the field, on the tape without
+    a copy: as a leaf if its name is in `trainable` (None: all) and as a
+    constant otherwise, so the same program serves fitting,
+    frozen-parameter refinement and plain inference.
     """
 
     def __init__(self, tape: Tape, field: BasisField,
                  trainable: set[str] | None = None):
         self.tape = tape
         self.field = field
-        self.leaves = leaves = field.to_params().leaves(tape, trainable)
+        self.leaves = leaves = field.params.leaves(tape, trainable)
         # per-field values, built once per program ahead of any per-point node
         self.eff_centers = ad.add(leaves["centers"], leaves["offsets"])
         self.rot_cols = _rotation_columns(leaves["rot6s"])

@@ -88,6 +88,8 @@ class FitConfig:
                        if not isinstance(n, str) or n not in names]
             if unknown:
                 raise ValueError(f"trainable entries match no parameter: {unknown}")
+            if not self.trainable:
+                raise ValueError("trainable must name at least one parameter")
 
     def to_json_dict(self) -> dict:
         doc = {}

@@ -167,6 +167,7 @@ def test_fit_rejects_bad_batch_size(tmp_path, scene_path, capsys, batch_size):
     ("noise_stds", [-1.0, 0.003], "noise_stds entries must be > 0, got -1.0"),
     ("lr", -1.0, "lr must be > 0, got -1.0"),
     ("refine_lr", 0.0, "refine_lr must be > 0, got 0.0"),
+    ("trainable", [], "trainable must name at least one parameter"),
 ])
 def test_fit_rejects_malformed_config_fields(tmp_path, scene_path, capsys,
                                              field, value, message):

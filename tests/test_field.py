@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdfblend import certify
-from sdfblend.autodiff import ROW_BLOCK, Tape
+from sdfblend.autodiff import ROW_BLOCK, AdamState, Tape, adam_step
 from sdfblend.errors import CheckpointError, FieldError
 from sdfblend.field import (
     BasisField, Decoder, FieldProgram, LocalBasis, decoder_eval,
@@ -714,6 +714,53 @@ def test_downsample_range_errors():
         domain_downsample(f, 0)
     with pytest.raises(ValueError):
         domain_downsample(f, 4)
+
+
+# ---------------------------------------------------------------------------
+# parameter store
+
+
+def _param_arrays(f):
+    return [f.centers, f.latents, f.log_scales, f.rot6s, f.offsets,
+            *f.decoder.weights, *f.decoder.biases]
+
+
+def test_field_arrays_are_views_of_its_params():
+    f = random_field(np.random.default_rng(40), n_bases=4)
+    assert sum(a.size for a in _param_arrays(f)) == len(f.params)
+    for arr in _param_arrays(f):
+        assert np.shares_memory(arr, f.params.data)
+    f.log_scales[:] = 0.25
+    f.decoder.weights[1][:] = -1.0
+    leaves = FieldProgram(Tape(), f, set()).leaves
+    np.testing.assert_array_equal(leaves["log_scales"].value, 0.25)
+    np.testing.assert_array_equal(leaves["dec_w1"].value, -1.0)
+
+
+def test_with_params_views_the_vector_and_keeps_it_through_adam():
+    f = random_field(np.random.default_rng(41), n_bases=4)
+    pv = f.to_params()
+    g = f.with_params(pv)
+    for arr in _param_arrays(g):
+        assert np.shares_memory(arr, pv.data)
+    arrays = [a.tobytes() for a in _param_arrays(g)]
+    params = g.to_params().data.tobytes()
+    pv.data, _ = adam_step(pv.data, np.ones(len(pv)),
+                           AdamState.init(len(pv), lr=0.1))
+    assert pv.data.tobytes() != params
+    assert [a.tobytes() for a in _param_arrays(g)] == arrays
+    assert g.to_params().data.tobytes() == params
+
+
+def test_copy_and_take_own_their_data():
+    f = random_field(np.random.default_rng(42), n_bases=4)
+    params = f.params.data.tobytes()
+    g = f.copy()
+    assert g.params.data.tobytes() == params
+    for g in (g, f.take([3, 1])):
+        for arr in _param_arrays(g):
+            arr[...] = 7.0
+        assert f.params.data.tobytes() == params
 
 
 # ---------------------------------------------------------------------------
