@@ -211,6 +211,8 @@ def _binary(a, b, fwd, vjp_a, vjp_b):
     tape = a.tape if isinstance(a, Var) else b.tape
     av = a.value if isinstance(a, Var) else _as_value(a)
     bv = b.value if isinstance(b, Var) else _as_value(b)
+    if not (_reached(a) or _reached(b)):
+        return Var(tape, fwd(av, bv))
     return _record(tape, fwd(av, bv), [
         (a, lambda g: _unbroadcast(vjp_a(g, av, bv), _shape(av))),
         (b, lambda g: _unbroadcast(vjp_b(g, av, bv), _shape(bv))),
@@ -219,6 +221,8 @@ def _binary(a, b, fwd, vjp_a, vjp_b):
 
 def _unary(a: Var, fwd, dfwd):
     av = a.value
+    if not _reached(a):
+        return Var(a.tape, fwd(av))
     out = fwd(av)
     return _record(a.tape, out, [(a, lambda g: g * dfwd(av, out))])
 

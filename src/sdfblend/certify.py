@@ -17,6 +17,30 @@ The intervals are widened by the rounding of the evaluated A x - A c
 and of the sum of squares, and by 1e-12 so that a gap in u is a
 strict gap in the evaluated exp(-u).
 
+Dominance: a candidate i is dropped when two other bases j each have a
+smaller u at every point of the box. With the stored A_i and A_i c_i,
+u_i(x) = ||A_i x - A_i c_i||^2 is an exact quadratic: with d = x -
+mid, w = A mid - A c, h = A^T w, G = A^T A and D = u_j - u_i, D(x) =
+D(mid) + 2 (h_j - h_i) . d + d^T (G_j - G_i) d, so over |d| <= rad it
+is at most D(mid) + 2 sum_a rad_a |h_j - h_i|_a + sum_a max(dG_aa, 0)
+rad_a^2 + sum_{a != b} |dG_ab| rad_a rad_b. With s = (|mid| + rad) |A|
++ |A c| per basis and component, |w(x)| <= s at every x of the box,
+sum_a rad_a |h_a| <= ||s||^2 and sum_ab |G_ab| rad_a rad_b <= ||s||^2,
+so u anywhere in the box is at most ||s||^2 and each term of the bound
+at most 2 (||s_i||^2 + ||s_j||^2) in magnitude. The evaluated A x - A
+c errs by at most 4 eps s, so the evaluated u_i and u_j at any point
+of the box, and the computed bound, err by less than 64 eps (||s_i||^2
++ ||s_j||^2) in all. A computed bound below minus 2^-42 (||s_i||^2 +
+||s_j||^2) and minus 1e-12 thus puts the evaluated u_j below the
+evaluated u_i by more than 1e-12 everywhere in the box; if also
+u_max_j <= CERTIFY_U_CAP, exp(-u_j) is normal and strictly above
+exp(-u_i) there. Two such j outrank i at every point and keep g_p +
+g_q > 0, so no point falls back and i is never in the top 2. The j
+tried are the DOMINANCE_POOL bases of least evaluated u(mid); either
+of the two bases of least u(mid) has a computed D(mid) >= 0 against
+every other basis but one, so it is not tried. A NaN makes a bound or
+u_max_j NaN, and no NaN comparison drops a basis.
+
 Decoder bounds: lower and upper affine forms in the box coordinates
 go through every layer for each (box, candidate) pair; layer 1 is
 exact, a ReLU whose input interval [l, u] contains 0 takes the chord
@@ -107,6 +131,9 @@ from .field import INFERENCE_BLOCK_BYTES, BasisField, FieldProgram, _sum3
 # selection may fall back to any basis.
 CERTIFY_BOX_CHUNK = 2048
 CERTIFY_U_CAP = 700.0
+# bases of least u at a box's midpoint that the dominance test of
+# _box_candidates tries as dominators of each candidate
+DOMINANCE_POOL = 3
 
 
 def box_signs(field: BasisField, edges: np.ndarray) -> np.ndarray:
@@ -119,7 +146,9 @@ def box_signs(field: BasisField, edges: np.ndarray) -> np.ndarray:
     every point of the sub-box, -1 where it gives a finite value < 0, and
     0 where neither is proven. A sub-box takes a sign when every candidate
     of its box clears the margin over it; with s = 1 the only sub-box is
-    the box itself.
+    the box itself. The candidates of a box are the bases whose interval
+    of u over it may reach the top 2, less those that two others beat
+    everywhere in it; only they are bounded.
 
     The proof is in the module docstring.
     """
@@ -196,7 +225,8 @@ def _sub_intervals(edges: np.ndarray, mid: np.ndarray, rad: np.ndarray
 def _box_candidates(field: BasisField, mid: np.ndarray, rad: np.ndarray, maps
                     ) -> np.ndarray:
     """(K, N) mask of the bases that top-2 selection may pick somewhere
-    in the boxes mid[k] +- rad[k]; see box_signs."""
+    in the boxes mid[k] +- rad[k]: the interval test, less the bases that
+    two others dominate; see box_signs."""
     if field.n_bases == 1:
         return np.ones((len(mid), 1), dtype=bool)
     a_stack, c_mapped = maps
@@ -212,7 +242,48 @@ def _box_candidates(field: BasisField, mid: np.ndarray, rad: np.ndarray, maps
     u_lo = _sum3(sq_lo) * (1.0 - 2.0 ** -48) - 1e-12
     u_hi = _sum3(sq_hi) * (1.0 + 2.0 ** -48) + 1e-12
     second = np.partition(u_hi, 1, axis=1)[:, 1:2]
-    return ~(u_lo > second) | (second > CERTIFY_U_CAP)
+    # sq_lo takes a NaN w for 0, so a NaN basis is kept by its u_hi
+    cand = ~(u_lo > second) | (second > CERTIFY_U_CAP) | np.isnan(u_hi)
+    box, basis = np.nonzero(cand)
+    cand[box, basis] = ~_dominated(a_stack, rad, w_mid, slack, u_hi, box, basis)
+    return cand
+
+
+def _dominated(a_stack, rad, w_mid, slack, u_hi, box, basis):
+    """(P,) mask: whether two of the DOMINANCE_POOL bases of least u at
+    the midpoint of box box[p] have a smaller u than basis[p] at every
+    point of that box, by more than the rounding margin, with u_hi <=
+    CERTIFY_U_CAP. The arrays are those of _box_candidates; see box_signs."""
+    a = a_stack.reshape(3, -1, 3).transpose(1, 2, 0)  # a[n] = A_n
+    # G = A^T A as its 3 diagonal and 3 upper entries, and rad_a rad_b to
+    # match: the upper entries count twice
+    rows, cols = [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]
+    gram = np.einsum("nca,ncb->nab", a, a)[:, rows, cols]
+    rr = rad[:, rows] * rad[:, cols]
+    rr[:, 3:] *= 2.0
+    u_mid = _sum3(w_mid * w_mid)
+    pool = np.argsort(u_mid, axis=1, kind="stable")[:, :DOMINANCE_POOL]
+    out = np.zeros(len(box), dtype=bool)
+    # each of the two bases of least u(mid) has at most one dominator
+    test = np.flatnonzero((basis != pool[box, 0]) & (basis != pool[box, 1]))
+    box, basis = box[test], basis[test]
+    grad = np.einsum("knc,nca->kna", w_mid, a)  # A^T w(mid)
+    scale = _sum3(slack * slack)  # bounds every term of the test
+    rad, rr = rad[box], rr[box]
+    u_i, grad_i, gram_i, scale_i = (u_mid[box, basis], grad[box, basis],
+                                    gram[basis], scale[box, basis])
+    wins = np.zeros(len(box), dtype=np.int8)
+    for j in pool[box].T:
+        d_gram = gram[j] - gram_i
+        bound = (u_mid[box, j] - u_i
+                 + 2.0 * np.einsum("pa,pa->p", np.abs(grad[box, j] - grad_i), rad)
+                 + np.einsum("pa,pa->p", np.maximum(d_gram[:, :3], 0.0), rr[:, :3])
+                 + np.einsum("pa,pa->p", np.abs(d_gram[:, 3:]), rr[:, 3:]))
+        margin = 2.0 ** -42 * (scale[box, j] + scale_i) + 1e-12
+        wins += ((bound < -margin) & (u_hi[box, j] <= CERTIFY_U_CAP)
+                 & (j != basis))
+    out[test] = wins >= 2
+    return out
 
 
 def _decoder_margin(field: BasisField, lo: np.ndarray, hi: np.ndarray

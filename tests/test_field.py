@@ -554,6 +554,91 @@ def test_box_signs_never_contradict_the_field(seed, n_bases, weight_scale, width
         assert cand[box, p].all() and cand[box, q].all()
 
 
+def _box_surface_points(rng, lo, hi, n_inner):
+    """Per box: its 8 corners, 2 random points on each of its 6 faces and
+    n_inner uniform points, (K, 20 + n_inner, 3)."""
+    k = len(lo)
+    corners = np.broadcast_to(
+        np.array(list(itertools.product((0.0, 1.0), repeat=3))), (k, 8, 3))
+    faces = rng.uniform(size=(k, 12, 3))
+    axis = np.repeat(np.arange(3), 4)
+    faces[:, np.arange(12), axis] = np.tile([0.0, 1.0], 6)
+    t = np.concatenate([corners, faces, rng.uniform(size=(k, n_inner, 3))], axis=1)
+    return np.clip(lo[:, None] + t * (hi - lo)[:, None], lo[:, None], hi[:, None])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bases=st.sampled_from([3, 8, 16, 32]),
+       log_scale_shift=st.sampled_from([0.0, 4.0]))
+def test_dominance_keeps_every_top2_basis_a_candidate(seed, n_bases,
+                                                      log_scale_shift):
+    """Dropping the bases that two others dominate keeps every top-2 basis
+    of 40 points per box (corners, faces, inside) a candidate, and keeps
+    only candidates of the interval test: boxes one cell to an 8^3 block
+    wide at resolution 128, on rotated anisotropic domains, some so far
+    out that every weight underflows and selection falls back."""
+    from unittest import mock
+    rng = np.random.default_rng(seed)
+    f = random_field(rng, n_bases=n_bases)
+    f.log_scales += log_scale_shift
+    cell = 1.1 / 128
+    width = cell * np.exp(rng.uniform(0.0, np.log(8.0), size=(64, 3)))
+    lo = np.concatenate([rng.uniform(-0.55, 0.55 - 8 * cell, size=(48, 3)),
+                         rng.uniform(-100.0, 100.0, size=(16, 3))])
+    hi = lo + width
+    pts = _box_surface_points(rng, lo, hi, 20)
+    mid, rad = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    maps = FieldProgram.constant(f).maps
+    cand = certify._box_candidates(f, mid, rad, maps)
+    with mock.patch.object(certify, "_dominated",
+                           lambda *a: np.zeros(len(a[-1]), dtype=bool)):
+        interval = certify._box_candidates(f, mid, rad, maps)
+    assert not (cand & ~interval).any()
+    p, q, fallback, _ = f.select_top2_nearest(pts.reshape(-1, 3))
+    assert fallback.any()
+    box = np.repeat(np.arange(len(lo)), pts.shape[1])
+    assert cand[box, p].all() and cand[box, q].all()
+
+
+def test_a_basis_on_top_inside_the_box_stays_a_candidate():
+    """Two wide bases have the least u at the box midpoint, but a narrow
+    one centred inside the box, off the midpoint, is the top basis at its
+    centre: u_j - u_i is concave along x with its maximum inside the box,
+    so its Hessian term may not be taken at the box's faces."""
+    rng = np.random.default_rng(37)
+    f = random_field(rng, n_bases=3)
+    f.centers[:] = [[0.0, 0.0, 0.0], [0.002, 0.0, 0.0], [0.0144, 0.0, 0.0]]
+    f.offsets[:] = 0.0
+    f.log_scales[:] = 0.0
+    f.log_scales[1:, 0] = np.log([3.0, 50.0])
+    f.rot6s[:] = [1.0, 0.0, 0.0, 0.0, 1.0, 0.0]
+    assert f.select_top2_nearest(f.effective_centers[2:])[0][0] == 2
+    cand = certify._box_candidates(f, np.zeros((1, 3)), np.full((1, 3), 0.05),
+                                   FieldProgram.constant(f).maps)
+    assert cand.all()
+
+
+def test_a_nan_never_removes_a_candidate():
+    """A NaN box keeps every basis a candidate, and a NaN domain map keeps
+    its basis a candidate of every box and removes no other candidate."""
+    rng = np.random.default_rng(36)
+    f = random_field(rng, n_bases=16)
+    lo = rng.uniform(-0.55, 0.45, size=(64, 3))
+    mid, rad = lo + 0.03, np.full((64, 3), 0.03)
+    a_stack, c_mapped = FieldProgram.constant(f).maps
+    cand = certify._box_candidates(f, mid, rad, (a_stack, c_mapped))
+    assert not cand.all()
+    mid[:8, 0] = np.nan
+    rad[8:16, 1] = np.nan
+    nan_box = certify._box_candidates(f, mid, rad, (a_stack, c_mapped))
+    assert nan_box[:16].all() and (nan_box[16:] == cand[16:]).all()
+    a_stack = a_stack.copy()
+    a_stack[2, 3 * 5 + 1] = np.nan  # basis 5
+    nan_map = certify._box_candidates(f, lo + 0.03, np.full((64, 3), 0.03),
+                                      (a_stack, c_mapped))
+    assert nan_map[:, 5].all() and not (cand & ~nan_map).any()
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n_bases=st.sampled_from([1, 2, 3, 8]),
        weight_scale=st.sampled_from([1.0, 1e6]),

@@ -252,6 +252,32 @@ def test_certified_grid_at_128_evaluates_under_145k_corners(monkeypatch):
     assert sum(calls) <= 145_000
 
 
+def test_certified_grid_evaluates_under_130k_and_51k_corners(monkeypatch):
+    """Dropping the candidates that two other bases dominate leaves at most
+    130,000 corners of the bench checkpoint's resolution-128 grid to
+    evaluate (126,749; the interval test alone left 140,451) and at most
+    51,000 at 64 (49,809; 54,673), and bounds at most 26,000 (box, basis)
+    pairs at 128 (25,233; 37,768)."""
+    import sdfblend.certify as certify
+    f = BasisField.load(BENCH_CHECKPOINT)
+    pairs = []
+    candidates = certify._box_candidates
+
+    def count_pairs(*args):
+        mask = candidates(*args)
+        pairs.append(int(mask.sum()))
+        return mask
+
+    monkeypatch.setattr(certify, "_box_candidates", count_pairs)
+    calls = _count_sdf_points(monkeypatch)
+    _sample_grid(f, GridSpec(128))
+    assert sum(calls) <= 130_000
+    assert sum(pairs) <= 26_000
+    calls.clear()
+    _sample_grid(f, GridSpec(64))
+    assert sum(calls) <= 51_000
+
+
 def test_scene_grid_is_never_certified(monkeypatch):
     """A scene is evaluated at every corner, without a call to box_signs."""
     import sdfblend.surface as surface_mod
