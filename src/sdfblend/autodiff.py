@@ -124,6 +124,20 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return g
 
 
+def _sum3(sq: np.ndarray) -> np.ndarray:
+    """sq.sum(axis=-1) over a trailing axis of length 3, as two adds.
+
+    numpy's reduce over so short an axis costs about 8x the adds. It starts
+    from +0.0 and adds in order, so the bits are the same wherever the
+    summands are >= +0.0 (squares); only there, or where the sign of a zero
+    sum is lost later, may this replace it: for [-0.0, -0.0, -0.0] the adds
+    give -0.0 and the reduce +0.0.
+    """
+    out = sq[..., 0] + sq[..., 1]
+    out += sq[..., 2]
+    return out
+
+
 def _shape(v) -> tuple:
     return () if np.isscalar(v) else v.shape
 
@@ -351,7 +365,12 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
     are the full pass's bit for bit. At other heights the full pass
     computes its trailing rows with BLAS's edge kernel, which may round
     them otherwise. A weight gradient sums over rows; dropping rows would
-    regroup that sum, so a trainable weight or bias takes every row."""
+    regroup that sum, so a trainable weight or bias takes every row.
+
+    The backward pass multiplies each ReLU mask into the cotangent in
+    place: that array is always one the pass itself computed, so neither
+    the incoming cotangent nor the stored activations change, and a second
+    backward over the same tape gives the same gradients."""
     tape = x.tape
     xv = x.value
     ws = [w.value for w in weights]
@@ -396,9 +415,9 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
         grads = [None] * n_operands
         gx = None
         for i in range(last, -1, -1):
-            if i < last:
+            if i < last:  # g is this pass's own array here: mask in place
                 live_out = outs[i] if sub is None else np.take(outs[i], sub, axis=0)
-                g = g * (live_out > 0.0)
+                np.multiply(g, live_out > 0.0, out=g)
             if need_w[i]:
                 grads[1 + i] = ins[i].T @ g
             if need_b[i]:
@@ -408,10 +427,10 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
             gh = g @ ws[i].T
             if i in skip_at:
                 k = ins[i].shape[1] - width_x
-                g = np.take(gh, np.arange(k), axis=1)
+                g = gh[:, :k]
                 if i == 0:  # concat(x, x): its first part is x's too
                     gx = g if gx is None else gx + g
-                part = np.take(gh, np.arange(k, k + width_x), axis=1)
+                part = gh[:, k:]
                 gx = part if gx is None else gx + part
             elif i == 0:
                 gx = gh if gx is None else gx + gh
@@ -449,9 +468,11 @@ def vmean(a: Var, axis=None, keepdims: bool = False):
 
 def concat(parts: Sequence[Var], axis: int = 1) -> Var:
     values = [p.value for p in parts]
+    out = np.concatenate(values, axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
     offsets = np.cumsum([0] + [v.shape[axis] for v in values])
-    return _record(parts[0].tape, np.concatenate(values, axis=axis), [
-        (p, lambda g, lo=lo, hi=hi: np.take(g, np.arange(lo, hi), axis=axis))
+    return _record(parts[0].tape, out, [
+        (p, lambda g, part=lead + (slice(lo, hi),): g[part])
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])
     ])
 
@@ -480,22 +501,25 @@ def rows(a: Var, start: int, stop: int) -> Var:
     return _record(a.tape, av[start:stop].copy(), [(a, grad)])
 
 
+def _scatter_add(g: np.ndarray, idx: np.ndarray, n: int) -> np.ndarray:
+    """n rows, row r the sum of the rows g[i] with idx[i] == r, (n, *g.shape[1:]).
+    One bincount per column: each row's sum starts at 0.0 and adds its
+    gradients in index order, as an unbuffered scatter-add does, so the sums
+    are equal bit for bit."""
+    flat = g.reshape(idx.size, math.prod(g.shape[idx.ndim:]))
+    full = np.empty((n, flat.shape[1]))
+    for j, col in enumerate(flat.T):
+        full[:, j] = np.bincount(idx.ravel(), weights=col, minlength=n)
+    return full.reshape((n,) + g.shape[idx.ndim:])
+
+
 def gather_rows(a: Var, idx: np.ndarray) -> Var:
     """Select rows by a non-negative integer index array. Backward
-    scatter-adds with one bincount per column: each row's sum starts at 0.0
-    and adds its gradients in index order, as an unbuffered scatter-add
-    does, so the sums are equal bit for bit."""
+    scatter-adds (see _scatter_add)."""
     idx = np.asarray(idx)
     av = a.value
-
-    def scatter(g):
-        flat = g.reshape(idx.size, math.prod(av.shape[1:]))
-        full = np.empty((len(av), flat.shape[1]))
-        for j, col in enumerate(flat.T):
-            full[:, j] = np.bincount(idx.ravel(), weights=col, minlength=len(av))
-        return full.reshape(av.shape)
-
-    return _record(a.tape, av[idx], [(a, scatter)])
+    return _record(a.tape, np.take(av, idx, axis=0),
+                   [(a, lambda g: _scatter_add(g, idx, len(av)))])
 
 
 def scatter_rows(a: Var, idx: np.ndarray, n: int) -> Var:
@@ -505,6 +529,85 @@ def scatter_rows(a: Var, idx: np.ndarray, n: int) -> Var:
     out = np.zeros((n,) + av.shape[1:])
     out[idx] = av
     return _record(a.tape, out, [(a, lambda g: g[idx])])
+
+
+def decoder_input(pts: np.ndarray, centers: Var, latents: Var,
+                  idx: np.ndarray) -> Var:
+    """concat(pts - centers[idx], latents[idx]), (R, 3 + d_z), written
+    once into one array; `pts` (R, 3) is a constant.
+
+    One node for the chain gather_rows, sub, gather_rows, concat. It
+    gathers whole rows of the per-basis table [-c | z] and adds pts into
+    the first three columns: pts + (-c) is pts - c bit for bit. Its VJP
+    scatters the negated offset columns and the latent columns as that
+    chain's gathers do (see _scatter_add), so values and gradients equal
+    the chain's bit for bit."""
+    idx = np.asarray(idx)
+    cv, zv = centers.value, latents.value
+    out = np.take(np.concatenate([np.negative(cv), zv], axis=1), idx, axis=0)
+    # one column at a time: numpy adds an (R, 3) slice row by row, in
+    # loops of 3 elements, several times slower
+    for k in range(3):
+        out[:, k] += pts[:, k]
+    n_c, n_z = len(cv), len(zv)
+    return _record(centers.tape, out, [
+        (centers, lambda g: _scatter_add(np.negative(g[:, :3]), idx, n_c)),
+        (latents, lambda g: _scatter_add(g[:, 3:], idx, n_z)),
+    ])
+
+
+def domain_quadratic(x: Var, b1: Var, b2: Var, b3: Var, scales: Var,
+                     idx: np.ndarray) -> Var:
+    """u[r] = ||diag(scales[k]) R_k d_r||^2 with k = idx[r], R_k's columns
+    b1[k], b2[k], b3[k], and d_r the first three columns of row r of `x`
+    (a decoder_input), for the first len(idx) rows of `x`: (len(idx),).
+
+    One node for the chain that computes R_k d as b1 dx + b2 dy + b3 dz
+    from column slices and gathered rows, then w = scale * (R_k d) and
+    sum(w * w). Its VJP computes the arrays that chain's VJPs compute:
+    w * w's two equal terms added (gw + gw), each gather's gradient as its
+    scatter (see _scatter_add), and each column's as the row sum, with two
+    adds (_sum3). That sum equals the chain's reduce up to the sign of a
+    zero, which no scatter keeps (each bin's sum starts at +0.0), so values
+    and gradients equal the chain's bit for bit."""
+    idx = np.asarray(idx)
+    m = len(idx)
+    xv = x.value
+    # every (row, axis) array is held as (3, rows): each op then runs on
+    # long rows, where numpy would loop over rows of 3 elements
+    d = [xv[:m, k] for k in range(3)]
+    c = [np.take(b.value.T, idx, axis=1) for b in (b1, b2, b3)]
+    sg = np.take(scales.value.T, idx, axis=1)
+    rd = d[0] * c[0] + d[1] * c[1]
+    rd += d[2] * c[2]
+    w = sg * rd
+    u = _sum3((w * w).T)
+    operands = (x, b1, b2, b3, scales)
+    need = [_reached(v) for v in operands]
+    if not any(need):
+        return Var(x.tape, u)
+    n, x_shape = len(scales.value), xv.shape
+
+    # the closure holds arrays only (see mlp)
+    def backprop(g):
+        gw = g * w
+        gw = gw + gw
+        grads = [None] * 5
+        if need[4]:
+            grads[4] = _scatter_add((gw * rd).T, idx, n)
+        if any(need[:4]):
+            grd = gw * sg
+            gx = np.zeros(x_shape) if need[0] else None
+            for k in range(3):
+                if need[1 + k]:
+                    grads[1 + k] = _scatter_add((grd * d[k]).T, idx, n)
+                if need[0]:
+                    gx[:m, k] = _sum3((grd * c[k]).T)
+            grads[0] = gx
+        return grads
+
+    return _record(x.tape, u, [(v, lambda r, k=k: r[k])
+                               for k, v in enumerate(operands)], pre=backprop)
 
 
 def backward(tape: Tape, output: Var) -> dict[str, np.ndarray]:

@@ -124,7 +124,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .field import INFERENCE_BLOCK_BYTES, BasisField, FieldProgram, _sum3
+from .autodiff import _sum3
+from .field import INFERENCE_BLOCK_BYTES, BasisField, FieldProgram
 
 # Sign certificates (box_signs): boxes per candidate pass, and the
 # domain quadratic above which exp(-u) may leave the normal float64 range, so

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamVector, Tape, Var
+from .autodiff import ParamVector, Tape, Var, _sum3
 from .errors import (CheckpointError, FieldError, check_array, check_document,
                      check_json, check_number, read_json)
 
@@ -101,7 +101,8 @@ class LocalBasis:
 
 class Top2(tuple):
     """Top-2 selection of a batch of points: unpacks as (p, q, fallback,
-    nearest), and carries the selected domain weights g_p = g_p(x) and
+    nearest), nearest None where the selection did not compute it, and
+    carries the selected domain weights g_p = g_p(x) and
     g_q = g_q(x) as rbf_matrix computes them, both 0 on fallback rows (None
     for a single-basis field, which computes no weight)."""
 
@@ -283,11 +284,13 @@ class BasisField:
         d2 += _sum3(pts * pts)[:, None]
         return np.argmin(d2, axis=1)
 
-    def select_top2_nearest(self, pts: np.ndarray, maps=None) -> Top2:
+    def select_top2_nearest(self, pts: np.ndarray, maps=None,
+                            with_nearest: bool = True) -> Top2:
         """Top-2 basis indices per point, the underflow-fallback mask and the
         Euclidean-nearest basis index, unpacked as a 4-tuple (see Top2, which
         also carries the two selected domain weights); `maps` as in
-        rbf_matrix.
+        rbf_matrix. Without `with_nearest` the nearest index is computed
+        on the fallback rows only, and its slot is None.
 
         Ties break to the lower index. For N == 1 every slot is 0. On
         fallback rows (g_p + g_q underflowed to zero) both top-2 slots hold
@@ -298,9 +301,10 @@ class BasisField:
         if self.n_bases == 1:
             zeros = np.zeros(n_pts, dtype=np.int64)
             return Top2(zeros, zeros.copy(), np.zeros(n_pts, dtype=bool),
-                        zeros.copy())
+                        zeros.copy() if with_nearest else None)
         g = self.rbf_matrix(pts, maps)
-        nearest = self.nearest_center_index(pts).astype(np.int64)
+        nearest = (self.nearest_center_index(pts).astype(np.int64)
+                   if with_nearest else None)
         p = np.argmax(g, axis=1)
         rows = np.arange(n_pts)
         gp = g[rows, p]
@@ -309,9 +313,11 @@ class BasisField:
         gq = g[rows, q]  # true second-max: q != p, all other entries >= 0
         fallback = (gp + gq) == 0.0
         if fallback.any():
+            near = (nearest[fallback] if with_nearest
+                    else self.nearest_center_index(pts[fallback]))
             p = p.copy()
-            p[fallback] = nearest[fallback]
-            q[fallback] = nearest[fallback]
+            p[fallback] = near
+            q[fallback] = near
         return Top2(p.astype(np.int64), q.astype(np.int64), fallback, nearest,
                     gp, gq)
 
@@ -465,19 +471,6 @@ class BasisField:
         return cls.from_json_dict(read_json(path, "checkpoint", CheckpointError))
 
 
-def _sum3(sq: np.ndarray) -> np.ndarray:
-    """sq.sum(axis=-1) over a trailing axis of length 3, as two adds.
-
-    numpy's reduce over so short an axis costs about 8x the adds. It starts
-    from +0.0 and adds in order, so the bits are the same wherever the
-    summands are >= +0.0 (squares); only there may this replace it: for
-    [-0.0, -0.0, -0.0] the adds give -0.0 and the reduce +0.0.
-    """
-    out = sq[..., 0] + sq[..., 1]
-    out += sq[..., 2]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Spec-level single-point operations
 
@@ -598,45 +591,41 @@ class FieldProgram:
         constant: values only, no tape node or branch token."""
         return cls(Tape(), field, set())
 
-    def centered(self, pts: np.ndarray, idx: np.ndarray) -> Var:
-        """x - c of basis idx[b] at pts[b], (B, 3): the input of both
-        decode and domain_quadratic."""
-        return ad.sub(self.tape.constant(pts), ad.gather_rows(self.eff_centers, idx))
+    def decoder_input(self, pts: np.ndarray, idx: np.ndarray) -> Var:
+        """concat(x - c, z) of basis idx[b] at pts[b], (B, 3 + d_z): the
+        input of decode, whose first three columns domain_quadratic reads
+        (ad.decoder_input)."""
+        return ad.decoder_input(pts, self.eff_centers, self.leaves["latents"],
+                                idx)
 
-    def decode(self, pts: np.ndarray, idx: np.ndarray, d: Var | None = None) -> Var:
-        """Decoder output of basis idx[b] at pts[b]; shape (B,). `d`:
-        centered(pts, idx), if already built. The decoder is one tape node
-        (ad.mlp), whose backward pass runs on the rows with a nonzero
+    def decode(self, pts: np.ndarray, idx: np.ndarray, inp: Var | None = None) -> Var:
+        """Decoder output of basis idx[b] at pts[b]; shape (B,). `inp`:
+        decoder_input(pts, idx), if already built. The decoder is one tape
+        node (ad.mlp), whose backward pass runs on the rows with a nonzero
         cotangent only when its weights are not trained."""
-        d = self.centered(pts, idx) if d is None else d
-        z = ad.gather_rows(self.leaves["latents"], idx)
+        inp = self.decoder_input(pts, idx) if inp is None else inp
         dec = self.field.decoder
-        h = ad.mlp(ad.concat([d, z], axis=1),
-                   [self.leaves[f"dec_w{i}"] for i in range(dec.n_layers)],
+        h = ad.mlp(inp, [self.leaves[f"dec_w{i}"] for i in range(dec.n_layers)],
                    [self.leaves[f"dec_b{i}"] for i in range(dec.n_layers)],
                    dec.skip_at)
         return ad.vsum(h, axis=1)  # (B, 1) -> (B,)
 
     def domain_quadratic(self, pts: np.ndarray, idx: np.ndarray,
-                         d: Var | None = None) -> Var:
-        """u = ||A (x - c)||^2 of basis idx[b] at pts[b]; g = exp(-u). `d`
-        as in decode."""
-        b1, b2, b3 = self.rot_cols
-        d = self.centered(pts, idx) if d is None else d
-        dx = ad.cols(d, 0, 1)
-        dy = ad.cols(d, 1, 2)
-        dz = ad.cols(d, 2, 3)
-        rd = ad.add(ad.add(ad.mul(dx, ad.gather_rows(b1, idx)),
-                           ad.mul(dy, ad.gather_rows(b2, idx))),
-                    ad.mul(dz, ad.gather_rows(b3, idx)))
-        w = ad.mul(ad.gather_rows(self.scales, idx), rd)
-        return ad.vsum(ad.mul(w, w), axis=1)
+                         inp: Var | None = None) -> Var:
+        """u = ||A (x - c)||^2 of basis idx[b] at pts[b]; g = exp(-u). One
+        tape node (ad.domain_quadratic), which reads x - c from the first
+        len(idx) rows of `inp`: a decoder_input whose rows start with the
+        rows of (pts, idx), built from them if None."""
+        inp = self.decoder_input(pts, idx) if inp is None else inp
+        return ad.domain_quadratic(inp, *self.rot_cols, self.scales, idx)
 
     def select(self, pts: np.ndarray, with_nearest: bool = False) -> Top2:
         """Top-2 selection of `pts` for a blend: counts its fallbacks and
         notes p, q, the fallback mask and, `with_nearest`, the nearest basis
-        as branch tokens."""
-        top2 = self.field.select_top2_nearest(pts, self.maps)
+        as branch tokens. Without `with_nearest` the nearest basis is found
+        on the fallback rows only, and the nearest slot is None."""
+        top2 = self.field.select_top2_nearest(pts, self.maps,
+                                              with_nearest=with_nearest)
         p, q, fallback, nearest = top2
         self.n_fallback_total += int(fallback.sum())
         self.tape.note_branch(p)
@@ -653,7 +642,12 @@ class FieldProgram:
         stacked decoder pass, which decodes each (point, basis) pair once:
         rows of p, rows of q, then rows of the nearest basis only where it
         is neither p nor q. `top2`: the (p, q, fallback, nearest) of `pts`
-        if the caller has already selected them through `select`."""
+        if the caller has already selected them through `select` (nearest
+        None without `with_nearest`).
+
+        Both stacked passes read one ad.decoder_input of the rows: the
+        decoder all of it, the domain quadratic the x - c of the p and q
+        rows."""
         pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
         n = len(pts)
         p, q, fallback, nearest = (self.select(pts, with_nearest)
@@ -675,10 +669,9 @@ class FieldProgram:
             idx_r = np.concatenate([idx_r, nearest[extra]])
             k_row = np.where(nearest == p, 0, n) + np.arange(n)
             k_row[extra] = 2 * n + np.arange(len(extra))
-        d = self.centered(pts_r, idx_r)
-        f_all = self.decode(pts_r, idx_r, d)
-        u2 = self.domain_quadratic(pts_r[:2 * n], idx_r[:2 * n],
-                                   d if len(idx_r) == 2 * n else ad.rows(d, 0, 2 * n))
+        inp = self.decoder_input(pts_r, idx_r)
+        f_all = self.decode(pts_r, idx_r, inp)
+        u2 = self.domain_quadratic(pts_r[:2 * n], idx_r[:2 * n], inp)
         g2 = ad.exp(ad.neg(u2))
         f_p, f_q = ad.rows(f_all, 0, n), ad.rows(f_all, n, 2 * n)
         f_k = ad.gather_rows(f_all, k_row) if with_nearest else None

@@ -239,8 +239,8 @@ def fit_field(field: BasisField, samples: SampleSet, config: FitConfig
     def step_loss(prog, step):
         idx = next(batches)  # _optimize calls this once per step, in order
         epoch = 0 if step < reg_boundary else 1
-        return loss_inte_t(prog, samples.points[idx], samples.targets[idx],
-                           config.weights, epoch)
+        return loss_inte_t(prog, np.take(samples.points, idx, axis=0),
+                           np.take(samples.targets, idx), config.weights, epoch)
 
     return _optimize(field, trainable, config.lr, config.steps, step_loss)
 

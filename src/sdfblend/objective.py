@@ -256,7 +256,8 @@ def loss_adj_t(prog: FieldProgram, pts: np.ndarray, weights: LossWeights) -> Var
     if not len(kept):
         return prog.tape.constant(0.0)
     rows = np.concatenate([kept, np.repeat(kept[-1:], pad)])
-    blend = prog.blend(pts[rows], top2=tuple(a[rows] for a in top2))
+    blend = prog.blend(pts[rows], top2=tuple(None if a is None else a[rows]
+                                             for a in top2))
     diff = ad.sub(blend.f_p, blend.f_q)
     m = ad.minimum(ad.absolute(blend.f_p), ad.absolute(blend.f_q))
     e1 = ad.neg(ad.mul(m, m) * weights.adj_sharp_surface)

@@ -575,3 +575,112 @@ def test_a_dropped_tape_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# The blend's fused nodes against the chains they replaced
+
+
+def _chain_decoder_input(t, pts, centers, latents, idx):
+    """The chain ad.decoder_input replaced; returns x - c and the input."""
+    d = ad.sub(t.constant(pts), ad.gather_rows(centers, idx))
+    return d, ad.concat([d, ad.gather_rows(latents, idx)], axis=1)
+
+
+def _chain_domain_quadratic(d, b1, b2, b3, scales, idx):
+    """The chain ad.domain_quadratic replaced, on the x - c rows `d`."""
+    if len(idx) < d.shape[0]:
+        d = ad.rows(d, 0, len(idx))
+    dx, dy, dz = (ad.cols(d, k, k + 1) for k in range(3))
+    rd = ad.add(ad.add(ad.mul(dx, ad.gather_rows(b1, idx)),
+                       ad.mul(dy, ad.gather_rows(b2, idx))),
+                ad.mul(dz, ad.gather_rows(b3, idx)))
+    w = ad.mul(ad.gather_rows(scales, idx), rd)
+    return ad.vsum(ad.mul(w, w), axis=1)
+
+
+@pytest.mark.parametrize("trained", [
+    ("centers", "latents", "b1", "b2", "b3", "scales"),
+    ("centers", "latents"), ("latents",), ("b1", "scales"), ()])
+@pytest.mark.parametrize("n_bases,extra", [(1, 0), (4, 0), (4, 37), (9, 5)])
+def test_blend_nodes_equal_the_unfused_chain_bit_for_bit(trained, n_bases, extra):
+    """decoder_input and domain_quadratic against the chains they replaced:
+    the same values, the same gradient for every operand, and parents for
+    the trained operands only. The input is read whole by one consumer
+    (the decoder's place) and in its first rows by domain_quadratic; the
+    cotangents and inputs span many decades, so a sum regrouped anywhere
+    would change low bits."""
+    rng = np.random.default_rng(60 + 7 * n_bases + extra)
+    m, d_z = 96, 5
+    idx = rng.integers(0, n_bases, m + extra)
+    spread = lambda *shape: rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    arrays = {"centers": rng.normal(size=(n_bases, 3)),
+              "latents": spread(n_bases, d_z),
+              **{f"b{k}": rng.normal(size=(n_bases, 3)) for k in (1, 2, 3)},
+              "scales": rng.uniform(0.5, 3.0, (n_bases, 3))}
+    pts = spread(m + extra, 3)
+    pts[::11] = arrays["centers"][idx[::11]]  # x - c exactly 0
+    r_x, r_u = spread(m + extra, 3 + d_z), spread(m)
+    r_u[::5] = 0.0
+    results = []
+    for fused in (True, False):
+        t = Tape()
+        v = {k: t.leaf(a, k) if k in trained else t.constant(a)
+             for k, a in arrays.items()}
+        args = (v["b1"], v["b2"], v["b3"], v["scales"], idx[:m])
+        if fused:
+            x = ad.decoder_input(pts, v["centers"], v["latents"], idx)
+            u = ad.domain_quadratic(x, *args)
+            for node, operands in ((x, ("centers", "latents")),
+                                   (u, ("b1", "b2", "b3", "scales"))):
+                reached = [v[k].idx for k in operands if k in trained]
+                if node is u and x.idx is not None:
+                    reached.insert(0, x.idx)
+                assert (node.idx is None) == (not reached)
+                assert not reached or t.nodes[node.idx].parents == tuple(reached)
+        else:
+            d, x = _chain_decoder_input(t, pts, v["centers"], v["latents"], idx)
+            u = _chain_domain_quadratic(d, *args)
+        loss = ad.add(ad.vsum(ad.mul(x, r_x)), ad.vsum(ad.mul(u, r_u)))
+        results.append((x.value, u.value, backward(t, loss)))
+    (fx, fu, fg), (cx, cu, cg) = results
+    np.testing.assert_array_equal(fx.view(np.int64), cx.view(np.int64))
+    np.testing.assert_array_equal(fu.view(np.int64), cu.view(np.int64))
+    assert fg.keys() == cg.keys() == set(trained)
+    for name in fg:
+        np.testing.assert_array_equal(fg[name].view(np.int64),
+                                      cg[name].view(np.int64), err_msg=name)
+        assert np.any(fg[name] != 0.0)
+
+
+@pytest.mark.parametrize("trained", [("x", "w", "b"), ("x",)])
+def test_mlp_backward_leaves_its_cotangent_and_activations_unchanged(trained):
+    """The ReLU masks go into the pass's own arrays in place: the incoming
+    cotangent is not written, and a second backward over the same tape
+    (and a second call of the node's VJP) gives the same gradients."""
+    rng = np.random.default_rng(14)
+    t = Tape()
+    x0 = rng.normal(size=(300, 6))
+    x = t.leaf(x0, "x")
+    ws = [rng.normal(size=s) for s in ((6, 8), (14, 8), (8, 1))]
+    bs = [rng.normal(size=s[1]) for s in ((6, 8), (14, 8), (8, 1))]
+    wv = [t.leaf(w, f"w{i}") if "w" in trained else t.constant(w)
+          for i, w in enumerate(ws)]
+    bv = [t.leaf(b, f"b{i}") if "b" in trained else t.constant(b)
+          for i, b in enumerate(bs)]
+    out = ad.mlp(x, wv, bv, skip_at=(1,))
+    r = rng.normal(size=(300, 1))
+    r[::3] = 0.0  # frozen weights: the pass runs on the live rows only
+    loss = ad.vsum(ad.mul(out, r))
+    first, second = backward(t, loss), backward(t, loss)
+    assert first.keys() == second.keys()
+    assert len(first) == (7 if "w" in trained else 1)
+    for name in first:
+        np.testing.assert_array_equal(first[name].view(np.int64),
+                                      second[name].view(np.int64), err_msg=name)
+    g = r.copy()
+    vjp = t.nodes[out.idx].vjp
+    once, twice = vjp(g), vjp(g)
+    np.testing.assert_array_equal(g.view(np.int64), r.view(np.int64))
+    for a, b in zip(once, twice):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))

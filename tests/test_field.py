@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sdfblend import certify
-from sdfblend.autodiff import ROW_BLOCK, AdamState, Tape, adam_step
+from sdfblend import autodiff as ad
+from sdfblend.autodiff import ROW_BLOCK, AdamState, Tape, adam_step, backward
 from sdfblend.errors import CheckpointError, FieldError
 from sdfblend.field import (
     BasisField, Decoder, FieldProgram, LocalBasis, decoder_eval,
@@ -372,6 +373,36 @@ def _fallback_probe_points(rng, n):
     return np.concatenate([near, far])
 
 
+@pytest.mark.parametrize("n_bases", [1, 2, 8])
+def test_selection_without_nearest_runs_it_on_fallback_rows_only(monkeypatch,
+                                                                 n_bases):
+    """Without with_nearest (every blend but the fitting objective's),
+    selection runs the nearest-basis pass on the fallback rows only and
+    leaves the nearest slot None; p, q, the fallback mask and the two
+    weights are those of the full selection, bit for bit."""
+    rng = np.random.default_rng(70 + n_bases)
+    f = random_field(rng, n_bases=n_bases)
+    X = _fallback_probe_points(rng, 300)
+    full = f.select_top2_nearest(X)
+    searched = []
+    nearest_center_index = BasisField.nearest_center_index
+    monkeypatch.setattr(BasisField, "nearest_center_index", lambda self, pts:
+                        searched.append(len(pts)) or nearest_center_index(self, pts))
+    lean = f.select_top2_nearest(X, with_nearest=False)
+    for a, b in zip(full[:3], lean[:3]):
+        np.testing.assert_array_equal(a, b)
+    for a, b in ((full.g_p, lean.g_p), (full.g_q, lean.g_q)):
+        assert (a is None and b is None) or np.array_equal(a.view(np.int64),
+                                                           b.view(np.int64))
+    assert lean[3] is None
+    n_fallback = int(full[2].sum())
+    assert searched == ([] if n_bases == 1 else [n_fallback])
+    assert n_bases == 1 or n_fallback > 0
+    searched.clear()
+    FieldProgram.constant(f).blend(X)  # inference's blend
+    assert searched == ([] if n_bases == 1 else [n_fallback])
+
+
 @pytest.mark.parametrize("n_bases", [1, 3, 6])
 def test_no_grad_blend_equals_recording_tape(n_bases):
     """A blend on a tape of constants (inference) keeps no VJP and equals
@@ -418,6 +449,74 @@ def test_nearest_pass_decodes_each_pair_once(monkeypatch, n_bases):
     assert n_bases == 1 or blend.fallback.any()
     np.testing.assert_allclose(blend.f_k.value, decode(prog, X, nearest).value,
                                rtol=0, atol=1e-12)
+
+
+class _ChainProgram(FieldProgram):
+    """FieldProgram over the chain of generic ops that ad.decoder_input and
+    ad.domain_quadratic replaced: the bit-level reference of both nodes.
+    decoder_input keeps x - c for domain_quadratic, which reads it through
+    a rows copy when the decoder input has more rows than it needs."""
+
+    def decoder_input(self, pts, idx):
+        d = ad.sub(self.tape.constant(pts), ad.gather_rows(self.eff_centers, idx))
+        x = ad.concat([d, ad.gather_rows(self.leaves["latents"], idx)], axis=1)
+        self.chain_input = (x, d)
+        return x
+
+    def domain_quadratic(self, pts, idx, inp=None):
+        inp = self.decoder_input(pts, idx) if inp is None else inp
+        assert inp is self.chain_input[0]
+        d = self.chain_input[1]
+        if len(idx) < d.shape[0]:
+            d = ad.rows(d, 0, len(idx))
+        b1, b2, b3 = self.rot_cols
+        dx, dy, dz = (ad.cols(d, k, k + 1) for k in range(3))
+        rd = ad.add(ad.add(ad.mul(dx, ad.gather_rows(b1, idx)),
+                           ad.mul(dy, ad.gather_rows(b2, idx))),
+                    ad.mul(dz, ad.gather_rows(b3, idx)))
+        w = ad.mul(ad.gather_rows(self.scales, idx), rd)
+        return ad.vsum(ad.mul(w, w), axis=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bases=st.sampled_from([1, 2, 8, 33]),
+       trainable=st.sampled_from([None, ("centers", "latents"), ()]),
+       with_nearest=st.booleans())
+def test_blend_nodes_equal_the_unfused_chain_bit_for_bit(seed, n_bases, trainable,
+                                                          with_nearest):
+    """A blend on the fused nodes and on the chain they replaced: every
+    output's value, every trained parameter's gradient and the branch
+    tokens are equal bit for bit, with fallback rows, and with the
+    nearest basis's extra rows beyond 2n when `with_nearest`. A tape of
+    constants (trainable ()) holds no node on either side."""
+    rng = np.random.default_rng(seed)
+    f = random_field(rng, n_bases=n_bases, d_z=5, widths=(12, 12))
+    X = _fallback_probe_points(rng, 200)
+    r = rng.normal(size=(6, len(X))) * 10.0 ** rng.uniform(-4, 4, (6, len(X)))
+    results = []
+    for cls in (FieldProgram, _ChainProgram):
+        tape = Tape(record_branches=True)
+        prog = cls(tape, f, None if trainable is None else set(trainable))
+        b = prog.blend(X, with_nearest=with_nearest)
+        outs = [b.sdf, b.f_p, b.f_q, b.g_p, b.g_q, b.f_k or b.sdf]
+        loss = ad.vsum(ad.mul(outs[0], r[0]))
+        for out, weights in zip(outs[1:], r[1:]):
+            loss = ad.add(loss, ad.vsum(ad.mul(out, weights)))
+        results.append(([o.value for o in outs], backward(tape, loss),
+                         tape.branch_signature(), len(tape.nodes)))
+    (fv, fg, fsig, fnodes), (cv, cg, csig, cnodes) = results
+    for a, b in zip(fv, cv):
+        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+    expected = set(f.params.names()) if trainable is None else set(trainable)
+    assert fg.keys() == cg.keys() == expected
+    for name in fg:
+        np.testing.assert_array_equal(fg[name].view(np.int64),
+                                      cg[name].view(np.int64), err_msg=name)
+    assert fsig == csig
+    assert (fnodes == cnodes == 0) == (trainable == ())
+    p, q, fallback, nearest = f.select_top2_nearest(X)
+    assert n_bases == 1 or fallback.any()
+    assert n_bases < 33 or np.any((nearest != p) & (nearest != q))
 
 
 @pytest.mark.parametrize("n_bases", [1, 2, 8, 128])
@@ -595,7 +694,7 @@ def test_dominance_keeps_every_top2_basis_a_candidate(seed, n_bases,
         interval = certify._box_candidates(f, mid, rad, maps)
     assert not (cand & ~interval).any()
     p, q, fallback, _ = f.select_top2_nearest(pts.reshape(-1, 3))
-    assert fallback.any()
+    assert n_bases == 1 or fallback.any()
     box = np.repeat(np.arange(len(lo)), pts.shape[1])
     assert cand[box, p].all() and cand[box, q].all()
 

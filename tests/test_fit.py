@@ -1,12 +1,15 @@
 """Fitting pipelines: initialization, optimization loop, compaction, refinement."""
 
+import gc
 import itertools
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sdfblend import autodiff
+from sdfblend import fit as fit_mod
 from sdfblend.autodiff import NonFiniteError, Tape
 from sdfblend.field import BasisField, Decoder, domain_downsample
 from sdfblend.fit import (
@@ -403,3 +406,69 @@ def test_fits_stay_out_of_subnormals(subnormal_vjp_entries):
     fit_field(init_field(SPHERE, cfg), samples, cfg)
     compact_fit(SPHERE, small_config(n_bases=4, n_init=8, steps=3, seed=37))
     assert subnormal_vjp_entries[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# the tape of a step
+
+
+def _perturbed_bench_field():
+    """The converged criterion-4 sphere, its latents perturbed as criterion 7
+    does (the refine_sphere benchmark's input)."""
+    field = BasisField.load(BENCH_CHECKPOINT)
+    field.latents += np.random.default_rng(123).normal(0.0, 0.05,
+                                                       field.latents.shape)
+    return field
+
+
+def test_a_step_tape_is_freed_by_reference_counting(monkeypatch):
+    """No VJP closure of a fit or a refine step refers back to its tape, so
+    the tape, with every activation its nodes hold, is freed when the step
+    drops it, without the cycle collector (which counts objects, not
+    bytes, so it would let many steps' activations pile up)."""
+    refs = []
+
+    class WatchedTape(Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(fit_mod, "Tape", WatchedTape)
+    cfg = small_config(n_bases=4, steps=1, refine_steps=1, n_refine_adj=256,
+                       seed=5)
+    samples = sample_training_set(SPHERE, 900, 100, seed=6)
+    start = init_field(SPHERE, cfg)
+    gc.disable()
+    try:
+        fit_field(start, samples, cfg)
+        refine_from_scene(_perturbed_bench_field(), SPHERE, cfg, n_surface=64,
+                          n_positive=64)
+        assert len(refs) == 2
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_step_tape_node_counts_are_pinned(monkeypatch):
+    """The tape of a fit step at N = 8 (the fit_sphere shape) and of a
+    refine step of the refine_sphere input. Each blend is four nodes:
+    decoder_input, mlp, the sum of its output column and
+    domain_quadratic. A refactor that expands a blend back into generic
+    ops fails here: the chain those nodes replaced took 22 nodes per blend
+    in a fit step (110 a step) and 17 in each of refine's three blends
+    (152 a step)."""
+    counts = []
+    backward = fit_mod.backward
+    monkeypatch.setattr(fit_mod, "backward", lambda tape, out:
+                        counts.append(len(tape.nodes)) or backward(tape, out))
+    cfg = FitConfig(n_bases=8, d_z=16, decoder_widths=(48, 48, 48),
+                    batch_size=256, steps=1, refine_steps=1, n_refine_adj=512,
+                    seed=1)
+    samples = sample_training_set(SPHERE, 900, 100, seed=6)
+    fit_field(init_field(SPHERE, cfg), samples, cfg)
+    _, report = refine_from_scene(_perturbed_bench_field(), SPHERE, cfg,
+                                  n_surface=256, n_positive=256)
+    assert report.trace["adj"][-1] > 0.0  # the adjacency blend ran
+    fit_nodes, refine_nodes = counts
+    assert fit_nodes == 92
+    assert refine_nodes == 113

@@ -441,7 +441,7 @@ def test_loss_adj_blends_a_point_whose_balance_is_not_finite(monkeypatch):
     assert not point_j_blended()
     select = BasisField.select_top2_nearest
 
-    def nan_weight_at_j(self, points, maps=None):
+    def nan_weight_at_j(self, points, maps=None, with_nearest=True):
         top2 = select(self, points, maps)
         top2.g_p[j] = np.nan
         return top2
