@@ -98,13 +98,9 @@ class Tape:
     def leaf(self, value, name: str) -> "Var":
         return self._push(_Node(_as_value(value), leaf_name=name))
 
-    def note_branch(self, token: np.ndarray | bytes) -> None:
+    def note_branch(self, token: np.ndarray) -> None:
         """Record an evaluation-path token (e.g. selected basis indices)."""
-        if not self.record_branches:
-            return
-        if isinstance(token, bytes):
-            self._branches.append(token)
-        else:
+        if self.record_branches:
             self._branches.append(np.ascontiguousarray(token).tobytes())
 
     def branch_signature(self) -> bytes:
@@ -184,9 +180,6 @@ class Var:
     def __neg__(self):
         return neg(self)
 
-    def __pow__(self, exponent):
-        return powi(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -264,13 +257,6 @@ def div(a, b):
 
 def neg(a: Var):
     return _unary(a, lambda x: -x, lambda x, o: -1.0)
-
-
-def powi(a: Var, exponent: float):
-    if isinstance(exponent, Var):
-        raise TypeError("exponent must be a constant")
-    e = float(exponent)
-    return _unary(a, lambda x: x ** e, lambda x, o: e * x ** (e - 1.0))
 
 
 def exp(a: Var):
@@ -709,23 +695,24 @@ class ParamVector:
 # Adam
 
 
+# the moment decay rates and the denominator guard of every Adam update
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
-    """Moment estimates and step counter for Adam."""
+    """Moment estimates, step counter and learning rate for Adam."""
 
     m: np.ndarray
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     lr: float = 1e-3
 
     @classmethod
-    def init(cls, n: int, lr: float = 1e-3, beta1: float = 0.9,
-             beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), step=0,
-                   beta1=beta1, beta2=beta2, eps=eps, lr=lr)
+    def init(cls, n: int, lr: float = 1e-3) -> "AdamState":
+        return cls(m=np.zeros(n), v=np.zeros(n), step=0, lr=lr)
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState
@@ -737,13 +724,12 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState
             f"moments {state.m.shape}"
         )
     t = state.step + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new = params - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
-    return new, AdamState(m=m, v=v, step=t, beta1=state.beta1,
-                          beta2=state.beta2, eps=state.eps, lr=state.lr)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    new = params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return new, AdamState(m=m, v=v, step=t, lr=state.lr)
 
 
 # ---------------------------------------------------------------------------
@@ -761,9 +747,6 @@ class FdCheckResult:
     max_rel_err: float
     n_checked: int
     excluded: list[int] = field(default_factory=list)
-
-    def __float__(self) -> float:
-        return self.max_rel_err
 
 
 class _ConstantTape(Tape):

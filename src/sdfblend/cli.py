@@ -70,8 +70,12 @@ def cmd_fit(args) -> int:
             raise SdfBlendError(f"fit config {key} must be a path string, "
                                 f"got {doc[key]!r}")
     config = FitConfig.from_json_dict(doc["fit"])
+    compaction = config.n_init is not None and config.n_init > config.n_bases
+    if compaction and "samples" in doc:
+        raise SdfBlendError("fit config samples: a compaction fit (n_init > "
+                            "n_bases) draws its own samples")
     scene = SceneSpec.load(doc["scene"])
-    if config.n_init is not None and config.n_init > config.n_bases:
+    if compaction:
         _log(f"compaction fit: {config.n_init} -> {config.n_bases} bases")
         field, kept, report = compact_fit(scene, config)
     else:

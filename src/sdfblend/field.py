@@ -33,7 +33,8 @@ from .errors import (CheckpointError, FieldError, check_array, check_document,
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
-# Surfacing / evaluation domain used when a field must declare bounds.
+# Surfacing / evaluation domain used when a field must declare bounds, and
+# the default box of a surface.GridSpec.
 DEFAULT_FIELD_BOUNDS = (np.full(3, -0.55), np.full(3, 0.55))
 
 # Inference block sizing (BasisField.inference_block): a decoder activation
@@ -502,7 +503,8 @@ def decoder_eval(field: BasisField, i: int, x) -> float:
     prog = FieldProgram.constant(field)
     x = np.repeat(np.asarray(x, dtype=np.float64).reshape(1, 3),
                   ad.ROW_BLOCK, axis=0)
-    return float(prog.decode(x, np.full(ad.ROW_BLOCK, i)).value[0])
+    inp = prog.decoder_input(x, np.full(ad.ROW_BLOCK, i))
+    return float(prog.decode(inp).value[0])
 
 
 def sdf_eval(field: BasisField, x) -> float:
@@ -598,25 +600,22 @@ class FieldProgram:
         return ad.decoder_input(pts, self.eff_centers, self.leaves["latents"],
                                 idx)
 
-    def decode(self, pts: np.ndarray, idx: np.ndarray, inp: Var | None = None) -> Var:
-        """Decoder output of basis idx[b] at pts[b]; shape (B,). `inp`:
-        decoder_input(pts, idx), if already built. The decoder is one tape
-        node (ad.mlp), whose backward pass runs on the rows with a nonzero
-        cotangent only when its weights are not trained."""
-        inp = self.decoder_input(pts, idx) if inp is None else inp
+    def decode(self, inp: Var) -> Var:
+        """Decoder output of each row of `inp`, a decoder_input; shape (B,).
+        The decoder is one tape node (ad.mlp), whose backward pass runs on
+        the rows with a nonzero cotangent only when its weights are not
+        trained."""
         dec = self.field.decoder
         h = ad.mlp(inp, [self.leaves[f"dec_w{i}"] for i in range(dec.n_layers)],
                    [self.leaves[f"dec_b{i}"] for i in range(dec.n_layers)],
                    dec.skip_at)
         return ad.vsum(h, axis=1)  # (B, 1) -> (B,)
 
-    def domain_quadratic(self, pts: np.ndarray, idx: np.ndarray,
-                         inp: Var | None = None) -> Var:
-        """u = ||A (x - c)||^2 of basis idx[b] at pts[b]; g = exp(-u). One
-        tape node (ad.domain_quadratic), which reads x - c from the first
-        len(idx) rows of `inp`: a decoder_input whose rows start with the
-        rows of (pts, idx), built from them if None."""
-        inp = self.decoder_input(pts, idx) if inp is None else inp
+    def domain_quadratic(self, inp: Var, idx: np.ndarray) -> Var:
+        """u = ||A (x - c)||^2 of basis idx[b] at the point of row b of
+        `inp`; g = exp(-u). One tape node (ad.domain_quadratic), which
+        reads x - c from the first len(idx) rows of `inp`: a decoder_input
+        whose rows start with the rows of idx."""
         return ad.domain_quadratic(inp, *self.rot_cols, self.scales, idx)
 
     def select(self, pts: np.ndarray, with_nearest: bool = False) -> Top2:
@@ -654,8 +653,11 @@ class FieldProgram:
                                    if top2 is None else top2)
         tape = self.tape
         if self.field.n_bases == 1:
-            f_p = self.decode(pts, p)
-            g_p = ad.exp(ad.neg(self.domain_quadratic(pts, p)))
+            # two inputs: a shared one would add the decoder's and the
+            # domain's center gradients before its scatter, in another order
+            f_p = self.decode(self.decoder_input(pts, p))
+            g_p = ad.exp(ad.neg(self.domain_quadratic(
+                self.decoder_input(pts, p), p)))
             one = tape.constant(np.ones(n))
             zero = tape.constant(np.zeros(n))
             return BlendResult(sdf=f_p, f_p=f_p, f_q=f_p, g_p=g_p, g_q=g_p,
@@ -670,8 +672,8 @@ class FieldProgram:
             k_row = np.where(nearest == p, 0, n) + np.arange(n)
             k_row[extra] = 2 * n + np.arange(len(extra))
         inp = self.decoder_input(pts_r, idx_r)
-        f_all = self.decode(pts_r, idx_r, inp)
-        u2 = self.domain_quadratic(pts_r[:2 * n], idx_r[:2 * n], inp)
+        f_all = self.decode(inp)
+        u2 = self.domain_quadratic(inp, idx_r[:2 * n])
         g2 = ad.exp(ad.neg(u2))
         f_p, f_q = ad.rows(f_all, 0, n), ad.rows(f_all, n, 2 * n)
         f_k = ad.gather_rows(f_all, k_row) if with_nearest else None

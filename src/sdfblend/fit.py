@@ -22,7 +22,7 @@ from .field import (
 )
 from .geom import (
     PointCloud, SampleSet, SceneSpec, farthest_point_sample, positive_points,
-    sample_training_set, surface_points,
+    sample_training_set, spawn_seeds, surface_points,
 )
 from .objective import Anchor, LossWeights, RefineInputs, loss_inte_t, loss_opt_t
 
@@ -139,16 +139,12 @@ class FitReport:
         }
 
 
-def _spawn_seeds(seed: int, n: int) -> list[int]:
-    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(n)]
-
-
 def init_field(scene: SceneSpec, config: FitConfig) -> BasisField:
     """Field with centers from farthest-point-sampled surface points,
     spacing-scaled isotropic domains, small random latents, and a
     Kaiming-initialized decoder. Deterministic per config.seed."""
     n = config.n_bases
-    s_surf, s_fps, s_z, s_dec = _spawn_seeds(config.seed, 4)
+    s_surf, s_fps, s_z, s_dec = spawn_seeds(config.seed, 4)
     cloud = surface_points(scene, max(1024, 8 * n), s_surf)
     idx = farthest_point_sample(cloud, n, s_fps)
     centers = cloud.points[idx]
@@ -233,7 +229,7 @@ def fit_field(field: BasisField, samples: SampleSet, config: FitConfig
         raise ValueError("samples must be nonempty")
     trainable = set(config.trainable) if config.trainable is not None else None
     reg_boundary = config.reg_boundary_frac * config.steps
-    (s_batch,) = _spawn_seeds(config.seed, 1)
+    (s_batch,) = spawn_seeds(config.seed, 1)
     batches = _batch_indices(len(samples), config.batch_size, s_batch)
 
     def step_loss(prog, step):
@@ -259,7 +255,7 @@ def compact_fit(scene: SceneSpec, config: FitConfig
     n_init = config.n_init if config.n_init is not None else config.n_bases
     if config.n_bases > n_init:
         raise ValueError("n_bases must be <= n_init")
-    s_samp, s_fit1, s_fit2 = _spawn_seeds(config.seed, 3)
+    s_samp, s_fit1, s_fit2 = spawn_seeds(config.seed, 3)
     samples = sample_training_set(scene, config.n_near, config.n_uniform,
                                   config.noise_stds, seed=s_samp)
     phase1_cfg = replace(config, n_bases=n_init, n_init=None, seed=s_fit1)
@@ -300,7 +296,7 @@ def refine(field: BasisField, surface_pts: PointCloud, pos_pts: PointCloud,
     exactly zero, so their values are bit-identical afterwards).
     """
     anchor.check_matches(field)
-    (s_adj,) = _spawn_seeds(config.seed, 1)
+    (s_adj,) = spawn_seeds(config.seed, 1)
     adj = adjacency_points(field, config.n_refine_adj, config.adj_spread, s_adj)
     inputs = RefineInputs(surface=surface_pts, positive=pos_pts, adjacency=adj)
     return _optimize(field, {"centers", "latents"}, config.refine_lr,
@@ -313,7 +309,7 @@ def refine_from_scene(field: BasisField, scene: SceneSpec, config: FitConfig,
                       n_surface: int = 2048, n_positive: int = 2048
                       ) -> tuple[BasisField, FitReport]:
     """Convenience wrapper: draw refinement inputs from the scene oracle."""
-    s_surf, s_pos = _spawn_seeds(config.seed + 1, 2)
+    s_surf, s_pos = spawn_seeds(config.seed + 1, 2)
     surf = surface_points(scene, n_surface, s_surf)
     pos = positive_points(scene, n_positive, margin=config.weights.hinge_eps,
                           seed=s_pos)

@@ -29,6 +29,13 @@ SAMPLES_SCHEMA_VERSION = 1
 # largest entry of |R^T R - I| a primitive's rotation may have
 ROTATION_TOL = 1e-6
 
+# surface_points: a projected point is on the surface where |sdf| <= this,
+# after at most SURFACE_MAX_ITERS Newton steps along a central-difference
+# gradient of step SURFACE_GRAD_STEP
+SURFACE_TOL = 1e-4
+SURFACE_MAX_ITERS = 30
+SURFACE_GRAD_STEP = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # Value types
@@ -451,18 +458,23 @@ def scene_sdf(scene: SceneSpec, x) -> float:
 # Sampling
 
 
-def _numeric_gradient(scene: SceneSpec, pts: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def spawn_seeds(seed: int, n: int) -> list[int]:
+    """`n` independent integer seeds derived from `seed`."""
+    return [int(c.generate_state(1)[0]) for c in np.random.SeedSequence(seed).spawn(n)]
+
+
+def _numeric_gradient(scene: SceneSpec, pts: np.ndarray) -> np.ndarray:
     g = np.empty_like(pts)
     for ax in range(3):
         e = np.zeros(3)
-        e[ax] = h
-        g[:, ax] = (scene.sdf(pts + e) - scene.sdf(pts - e)) / (2.0 * h)
+        e[ax] = SURFACE_GRAD_STEP
+        g[:, ax] = (scene.sdf(pts + e) - scene.sdf(pts - e)) / (2.0 * SURFACE_GRAD_STEP)
     return g
 
 
-def surface_points(scene: SceneSpec, n: int, seed: int,
-                   tol: float = 1e-4, max_iters: int = 30) -> PointCloud:
-    """`n` points with |sdf| <= tol, via seeded rejection + Newton projection.
+def surface_points(scene: SceneSpec, n: int, seed: int) -> PointCloud:
+    """`n` points with |sdf| <= SURFACE_TOL, via seeded rejection + Newton
+    projection.
 
     Candidates are drawn uniformly in the scene's (slightly inflated)
     bounding box and projected along the numeric SDF gradient. Raises
@@ -480,9 +492,9 @@ def surface_points(scene: SceneSpec, n: int, seed: int,
     while n_collected < n:
         m = max(n - n_collected, 256)
         p = rng.uniform(lo, hi, size=(m, 3))
-        for _ in range(max_iters):
+        for _ in range(SURFACE_MAX_ITERS):
             d = scene.sdf(p)
-            live = np.abs(d) > tol
+            live = np.abs(d) > SURFACE_TOL
             if not live.any():
                 break
             g = _numeric_gradient(scene, p[live])
@@ -490,7 +502,7 @@ def surface_points(scene: SceneSpec, n: int, seed: int,
             gn = np.maximum(gn, 1e-12)
             p[live] -= (d[live] / gn)[:, None] * g
         d = scene.sdf(p)
-        ok = np.abs(d) <= tol
+        ok = np.abs(d) <= SURFACE_TOL
         tried += m
         failed += int(np.count_nonzero(~ok))
         if failed > 0.01 * tried and tried >= 512:
@@ -535,8 +547,7 @@ def sample_training_set(scene: SceneSpec, n_near: int, n_uniform: int,
         raise ValueError("need at least one sample")
     if noise_stds[0] <= 0 or noise_stds[1] <= 0:
         raise ValueError("noise stds must be > 0")
-    ss = np.random.SeedSequence(seed)
-    s_surf, s_noise, s_unif = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
+    s_surf, s_noise, s_unif = spawn_seeds(seed, 3)
     parts, tags = [], []
     if n_near > 0:
         surf = surface_points(scene, n_near, s_surf).points

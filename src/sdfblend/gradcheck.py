@@ -9,6 +9,7 @@ excluded rather than failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from .objective import (
     loss_smooth_t, loss_stable_t,
 )
 
-LOSS_NAMES = ("sdf", "smooth", "sdf_euc", "reg", "inte", "face", "pos",
-              "adj", "stable", "opt")
+# query points per fixture, and per positive and adjacency point set
+N_POINTS = 10
 
 
 def random_field(rng: np.random.Generator, n_bases: int = 3, d_z: int = 4,
@@ -63,8 +64,7 @@ class GradCheckReport:
 
 
 def run_gradcheck(seed: int = 0, fixtures_per_loss: int = 11,
-                  n_points: int = 10, h: float = 1e-6,
-                  corrupt: bool = False) -> GradCheckReport:
+                  h: float = 1e-6, corrupt: bool = False) -> GradCheckReport:
     """Check every loss gradient on `fixtures_per_loss` random fixtures.
 
     `corrupt` deliberately biases the analytic gradient (to exercise failure
@@ -77,15 +77,17 @@ def run_gradcheck(seed: int = 0, fixtures_per_loss: int = 11,
         worst = FdCheckResult(max_rel_err=0.0, n_checked=0)
         for _ in range(fixtures_per_loss):
             field = random_field(rng)
-            pts = _fixture_points(rng, field, n_points)
-            targets = rng.normal(0.0, 0.3, size=len(pts))
-            anchor = Anchor(field.centers + rng.normal(0.0, 0.05, field.centers.shape),
-                            field.latents + rng.normal(0.0, 0.05, field.latents.shape))
-            pos_pts = rng.uniform(-0.5, 0.5, size=(n_points, 3))
-            adj_pts = _fixture_points(rng, field, n_points)
-            objective = _make_objective(loss_name, field, pts, targets, weights,
-                                        anchor, pos_pts, adj_pts)
-            res = finite_diff_check(objective, field.to_params(), h=h)
+            fx = SimpleNamespace(  # arguments evaluate, and draw, in order
+                pts=_fixture_points(rng, field, N_POINTS),
+                targets=rng.normal(0.0, 0.3, size=N_POINTS),
+                weights=weights,
+                anchor=Anchor(
+                    field.centers + rng.normal(0.0, 0.05, field.centers.shape),
+                    field.latents + rng.normal(0.0, 0.05, field.latents.shape)),
+                pos_pts=rng.uniform(-0.5, 0.5, size=(N_POINTS, 3)),
+                adj_pts=_fixture_points(rng, field, N_POINTS))
+            res = finite_diff_check(_objective(LOSSES[loss_name], field, fx),
+                                    field.to_params(), h=h)
             if corrupt:
                 res = FdCheckResult(max_rel_err=res.max_rel_err + 1.0,
                                     n_checked=res.n_checked,
@@ -99,35 +101,34 @@ def run_gradcheck(seed: int = 0, fixtures_per_loss: int = 11,
     return GradCheckReport(results=results)
 
 
-def _make_objective(loss_name: str, field: BasisField, pts, targets, weights,
-                    anchor, pos_pts, adj_pts):
-    eps = weights.hinge_eps
+def _loss_opt(prog: FieldProgram, fx: SimpleNamespace) -> Var:
+    inputs = RefineInputs(surface=PointCloud(fx.pts),
+                          positive=PointCloud(fx.pos_pts),
+                          adjacency=PointCloud(fx.adj_pts))
+    return loss_opt_t(prog, inputs, fx.weights, fx.anchor)[0]
 
+
+# loss name -> its value on a program at a fixture's inputs (see
+# run_gradcheck); the losses are checked in this order
+LOSSES = {
+    "sdf": lambda prog, fx: loss_sdf_t(prog, fx.pts, fx.targets),
+    "smooth": lambda prog, fx: loss_smooth_t(prog, fx.pts),
+    "sdf_euc": lambda prog, fx: loss_sdf_euc_t(prog, fx.pts, fx.targets),
+    "reg": lambda prog, fx: loss_reg_t(prog),
+    "inte": lambda prog, fx: loss_inte_t(prog, fx.pts, fx.targets, fx.weights,
+                                         epoch=0)[0],
+    "face": lambda prog, fx: loss_face_t(prog, fx.pts, fx.weights.hinge_eps),
+    "pos": lambda prog, fx: loss_pos_t(prog, fx.pos_pts, fx.weights.hinge_eps),
+    "adj": lambda prog, fx: loss_adj_t(prog, fx.adj_pts, fx.weights),
+    "stable": lambda prog, fx: loss_stable_t(prog, fx.anchor),
+    "opt": _loss_opt,
+}
+LOSS_NAMES = tuple(LOSSES)
+
+
+def _objective(loss, field: BasisField, fx: SimpleNamespace):
+    """`loss` of `fx` as a function of the parameters of `field`."""
     def objective(tape: Tape, pv: ParamVector) -> Var:
-        prog = FieldProgram(tape, field.with_params(pv))
-        if loss_name == "sdf":
-            return loss_sdf_t(prog, pts, targets)
-        if loss_name == "smooth":
-            return loss_smooth_t(prog, pts)
-        if loss_name == "sdf_euc":
-            return loss_sdf_euc_t(prog, pts, targets)
-        if loss_name == "reg":
-            return loss_reg_t(prog)
-        if loss_name == "inte":
-            return loss_inte_t(prog, pts, targets, weights, epoch=0)[0]
-        if loss_name == "face":
-            return loss_face_t(prog, pts, eps)
-        if loss_name == "pos":
-            return loss_pos_t(prog, pos_pts, eps)
-        if loss_name == "adj":
-            return loss_adj_t(prog, adj_pts, weights)
-        if loss_name == "stable":
-            return loss_stable_t(prog, anchor)
-        if loss_name == "opt":
-            inputs = RefineInputs(surface=PointCloud(pts),
-                                  positive=PointCloud(pos_pts),
-                                  adjacency=PointCloud(adj_pts))
-            return loss_opt_t(prog, inputs, weights, anchor)[0]
-        raise ValueError(f"unknown loss {loss_name!r}")
+        return loss(FieldProgram(tape, field.with_params(pv)), fx)
 
     return objective

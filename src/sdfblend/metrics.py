@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import check_number, check_positive
-from .geom import PointCloud, sample_mesh_surface
+from .geom import PointCloud, sample_mesh_surface, spawn_seeds
 from .surface import CellSigns, GridSpec, marching_cubes
 
 # Samples per IoU draw; bounds a scene oracle's memory
@@ -35,12 +35,6 @@ class EvalProtocol:
         check_number(self.n_surface, "n_surface", 1, integer=True)
         check_positive(self.tau, "tau")
         check_number(self.seed, "seed", 0, integer=True)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n_iou": self.n_iou, "n_surface": self.n_surface, "tau": self.tau,
-            "grid_resolution": list(self.grid.resolution), "seed": self.seed,
-        }
 
 
 @dataclass
@@ -170,8 +164,7 @@ def evaluate(subject, reference, protocol: EvalProtocol | None = None) -> Metric
     per protocol seed.
     """
     protocol = protocol or EvalProtocol()
-    ss = np.random.SeedSequence(protocol.seed)
-    s_a, s_b, s_iou = (int(c.generate_state(1)[0]) for c in ss.spawn(3))
+    s_a, s_b, s_iou = spawn_seeds(protocol.seed, 3)
     mesh_a, cells_a = marching_cubes(subject, protocol.grid, with_cells=True)
     mesh_b = marching_cubes(reference, protocol.grid)
     cloud_a = sample_mesh_surface(mesh_a, protocol.n_surface, s_a)

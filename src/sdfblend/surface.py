@@ -26,9 +26,9 @@ import numpy as np
 
 from .certify import box_signs
 from .errors import GridError
-from .field import BasisField
+from .field import DEFAULT_FIELD_BOUNDS, BasisField
 from .geom import TriMesh
-from .mc_tables import EDGE_AXIS, EDGE_ORIGIN, EDGE_TABLE, TRI_TABLE
+from .mc_tables import EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
 
 # Flat-grid window of _sample_grid: at most this many corners per
 # `evaluable.sdf` call, which bounds a scene oracle's memory (SceneSpec.sdf
@@ -42,14 +42,17 @@ CERTIFY_BLOCKS = (8, 4)
 
 MIN_RESOLUTION = 8  # cells per axis of a GridSpec, at least
 
+# cases whose cells hold triangles: those with a sign-change edge
+HAS_TRIANGLES = TRI_TABLE[:, 0] >= 0
+
 
 @dataclass
 class GridSpec:
     """Sampling lattice: cells per axis and a bounding box."""
 
     resolution: int | tuple[int, int, int] = 128
-    lo: np.ndarray = dc_field(default_factory=lambda: np.full(3, -0.55))
-    hi: np.ndarray = dc_field(default_factory=lambda: np.full(3, 0.55))
+    lo: np.ndarray = dc_field(default_factory=DEFAULT_FIELD_BOUNDS[0].copy)
+    hi: np.ndarray = dc_field(default_factory=DEFAULT_FIELD_BOUNDS[1].copy)
 
     def __post_init__(self):
         if np.isscalar(self.resolution):
@@ -211,7 +214,7 @@ def _extract(vals: np.ndarray, grid: GridSpec) -> TriMesh:
         corner = inside[dx:dx + nx - 1, dy:dy + ny - 1, dz:dz + nz - 1]
         case |= corner.astype(np.uint16) << bit
 
-    active = np.flatnonzero(EDGE_TABLE[case] != 0)
+    active = np.flatnonzero(HAS_TRIANGLES[case])
     if active.size == 0:
         return TriMesh(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.int64))
     cell = np.stack(np.unravel_index(active, case.shape), axis=1)  # (M, 3)

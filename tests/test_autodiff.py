@@ -311,7 +311,7 @@ def test_ops_on_constants_leave_the_tape_empty():
         t = Tape(record_branches=record_branches)
         u, v = (t.constant(rng.uniform(0.5, 2.0, (4, 3))) for _ in range(2))
         outs = _all_ops(t, u, v, t.constant(rng.normal(size=(3, 2))))
-        assert len(outs) == 20
+        assert len(outs) == 19
         assert all(isinstance(o, ad.Var) and o.idx is None for o in outs)
         assert t.nodes == []
         assert (t.branch_signature() != b"") == record_branches
@@ -380,7 +380,7 @@ def _all_ops(t, u, v, m):
         ad.concat([u, v], axis=1),
     ] + [
         op(u) for op in (ad.neg, ad.exp, ad.sqrt, ad.absolute,
-                         ad.sigmoid, ad.vsum, lambda x: x ** 2,
+                         ad.sigmoid, ad.vsum,
                          lambda x: ad.cols(x, 1, 3), lambda x: ad.rows(x, 0, 2),
                          lambda x: ad.gather_rows(x, [3, 0, 3]))
     ]
@@ -395,7 +395,7 @@ def test_ops_on_constants_record_no_parents_and_no_vjp():
     t = Tape()
     u, v, m = t.leaf(u0, "u"), t.constant(v0), t.constant(m0)
     outs = _all_ops(t, u, v, m)
-    assert len(outs) == 20
+    assert len(outs) == 19
     for out in outs:
         node = t.nodes[out.idx]
         assert node.vjp is not None

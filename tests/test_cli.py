@@ -244,6 +244,22 @@ def test_fit_rejects_unknown_job_key(tmp_path, scene_path, capsys):
     assert not (tmp_path / "field.json").exists()
 
 
+def test_compaction_fit_rejects_a_sample_set(tmp_path, capsys):
+    """A compaction fit draws its own samples: a job that names a sample
+    set exits 1 naming `samples` before it reads a file, so neither path
+    need exist, and writes nothing."""
+    cfg_path = tmp_path / "fit.json"
+    cfg_path.write_text(json.dumps({
+        "version": 1, "scene": str(tmp_path / "no_scene.json"),
+        "samples": str(tmp_path / "no_samples.json"),
+        "fit": {**SMALL_FIT, "n_init": SMALL_FIT["n_bases"] + 1},
+        "out_checkpoint": str(tmp_path / "field.json"),
+        "out_report": str(tmp_path / "report.json")}))
+    assert main(["fit", str(cfg_path)]) == 1
+    assert "fit config samples" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fit.json"]
+
+
 @pytest.mark.parametrize("key", ["scene", "samples", "out_checkpoint",
                                  "out_report"])
 def test_fit_rejects_path_that_is_not_a_string(tmp_path, scene_path, capsys,

@@ -51,7 +51,8 @@ FIT_VALUES = st.one_of(
     st.just({}),
 )
 
-# a fit of a few milliseconds; `samples` is read unless n_init > n_bases
+# a fit of a few milliseconds; a job with n_init > n_bases that names
+# `samples` exits 1 before it reads a file
 SMALL_FIT = {"n_bases": 2, "d_z": 2, "decoder_widths": [8], "steps": 2,
              "batch_size": 32, "seed": 1, "n_near": 40, "n_uniform": 10,
              "weights": {"smooth": 0.5}}

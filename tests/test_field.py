@@ -438,8 +438,8 @@ def test_nearest_pass_decodes_each_pair_once(monkeypatch, n_bases):
     decoded = []
     decode = FieldProgram.decode
     monkeypatch.setattr(FieldProgram, "decode",
-                        lambda self, pts, idx, d=None: decoded.append(len(idx))
-                        or decode(self, pts, idx, d))
+                        lambda self, inp: decoded.append(len(inp.value))
+                        or decode(self, inp))
     prog = FieldProgram.constant(f)
     blend = prog.blend(X, with_nearest=True)
     nearest = f.nearest_center_index(X)
@@ -447,8 +447,9 @@ def test_nearest_pass_decodes_each_pair_once(monkeypatch, n_bases):
     assert decoded == [len(X) if n_bases == 1 else 2 * len(X) + outside]
     assert n_bases < 3 or outside > 0
     assert n_bases == 1 or blend.fallback.any()
-    np.testing.assert_allclose(blend.f_k.value, decode(prog, X, nearest).value,
-                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        blend.f_k.value, decode(prog, prog.decoder_input(X, nearest)).value,
+        rtol=0, atol=1e-12)
 
 
 class _ChainProgram(FieldProgram):
@@ -463,8 +464,7 @@ class _ChainProgram(FieldProgram):
         self.chain_input = (x, d)
         return x
 
-    def domain_quadratic(self, pts, idx, inp=None):
-        inp = self.decoder_input(pts, idx) if inp is None else inp
+    def domain_quadratic(self, inp, idx):
         assert inp is self.chain_input[0]
         d = self.chain_input[1]
         if len(idx) < d.shape[0]:
@@ -817,8 +817,9 @@ def test_back_substituted_bounds_contain_the_decoder(seed, n_bases, weight_scale
     assert np.all(f_lo >= fwd[0]) and np.all(f_hi <= fwd[1])
     prog = FieldProgram.constant(f)
     n_pts = pts.shape[1]
-    vals = prog.decode(pts[box].reshape(-1, 3),
-                       np.repeat(basis, n_pts)).value.reshape(len(box), n_pts)
+    vals = prog.decode(prog.decoder_input(
+        pts[box].reshape(-1, 3),
+        np.repeat(basis, n_pts))).value.reshape(len(box), n_pts)
     m = certify._decoder_margin(f, lo.min(axis=0), hi.max(axis=0))[basis][:, None]
     assert np.all(vals >= f_lo[:, None] - m)
     assert np.all(vals <= f_hi[:, None] + m)

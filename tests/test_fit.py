@@ -13,10 +13,12 @@ from sdfblend import fit as fit_mod
 from sdfblend.autodiff import NonFiniteError, Tape
 from sdfblend.field import BasisField, Decoder, domain_downsample
 from sdfblend.fit import (
-    FitConfig, _batch_indices, _spawn_seeds, compact_fit, fit_field,
-    init_field, refine, refine_from_scene,
+    FitConfig, _batch_indices, compact_fit, fit_field, init_field, refine,
+    refine_from_scene,
 )
-from sdfblend.geom import PointCloud, SceneSpec, Sphere, sample_training_set
+from sdfblend.geom import (
+    PointCloud, SceneSpec, Sphere, sample_training_set, spawn_seeds,
+)
 from sdfblend.objective import Anchor, LossWeights, loss_inte
 
 SPHERE = SceneSpec(root=Sphere(radius=0.4))
@@ -122,7 +124,7 @@ def test_fit_trace_entries_match_recomputed_losses():
                                reg_boundary_frac=0.6)
     f_partial, _ = fit_field(f0, samples, cfg_partial)
 
-    (s_batch,) = _spawn_seeds(cfg.seed, 1)
+    (s_batch,) = spawn_seeds(cfg.seed, 1)
     batches = _batch_indices(len(samples), cfg.batch_size, s_batch)
     idx = next(itertools.islice(batches, check_at, None))
     from sdfblend.geom import SampleSet
@@ -197,7 +199,7 @@ def test_compact_fit_phases_and_warm_start():
 
     # reproduce phase 1 + downsample independently: warm start must be exact
     from dataclasses import replace
-    s_samp, s_fit1, s_fit2 = _spawn_seeds(cfg.seed, 3)
+    s_samp, s_fit1, s_fit2 = spawn_seeds(cfg.seed, 3)
     samples = sample_training_set(SPHERE, cfg.n_near, cfg.n_uniform,
                                   cfg.noise_stds, seed=s_samp)
     p1 = replace(cfg, n_bases=10, n_init=None, seed=s_fit1)

@@ -12,7 +12,10 @@ from sdfblend.field import BasisField, Decoder, FieldProgram
 from sdfblend.formats import write_obj
 from sdfblend.geom import SceneSpec, Sphere
 from sdfblend.gradcheck import random_field
-from sdfblend.surface import CellSigns, GridSpec, _sample_grid, marching_cubes
+from sdfblend.mc_tables import EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
+from sdfblend.surface import (
+    HAS_TRIANGLES, CellSigns, GridSpec, _sample_grid, marching_cubes,
+)
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "data" / "sphere_fit.json"
 
@@ -41,6 +44,36 @@ def test_linear_field_gives_flat_sheet():
     mesh = marching_cubes(plane, GridSpec(16))
     assert not mesh.is_empty()
     assert np.max(np.abs(mesh.vertices[:, 2])) <= 1e-9
+
+
+# corner offsets in the order of their case bits, as surface._extract sets them
+CASE_BIT_CORNERS = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
+                    (0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+
+
+def test_triangle_table_uses_exactly_the_sign_change_edges():
+    """In each of the 256 cases the row holds triples of distinct edges
+    0-11, padded with -1, and the edges its triangles use are exactly the
+    case's sign-change edges; so only cases 0 and 255 have none, and
+    HAS_TRIANGLES, the only case mask extraction reads, is the edge
+    bitmask table's `!= 0`."""
+    for case in range(256):
+        row = TRI_TABLE[case]
+        n = int(np.count_nonzero(row >= 0))
+        assert n % 3 == 0 and np.all(row[n:] == -1), case
+        triangles = row[:n].reshape(-1, 3)
+        assert np.all(triangles < 12), case
+        assert all(len(set(t)) == 3 for t in triangles.tolist()), case
+        inside = {c: case >> bit & 1 for bit, c in enumerate(CASE_BIT_CORNERS)}
+        changes = set()
+        for edge in range(12):
+            a = tuple(EDGE_ORIGIN[edge].tolist())
+            b = tuple(a[k] + (k == EDGE_AXIS[edge]) for k in range(3))
+            if inside[a] != inside[b]:
+                changes.add(edge)
+        assert set(triangles.ravel().tolist()) == changes, case
+        assert (n == 0) == (case in (0, 255)), case
+        assert HAS_TRIANGLES[case] == (n > 0), case
 
 
 def test_all_positive_field_gives_empty_mesh():
