@@ -370,6 +370,12 @@ class BasisField:
     def sdf(self, pts: np.ndarray) -> np.ndarray:
         return self.sdf_batch(pts)
 
+    def box_signs(self, edges: np.ndarray) -> np.ndarray:
+        """certify.box_signs(self, edges): the certified sign of the field
+        over the sub-boxes of K boxes, int8 (K, s, s, s)."""
+        from .certify import box_signs  # certify imports this module
+        return box_signs(self, edges)
+
     # -- checkpoint I/O --------------------------------------------------------
 
     def to_json_dict(self) -> dict:

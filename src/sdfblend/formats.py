@@ -1,6 +1,6 @@
-"""Geometry file I/O: OBJ meshes and ascii PLY point clouds.
+"""Geometry file I/O: OBJ meshes.
 
-Coordinates are written with 9 significant digits. Writers are
+Coordinates are written with 9 significant digits. The writer is
 deterministic: identical inputs produce identical bytes.
 """
 
@@ -8,8 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import CheckpointError
-from .geom import PointCloud, TriMesh
+from .geom import TriMesh
 
 
 def _rows(line: str, a: np.ndarray) -> str:
@@ -38,32 +37,3 @@ def read_obj(path) -> TriMesh:
                 tris.append(idx)
     return TriMesh(np.array(verts, dtype=np.float64).reshape(-1, 3),
                    np.array(tris, dtype=np.int64).reshape(-1, 3))
-
-
-def write_ply(cloud: PointCloud, path) -> None:
-    with open(path, "w") as f:
-        f.write("ply\nformat ascii 1.0\n")
-        f.write(f"element vertex {len(cloud)}\n")
-        f.write("property double x\nproperty double y\nproperty double z\n")
-        f.write("end_header\n")
-        f.write(_rows("%.9g %.9g %.9g\n", cloud.points))
-
-
-def read_ply(path) -> PointCloud:
-    with open(path) as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0].strip() != "ply":
-        raise CheckpointError(f"{path} is not a PLY file")
-    n = None
-    body_at = None
-    for i, line in enumerate(lines[1:], start=1):
-        parts = line.split()
-        if parts[:2] == ["element", "vertex"]:
-            n = int(parts[2])
-        if parts[:1] == ["end_header"]:
-            body_at = i + 1
-            break
-    if n is None or body_at is None:
-        raise CheckpointError(f"{path} has a malformed PLY header")
-    pts = [[float(x) for x in lines[body_at + k].split()[:3]] for k in range(n)]
-    return PointCloud(np.array(pts, dtype=np.float64))

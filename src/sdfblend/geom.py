@@ -29,6 +29,11 @@ SAMPLES_SCHEMA_VERSION = 1
 # largest entry of |R^T R - I| a primitive's rotation may have
 ROTATION_TOL = 1e-6
 
+# Grid window: at most this many points per `SceneSpec.sdf` call from
+# surfacing and from SceneSpec.box_signs (SceneSpec.sdf is not blocked,
+# unlike BasisField.sdf_batch), which bounds a scene oracle's memory.
+GRID_CHUNK = 65536
+
 # surface_points: a projected point is on the surface where |sdf| <= this,
 # after at most SURFACE_MAX_ITERS Newton steps along a central-difference
 # gradient of step SURFACE_GRAD_STEP
@@ -350,7 +355,7 @@ class SceneSpec:
     root: _Node
 
     def __post_init__(self):
-        self._validate(self.root)
+        self._scale = self._validate(self.root)
         lo, hi = self.root.bounds()
         if np.any(lo < -0.5 - 1e-9) or np.any(hi > 0.5 + 1e-9):
             raise SceneError(
@@ -358,35 +363,99 @@ class SceneSpec:
             )
 
     @staticmethod
-    def _validate(node: _Node) -> None:
+    def _validate(node: _Node) -> float:
+        """Raise SceneError unless every size of the tree is finite and > 0,
+        every `translate` a finite 3-vector and every `rotation` a finite,
+        orthonormal 3x3 array (which it becomes); return the largest
+        |translate| entry plus sizes of a primitive, for box_signs."""
         if isinstance(node, Primitive):
-            for name in _PRIM_SIZES[type(node)]:
-                v = np.atleast_1d(getattr(node, name))
-                if np.any(v <= 0.0):
-                    raise SceneError(f"{type(node).__name__}.{name} must be > 0")
+            name = type(node).__name__
+            sizes = 0.0
+            for size in _PRIM_SIZES[type(node)]:
+                v = np.atleast_1d(getattr(node, size))
+                if not np.all((v > 0.0) & np.isfinite(v)):
+                    raise SceneError(f"{name}.{size} must be finite and > 0")
+                sizes += float(np.sum(v))
+            node.translate = check_array(node.translate, (3,),
+                                         f"{name}.translate", SceneError)
             # _to_local applies R^T and bounds() maps corners with R: both
             # hold only for an orthogonal R (det -1 is still an isometry)
             if node.rotation is not None:
-                r = node.rotation
+                r = node.rotation = check_array(node.rotation, (3, 3),
+                                                f"{name}.rotation", SceneError)
                 err = np.abs(r.T @ r - np.eye(3)).max()
                 if not err <= ROTATION_TOL:
-                    raise SceneError(f"{type(node).__name__}.rotation is not "
-                                     f"orthonormal (max |R^T R - I| = {err:.3g})")
-            return
+                    raise SceneError(f"{name}.rotation is not orthonormal "
+                                     f"(max |R^T R - I| = {err:.3g})")
+            return float(np.abs(node.translate).max()) + sizes
         if isinstance(node, _Combine):
             if not node.children:
                 raise SceneError("combine node has no children")
             if node.kind == "difference" and len(node.children) < 2:
                 raise SceneError("difference needs at least two children")
-            for c in node.children:
-                SceneSpec._validate(c)
-            return
+            return max(SceneSpec._validate(c) for c in node.children)
         raise SceneError(f"unknown scene node {type(node).__name__}")
 
     def sdf(self, pts: np.ndarray) -> np.ndarray:
         """Signed distance (bound) for an (n, 3) array of query points."""
         pts = np.asarray(pts, dtype=np.float64)
         return self.root.sdf(pts)
+
+    def box_signs(self, edges: np.ndarray) -> np.ndarray:
+        """Certified sign of the scene over the sub-boxes of K closed boxes,
+        with the contract of certify.box_signs: `edges`, (K, 3, s + 1),
+        splits box k along axis a at the coordinates edges[k, a], and the
+        result, int8 (K, s, s, s), is +1 where `sdf` gives a finite value
+        >= 0 at every point of the sub-box, -1 where it gives a finite value
+        < 0, and 0 where neither is proven. A sub-box with computed midpoint
+        m and half-widths r takes the sign of v = sdf(m) where |v| > L ||r||_2
+        + margin, L = 1 + 2 ROTATION_TOL, margin = 2^-40 S + tiny, S the
+        largest |m_a| + r_a plus the scene's largest |translate| entry plus
+        sizes of a primitive (`_scale`). `sdf` sees at most GRID_CHUNK
+        midpoints a call.
+
+        Proof. Let phi be `sdf` in exact arithmetic on the stored numbers.
+        Each primitive's local SDF is 1-Lipschitz in q (the torus and the
+        cylinder apply a 1-Lipschitz 2-D function to (|q_xy| - R, q_z) and
+        (|q_xy| - r, |q_z| - h), both 1-Lipschitz maps of q), q = (x - t)
+        R, and min, max and negation keep a Lipschitz constant.
+        _validate bounds each entry of R^T R - I by ROTATION_TOL, up to the
+        rounding of its check (a few eps), so ||R||_2^2 <= 1 + 3
+        ROTATION_TOL + 32 eps and ||R||_2 < L: phi is L-Lipschitz. Let x
+        lie in the sub-box [lo, hi]. lo <= m <= hi, since rounding is
+        monotone, so |x_a| <= (1 + eps) (|m_a| + r_a), |x_a - t_a| <= (1 +
+        eps) S and ||q||_2 < 2 S. In the evaluation at x every number is
+        at most 4 S in magnitude; q errs by at most 16 eps S in norm, each
+        of the few rounded operations of a local SDF by eps of its result
+        (2^-1074 in the subnormal range), and the 1-Lipschitz steps pass an
+        error on unamplified, so |sdf(x) - phi(x)| < 2^-46 S + tiny / 4;
+        min and max are exact. Also ||x - m||_2 <= (1 + eps) ||r||_2 <=
+        (1 + eps) sqrt(3) S. So sdf(x) > phi(m) - L ||x - m||_2 - 2^-46 S
+        - tiny / 4 > v - L ||r||_2 - 2^-44 S - tiny / 2, and the computed
+        threshold errs by less than 16 eps (L ||r||_2 + margin): a v above
+        it gives sdf(x) > 0, and a v below minus it sdf(x) < 0 the same
+        way. With S <= 2^500 no square overflows, so sdf(x) is finite; a
+        larger S or a NaN never certifies.
+        """
+        edges = np.asarray(edges, dtype=np.float64)
+        s = edges.shape[2] - 1
+        lo, hi = edges[..., :-1], edges[..., 1:]
+        mid = 0.5 * (lo + hi)
+        rad = np.maximum(hi - mid, mid - lo)
+        lip = 1.0 + 2.0 * ROTATION_TOL
+        out = np.zeros(len(edges) * s ** 3, dtype=np.int8)
+        for w in range(0, len(out), GRID_CHUNK):
+            box, *ijk = np.unravel_index(np.arange(w, min(w + GRID_CHUNK, len(out))),
+                                         (len(edges), s, s, s))
+            m = np.stack([mid[box, a, ijk[a]] for a in range(3)], axis=1)
+            r = np.stack([rad[box, a, ijk[a]] for a in range(3)], axis=1)
+            scale = np.max(np.abs(m) + r, axis=1) + self._scale
+            bound = (lip * np.sqrt(np.sum(r * r, axis=1)) + 2.0 ** -40 * scale
+                     + np.finfo(np.float64).tiny)
+            bound[~(scale <= 2.0 ** 500)] = np.inf
+            v = self.sdf(m)
+            out[w:w + len(v)] = (v > bound).view(np.int8) - (v < -bound).view(np.int8)
+        return out.reshape(len(edges), s, s, s)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.root.bounds()

@@ -7,14 +7,18 @@ table. Vertices are emitted in sorted global-edge order and cells are
 processed in lexicographic order, so output is deterministic. Triangle
 winding is chosen so normals point toward positive field values.
 
-A BasisField is evaluated only at the corners of cells whose sign
-`certify.box_signs` cannot prove. Each bound pass over a level of cell
-blocks signs, from their linear bounds, the blocks of the next level
-inside them, and the last level's pass signs single cells. The
-other corners hold a placeholder of their cells' sign, which is all
-marching cubes reads of them. The cell signs (CellSigns) outlive the
-corner values: `metrics.iou` takes a sample's sign from its certified
-cell. Any other evaluable (a scene) is evaluated at every corner.
+An evaluable has `sdf(points)`, `bounds()` (read by metrics.iou) and
+`box_signs(edges)`, which proves the sign of its `sdf` over sub-boxes of
+boxes with the contract of `certify.box_signs`: a field from linear
+bounds of its decoder (`certify.box_signs`), a scene from the Lipschitz
+bound of its SDF (`SceneSpec.box_signs`); one that returns zeros
+certifies nothing, and is evaluated at every corner. Each pass over
+a level of cell blocks signs the blocks of the next level inside them,
+and the last level's pass signs single cells; only the corners of cells
+left unsigned are evaluated. The other corners hold a placeholder of
+their cells' sign, which is all marching cubes reads of them. The cell
+signs (CellSigns) outlive the corner values: `metrics.iou` takes a
+sample's sign from its certified cell.
 """
 
 from __future__ import annotations
@@ -24,16 +28,10 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .certify import box_signs
 from .errors import GridError
-from .field import DEFAULT_FIELD_BOUNDS, BasisField
-from .geom import TriMesh
+from .field import DEFAULT_FIELD_BOUNDS
+from .geom import GRID_CHUNK, TriMesh
 from .mc_tables import EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
-
-# Flat-grid window of _sample_grid: at most this many corners per
-# `evaluable.sdf` call, which bounds a scene oracle's memory (SceneSpec.sdf
-# is not blocked, unlike BasisField.sdf_batch).
-GRID_CHUNK = 65536
 
 # Cells per block edge at each bound pass of _cell_signs: blocks of 8^3
 # cells, whose pass also signs their 4^3 sub-blocks, then the 4^3 blocks
@@ -85,16 +83,13 @@ def _cell_signs(evaluable, axes) -> np.ndarray:
     """Certified sign per cell (+1, -1, or 0 where unproven), int8.
 
     Blocks of CERTIFY_BLOCKS[0] cells per axis go first through
-    `box_signs`, which signs the blocks of the next size inside each of
-    them; the blocks left open go through again at the next size, and at
-    the last level they are split into single cells. Blocks at the far
-    faces are cut to the grid, and their sub-blocks take their
-    coordinates from `axes`. Only a BasisField is
-    certified; any other evaluable certifies nothing.
+    `evaluable.box_signs`, which signs the blocks of the next size inside
+    each of them; the blocks left open go through again at the next size,
+    and at the last level they are split into single cells. Blocks at the
+    far faces are cut to the grid, and their sub-blocks take their
+    coordinates from `axes`.
     """
     cells = tuple(len(a) - 1 for a in axes)
-    if not isinstance(evaluable, BasisField):
-        return np.zeros(cells, dtype=np.int8)
     size = CERTIFY_BLOCKS[0]
     sign = np.zeros(tuple(-(-c // size) for c in cells), dtype=np.int8)
     for sub in CERTIFY_BLOCKS[1:] + (1,):
@@ -108,7 +103,7 @@ def _cell_signs(evaluable, axes) -> np.ndarray:
             edges = np.stack([axes[a][ends[:, a]] for a in range(3)], axis=1)
             blocks = nxt.reshape(sign.shape[0], s, sign.shape[1], s,
                                  sign.shape[2], s).transpose(0, 2, 4, 1, 3, 5)
-            blocks[tuple(open_blocks.T)] = box_signs(evaluable, edges)
+            blocks[tuple(open_blocks.T)] = evaluable.box_signs(edges)
         sign = nxt[tuple(slice(-(-c // sub)) for c in cells)]
         size = sub
     return sign
@@ -125,7 +120,7 @@ def _expand(a: np.ndarray, factor: int) -> np.ndarray:
 class CellSigns:
     """The certified sign of a field over each closed cell of a grid.
 
-    `sign` is int8 per cell: +1 where `sdf_batch` gives a finite value >= 0
+    `sign` is int8 per cell: +1 where `sdf` gives a finite value >= 0
     at every point of the cell, -1 where it gives a finite value < 0, and
     0 where neither is proven. `axes` are the grid's corner coordinates.
     """

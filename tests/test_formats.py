@@ -1,13 +1,11 @@
-"""OBJ and PLY round trips."""
+"""OBJ round trips."""
 
 from types import SimpleNamespace
 
 import numpy as np
-import pytest
 
-from sdfblend.errors import CheckpointError
-from sdfblend.formats import read_obj, read_ply, write_obj, write_ply
-from sdfblend.geom import PointCloud, SceneSpec, Sphere, TriMesh
+from sdfblend.formats import read_obj, write_obj
+from sdfblend.geom import SceneSpec, Sphere, TriMesh
 from sdfblend.surface import GridSpec, marching_cubes
 
 
@@ -39,33 +37,13 @@ def test_empty_mesh_obj(tmp_path):
     assert again.is_empty()
 
 
-def test_ply_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    cloud = PointCloud(rng.uniform(-0.5, 0.5, (37, 3)))
-    path = tmp_path / "c.ply"
-    write_ply(cloud, path)
-    again = read_ply(path)
-    assert np.allclose(cloud.points, again.points, atol=1e-8)
-
-
-def test_ply_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.ply"
-    path.write_text("not a ply\n")
-    with pytest.raises(CheckpointError):
-        read_ply(path)
-
-
-# the writers' earlier one-f-string-per-row form: the byte reference
+# the writer's earlier one-f-string-per-row form: the byte reference
 def _row_obj(mesh, path):
     with open(path, "w") as f:
         for v in mesh.vertices:
             f.write(f"v {v[0]:.9g} {v[1]:.9g} {v[2]:.9g}\n")
         for t in mesh.triangles:
             f.write(f"f {t[0] + 1} {t[1] + 1} {t[2] + 1}\n")
-
-
-def _row_ply_body(cloud):
-    return "".join(f"{p[0]:.9g} {p[1]:.9g} {p[2]:.9g}\n" for p in cloud.points)
 
 
 EDGE_COORDS = np.array([[-0.0, 0.0, 1e-300], [123456789.5, -123456789.5, 5e-324],
@@ -85,9 +63,3 @@ def test_obj_bytes_match_the_row_writer(tmp_path):
     assert b"v -0 0 1e-300\nv 123456790 -123456790 4.94065646e-324\n" in \
         (tmp_path / "new.obj").read_bytes()
 
-
-def test_ply_bytes_match_the_row_writer(tmp_path):
-    cloud = PointCloud(EDGE_COORDS)
-    write_ply(cloud, tmp_path / "c.ply")
-    assert (tmp_path / "c.ply").read_text().endswith(
-        "end_header\n" + _row_ply_body(cloud))

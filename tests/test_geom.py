@@ -1,5 +1,6 @@
 """Scenes, oracles and sampling."""
 
+import itertools
 import json
 
 import numpy as np
@@ -8,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from sdfblend.errors import SamplingError, SceneError
 from sdfblend.geom import (
-    Box, Capsule, Cylinder, PointCloud, SampleSet, SceneSpec, Sphere, Torus,
-    difference, farthest_point_sample, intersection, positive_points,
-    sample_mesh_surface, sample_training_set, scene_sdf, surface_points,
-    union,
+    ROTATION_TOL, Box, Capsule, Cylinder, PointCloud, SampleSet, SceneSpec,
+    Sphere, Torus, _numeric_gradient, difference, farthest_point_sample,
+    intersection, positive_points, sample_mesh_surface, sample_training_set,
+    scene_sdf, surface_points, union,
 )
 
 
@@ -160,6 +161,173 @@ def test_scene_writer_spells_every_primitive_as_the_reader_does():
     assert [type(c) for c in scene.root.children] == [Sphere, Box, Torus,
                                                       Cylinder, Capsule]
     assert json.dumps(scene.to_json_dict()) == json.dumps(doc)
+
+
+def test_scenes_built_in_code_are_checked_as_loaded_ones():
+    """Non-finite sizes, translations and rotations are refused also where
+    a scene is built in code, and a rotation given as nested lists becomes
+    a (3, 3) float64 array."""
+    for prim in [Sphere(radius=np.nan), Sphere(radius=np.inf),
+                 Box(half_extents=[0.1, np.nan, 0.1]),
+                 Torus(major_radius=0.2, minor_radius=np.inf),
+                 Sphere(radius=0.2, translate=[np.nan, 0, 0]),
+                 Sphere(radius=0.2, rotation=np.full((3, 3), np.nan)),
+                 Sphere(radius=0.2, rotation=[[1.0, 0.0], [0.0, 1.0]])]:
+        with pytest.raises(SceneError):
+            SceneSpec(root=prim)
+    box = Box(half_extents=[0.1, 0.2, 0.3],
+              rotation=[[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    scene = SceneSpec(root=box)
+    assert box.rotation.dtype == np.float64 and box.rotation.shape == (3, 3)
+    assert scene_sdf(scene, (0.0, 0.0, 0.0)) == pytest.approx(-0.1)
+
+
+# ---------------------------------------------------------------------------
+# SceneSpec.box_signs
+
+
+def _perturbed_rotation(rng):
+    """A random rotation or reflection Q, exact, or stretched so that
+    _validate still accepts it: along its axes by up to 0.49 ROTATION_TOL
+    (by at least 0.3 ROTATION_TOL on every axis one time in four), or to
+    R^T R = I + 0.99 ROTATION_TOL J (J all ones), whose norm 1 + 1.485
+    ROTATION_TOL is near the largest that _validate accepts."""
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    kind = rng.integers(4)
+    if kind == 0:
+        return q
+    if kind == 3:
+        c = (np.sqrt(1.0 + 3 * 0.99 * ROTATION_TOL) - 1.0) / 3.0
+        return q @ (np.eye(3) + c)
+    lo = -0.49 if kind == 1 else 0.3
+    return q * (1.0 + rng.uniform(lo, 0.49, 3) * ROTATION_TOL)
+
+
+def _random_primitive(rng):
+    """A primitive of a random type, rotated three times in four; its
+    bounds stay inside the unit cube whatever its rotation."""
+    common = {"translate": rng.uniform(-0.15, 0.15, 3)}
+    if rng.uniform() < 0.75:
+        common["rotation"] = _perturbed_rotation(rng)
+    u = rng.uniform
+    return [Sphere(radius=u(0.05, 0.18), **common),
+            Box(half_extents=u(0.03, 0.15, 3), **common),
+            Torus(major_radius=u(0.06, 0.12), minor_radius=u(0.02, 0.04), **common),
+            Cylinder(radius=u(0.03, 0.12), half_height=u(0.03, 0.12), **common),
+            Capsule(radius=u(0.02, 0.08), half_height=u(0.02, 0.1), **common),
+            ][rng.integers(5)]
+
+
+def _random_scene(rng):
+    """A union, intersection or difference of a primitive and a nested
+    combination of two or three primitives."""
+    kinds = (union, intersection, difference)
+    inner = kinds[rng.integers(3)](*[_random_primitive(rng)
+                                     for _ in range(rng.integers(2, 4))])
+    outer = kinds[rng.integers(3)]
+    return SceneSpec(root=outer(_random_primitive(rng), inner)
+                     if rng.uniform() < 0.5 else outer(inner, _random_primitive(rng)))
+
+
+def _scene_surface(rng, scene, n):
+    """n points on the surface of the scene, Newton-refined onto its zero
+    level set; none where it has no surface."""
+    try:
+        p = surface_points(scene, n, int(rng.integers(2 ** 31))).points
+    except SamplingError:
+        return np.zeros((0, 3))
+    for _ in range(2):
+        g = _numeric_gradient(scene, p)
+        p = p - (scene.sdf(p) / np.sum(g * g, axis=1))[:, None] * g
+    return p
+
+
+def _surface_boxes(rng, scene, p, width):
+    """Boxes of half-diagonal h = width[k] with one corner a distance
+    0.1 ROTATION_TOL h inside (or outside) the surface point p[k] of the
+    scene, and the midpoint h from that corner along the surface normal, so
+    that the scene's value there exceeds h (or is below -h) wherever the
+    scene stretches by more than 0.1 ROTATION_TOL: a certificate with
+    Lipschitz constant 1 signs them wrongly. Returns (lo, hi)."""
+    g = _numeric_gradient(scene, p)
+    norm = np.linalg.norm(g, axis=1)[:, None]
+    n = g / norm
+    side = np.where(rng.uniform(size=(len(p), 1)) < 0.5, 1.0, -1.0)
+    h = width[:, None]
+    corner = p - side * (0.1 * ROTATION_TOL * h / norm) * n
+    mid = corner + side * h * n
+    rad = h * np.abs(n)
+    return mid - rad, mid + rad
+
+
+def _sub_box_points(rng, edges, n_inner):
+    """The 8 corners and n_inner uniform points of every sub-box of `edges`,
+    (K, s^3, 8 + n_inner, 3)."""
+    k, s = len(edges), edges.shape[2] - 1
+    ijk = np.array(list(itertools.product(range(s), repeat=3)))
+    sub_lo = np.stack([edges[:, a, ijk[:, a]] for a in range(3)], axis=-1)
+    sub_hi = np.stack([edges[:, a, ijk[:, a] + 1] for a in range(3)], axis=-1)
+    t = np.concatenate([
+        np.broadcast_to(np.array(list(itertools.product((0.0, 1.0), repeat=3))),
+                        (k, len(ijk), 8, 3)),
+        rng.uniform(size=(k, len(ijk), n_inner, 3)),
+    ], axis=2)
+    return np.clip(sub_lo[:, :, None] + t * (sub_hi - sub_lo)[:, :, None],
+                   sub_lo[:, :, None], sub_hi[:, :, None])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), split=st.sampled_from([1, 2, 4, 8]))
+def test_scene_box_signs_never_contradict_the_scene(seed, split):
+    """No corner or random point of a sub-box that SceneSpec.box_signs
+    signs has the other sign: random CSG scenes of every primitive type,
+    union, intersection and difference, with reflections and rotations
+    stretched up to ROTATION_TOL; boxes one cell to an 8^3 block wide at
+    resolution 128, in and out of the scene's bounds, split into split^3
+    sub-boxes, plus boxes placed on the surface so that a Lipschitz
+    constant of 1 signs them wrongly."""
+    rng = np.random.default_rng(seed)
+    scene = _random_scene(rng)
+    cell = 1.1 / 128
+    k = 64 // split
+    p = _scene_surface(rng, scene, 64 + k)
+    width = cell * 2.0 ** rng.uniform(0.0, 3.0, size=(k + len(p[64:]), 3))
+    # boxes anywhere, some out of the scene's bounds, and boxes that hold a
+    # surface point, split into sub-boxes
+    lo = np.concatenate([rng.uniform(-0.6, 0.6 - 8 * cell, size=(k, 3)),
+                         p[64:] - width[k:] * rng.uniform(size=(len(p[64:]), 3))])
+    hi = lo + width
+    edges = lo[..., None] + (hi - lo)[..., None] * np.linspace(0.0, 1.0, split + 1)
+    s_lo, s_hi = _surface_boxes(rng, scene, p[:64],
+                                cell * 2.0 ** rng.uniform(0.0, 3.0, len(p[:64])))
+    checked = 0
+    for e in (edges, np.stack([s_lo, s_hi], axis=2)):
+        signs = scene.box_signs(e).reshape(len(e), (e.shape[2] - 1) ** 3)
+        pts = _sub_box_points(rng, e, 4)
+        vals = scene.sdf(pts.reshape(-1, 3)).reshape(pts.shape[:3])
+        assert np.all(vals[signs == 1] >= 0)
+        assert np.all(vals[signs == -1] < 0)
+        checked += np.count_nonzero(signs)
+    assert checked
+
+
+def test_scene_box_signs_windows_equal_one_box_at_a_time(monkeypatch):
+    """160 boxes of 8^3 sub-boxes, 81,920 midpoints, reach `sdf` in calls of
+    at most GRID_CHUNK points, and sign as each box alone does."""
+    from sdfblend.geom import GRID_CHUNK
+    rng = np.random.default_rng(5)
+    scene = _random_scene(rng)
+    lo = rng.uniform(-0.6, 0.5, size=(160, 3))
+    edges = lo[..., None] + 0.1 * np.linspace(0.0, 1.0, 9)
+    calls = []
+    sdf = SceneSpec.sdf
+    monkeypatch.setattr(SceneSpec, "sdf", lambda self, p: calls.append(len(p))
+                        or sdf(self, p))
+    signs = scene.box_signs(edges)
+    assert max(calls) <= GRID_CHUNK < sum(calls) == 160 * 8 ** 3
+    assert signs.any()
+    np.testing.assert_array_equal(
+        signs, np.concatenate([scene.box_signs(e[None]) for e in edges]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,24 +10,31 @@ from sdfblend.autodiff import ROW_BLOCK
 from sdfblend.errors import GridError
 from sdfblend.field import BasisField, Decoder, FieldProgram
 from sdfblend.formats import write_obj
+from sdfblend.fixtures import chair_scene, sphere_scene
 from sdfblend.geom import SceneSpec, Sphere
 from sdfblend.gradcheck import random_field
 from sdfblend.mc_tables import EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
 from sdfblend.surface import (
     HAS_TRIANGLES, CellSigns, GridSpec, _sample_grid, marching_cubes,
 )
+from tests.test_geom import _random_scene
 
 BENCH_CHECKPOINT = Path(__file__).resolve().parents[1] / "bench" / "data" / "sphere_fit.json"
 
 
 class FnField:
-    """Adapter exposing a plain function as an sdf-evaluable."""
+    """Adapter exposing a plain function as an sdf-evaluable that
+    certifies nothing."""
 
     def __init__(self, fn):
         self.fn = fn
 
     def sdf(self, pts):
         return self.fn(np.asarray(pts, dtype=np.float64))
+
+    def box_signs(self, edges):
+        s = edges.shape[2] - 1
+        return np.zeros((len(edges), s, s, s), dtype=np.int8)
 
 
 def mesh_stats(mesh):
@@ -182,7 +189,7 @@ def test_extraction_is_deterministic():
 
 
 def dense(field):
-    """The dense oracle: exposes only `sdf`, so every corner is evaluated."""
+    """The dense oracle: certifies nothing, so every corner is evaluated."""
     return FnField(field.sdf)
 
 
@@ -211,6 +218,15 @@ CERTIFIED_CASES = {
     "skip_at res 37": (_skip_field, 37),
     "N=32 non-cubic": (lambda: random_field(np.random.default_rng(47), n_bases=32),
                        (37, 50, 29)),
+    # scenes: signed by the Lipschitz bound of SceneSpec.box_signs
+    "sphere res 64": (sphere_scene, 64),
+    "sphere res 128": (sphere_scene, 128),
+    "chair res 64": (chair_scene, 64),
+    "chair res 128": (chair_scene, 128),
+    # random CSG scenes of rotated and reflected primitives
+    "CSG res 29": (lambda: _random_scene(np.random.default_rng(1003)), 29),
+    "CSG res 40": (lambda: _random_scene(np.random.default_rng(1011)), 40),
+    "CSG non-cubic": (lambda: _random_scene(np.random.default_rng(1017)), (23, 37, 31)),
 }
 
 
@@ -311,19 +327,37 @@ def test_certified_grid_evaluates_under_130k_and_51k_corners(monkeypatch):
     assert sum(calls) <= 51_000
 
 
-def test_scene_grid_is_never_certified(monkeypatch):
-    """A scene is evaluated at every corner, without a call to box_signs."""
-    import sdfblend.surface as surface_mod
-    monkeypatch.setattr(surface_mod, "box_signs", lambda *a: pytest.fail(
-        "box_signs called for a scene"))
-    scene, grid = SceneSpec(root=Sphere(radius=0.4)), GridSpec(16)
+def test_scene_grid_at_128_evaluates_under_90k_corners(monkeypatch):
+    """The sphere scene's certificates leave at most 90,000 of the
+    2,146,689 corners of a resolution-128 grid to evaluate (88,096), and
+    those hold the values of a dense evaluation."""
+    scene, grid = sphere_scene(), GridSpec(128)
     pts = np.stack(np.meshgrid(*grid.axes(), indexing="ij"), axis=-1)
     ref = scene.sdf(pts.reshape(-1, 3))
-    calls = _count_sdf_points(monkeypatch, SceneSpec)
+    corners, signing = [], []
+    box_signs, sdf = SceneSpec.box_signs, SceneSpec.sdf
+
+    def count_box_signs(self, edges):
+        signing.append(True)
+        try:
+            return box_signs(self, edges)
+        finally:
+            signing.pop()
+
+    def count_corners(self, p):
+        if not signing:
+            corners.append(len(p))
+        return sdf(self, p)
+
+    monkeypatch.setattr(SceneSpec, "box_signs", count_box_signs)
+    monkeypatch.setattr(SceneSpec, "sdf", count_corners)
     vals, cells = _sample_grid(scene, grid)
-    assert sum(calls) == 17 ** 3
-    assert not cells.sign.any()
-    np.testing.assert_array_equal(vals.reshape(-1), ref)
+    assert sum(corners) <= 90_000
+    vals = vals.reshape(-1)
+    open_corners = (vals != 1.0) & (vals != -1.0)
+    assert np.count_nonzero(open_corners) == sum(corners)
+    np.testing.assert_array_equal(vals[open_corners], ref[open_corners])
+    np.testing.assert_array_equal(vals < 0, ref < 0)
 
 
 def test_overflowing_field_still_names_the_first_corner():

@@ -12,6 +12,8 @@ JSON is equal write the same bytes for every artifact below:
 * `mesh` of the benchmark checkpoint at resolutions 128 and 64,
 * `eval` of it against the sphere at seeds 0 and 7,
 * `downsample` of it to 4 bases: checkpoint and indices file,
+* `eval` of the `compact_chair` checkpoint against the chair scene at
+  resolution 64, with 20,000 IoU and surface samples: a CSG reference,
 * `gradcheck` at seeds 0, 1 and 2 (default fixtures),
 
 and the stdout and stderr of every command but the fits, whose stderr
@@ -96,6 +98,12 @@ def artifact_hashes(tree: Path) -> dict[str, str]:
             runner.run(f"eval_seed{seed}", ["eval", checkpoint, str(scene),
                                             "--seed", str(seed), "--out",
                                             str(out)], [out])
+        chair = tmp / "compact_chair"
+        out = tmp / "eval_chair.json"
+        runner.run("eval_chair", ["eval", str(chair / "out" / "field.json"),
+                                  str(chair / "scene.json"), "--resolution", "64",
+                                  "--n-iou", "20000", "--n-surface", "20000",
+                                  "--out", str(out)], [out])
         outputs = [tmp / "down.json", tmp / "kept.json"]
         runner.run("downsample", ["downsample", checkpoint, "--keep", "4",
                                   "--out", str(outputs[0]),
