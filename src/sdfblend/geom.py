@@ -149,25 +149,13 @@ def _rotation_axis_angle(axis, degrees: float) -> np.ndarray:
     return np.eye(3) + s * K + (1.0 - c) * (K @ K)
 
 
-@dataclass
-class _Node:
-    def sdf(self, pts: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        raise NotImplementedError
-
-    def to_json_dict(self) -> dict:
-        raise NotImplementedError
-
-
 @dataclass(kw_only=True)
-class Primitive(_Node):
+class Primitive:
+    """A primitive's fields hold what it was built with until a SceneSpec
+    checks and converts them (SceneSpec._validate)."""
+
     translate: np.ndarray = field(default_factory=lambda: np.zeros(3))
     rotation: np.ndarray | None = None  # 3x3 world-from-local, or None
-
-    def __post_init__(self):
-        self.translate = np.asarray(self.translate, dtype=np.float64).reshape(3)
 
     def _to_local(self, pts: np.ndarray) -> np.ndarray:
         q = pts - self.translate
@@ -175,18 +163,11 @@ class Primitive(_Node):
             q = q @ self.rotation  # (R^T q^T)^T
         return q
 
-    def _local_sdf(self, q: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _local_bounds(self) -> np.ndarray:
-        """Half-extents of the axis-aligned local bounding box."""
-        raise NotImplementedError
-
     def sdf(self, pts: np.ndarray) -> np.ndarray:
         return self._local_sdf(self._to_local(pts))
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        he = self._local_bounds()
+        he = self._local_bounds()  # half-extents of the local bounding box
         corners = he * np.array([[sx, sy, sz] for sx in (-1, 1)
                                  for sy in (-1, 1) for sz in (-1, 1)])
         if self.rotation is not None:
@@ -222,10 +203,6 @@ class Sphere(Primitive):
 @dataclass(kw_only=True)
 class Box(Primitive):
     half_extents: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.half_extents = np.asarray(self.half_extents, dtype=np.float64).reshape(3)
 
     def _local_sdf(self, q):
         d = np.abs(q) - self.half_extents
@@ -289,7 +266,7 @@ class Capsule(Primitive):
 
 
 @dataclass(kw_only=True)
-class _Combine(_Node):
+class _Combine:
     children: list = field(default_factory=list)
     kind: str = "union"
 
@@ -346,13 +323,14 @@ _PRIM_SIZES = {
 }
 _PRIM_TYPES = {"sphere": Sphere, "box": Box, "torus": Torus,
                "cylinder": Cylinder, "capsule": Capsule}
+_COMBINE_KINDS = ("union", "intersection", "difference")
 
 
 @dataclass
 class SceneSpec:
     """Analytic CSG scene acting as a ground-truth SDF oracle."""
 
-    root: _Node
+    root: Primitive | _Combine
 
     def __post_init__(self):
         self._scale = self._validate(self.root)
@@ -363,18 +341,28 @@ class SceneSpec:
             )
 
     @staticmethod
-    def _validate(node: _Node) -> float:
-        """Raise SceneError unless every size of the tree is finite and > 0,
-        every `translate` a finite 3-vector and every `rotation` a finite,
-        orthonormal 3x3 array (which it becomes); return the largest
-        |translate| entry plus sizes of a primitive, for box_signs."""
+    def _validate(node) -> float:
+        """The one check of a scene's nodes, whether read from JSON or built
+        in code: raise SceneError, naming the field as `Type.field`, unless
+        every scalar size is a finite number > 0 (it becomes a float), every
+        `half_extents` and `translate` a finite 3-vector (it becomes a
+        float64 array), with `half_extents` > 0, every `rotation` None or a
+        finite, orthonormal 3x3 array (it becomes a float64 one), and every
+        combine node a union, intersection or difference of enough
+        children. Return the largest |translate| entry plus sizes of a
+        primitive, for box_signs."""
+        name = type(node).__name__
         if isinstance(node, Primitive):
-            name = type(node).__name__
             sizes = 0.0
             for size in _PRIM_SIZES[type(node)]:
-                v = np.atleast_1d(getattr(node, size))
-                if not np.all((v > 0.0) & np.isfinite(v)):
-                    raise SceneError(f"{name}.{size} must be finite and > 0")
+                what = f"{name}.{size}"
+                v = getattr(node, size)
+                v = (check_array(v, (3,), what, SceneError) if size == "half_extents"
+                     else float(check_number(v, what, -np.inf, error=SceneError)))
+                if not np.all(v > 0.0):
+                    raise SceneError(f"{what} must be > 0, "
+                                     f"got {np.asarray(v).tolist()}")
+                setattr(node, size, v)
                 sizes += float(np.sum(v))
             node.translate = check_array(node.translate, (3,),
                                          f"{name}.translate", SceneError)
@@ -389,12 +377,15 @@ class SceneSpec:
                                      f"(max |R^T R - I| = {err:.3g})")
             return float(np.abs(node.translate).max()) + sizes
         if isinstance(node, _Combine):
+            if node.kind not in _COMBINE_KINDS:
+                raise SceneError(f"{name}.kind must be one of {_COMBINE_KINDS}, "
+                                 f"got {node.kind!r}")
             if not node.children:
                 raise SceneError("combine node has no children")
             if node.kind == "difference" and len(node.children) < 2:
                 raise SceneError("difference needs at least two children")
             return max(SceneSpec._validate(c) for c in node.children)
-        raise SceneError(f"unknown scene node {type(node).__name__}")
+        raise SceneError(f"unknown scene node {name}")
 
     def sdf(self, pts: np.ndarray) -> np.ndarray:
         """Signed distance (bound) for an (n, 3) array of query points."""
@@ -484,10 +475,12 @@ class SceneSpec:
             f.write("\n")
 
 
-def _node_from_json(doc: dict) -> _Node:
+def _node_from_json(doc: dict) -> Primitive | _Combine:
+    """The node of a scene document, built as code would build it: its
+    fields are checked where SceneSpec._validate checks the whole tree."""
     check_json(doc, dict, "scene node", SceneError)
     kind = doc.get("type")
-    if kind in ("union", "intersection", "difference"):
+    if kind in _COMBINE_KINDS:
         children = check_json(doc.get("children", []), list,
                               f"scene {kind} children", SceneError)
         return _Combine(children=[_node_from_json(c) for c in children], kind=kind)
@@ -495,27 +488,20 @@ def _node_from_json(doc: dict) -> _Node:
         raise SceneError(f"unknown scene node type {kind!r}")
     prim = _PRIM_TYPES[kind]
     try:
-        common = {}
-        if "translate" in doc:
-            common["translate"] = check_array(doc["translate"], (3,),
-                                              f"scene {kind} translate", SceneError)
-        if "rotation" in doc:
-            common["rotation"] = check_array(doc["rotation"], (3, 3),
-                                             f"scene {kind} rotation", SceneError)
-        elif "rotate" in doc:
+        args = {name: doc[name] for name in _PRIM_SIZES[prim]}
+        if "rotate" in doc and "rotation" not in doc:
             rot = check_json(doc["rotate"], dict, f"scene {kind} rotate", SceneError)
-            common["rotation"] = _rotation_axis_angle(
+            args["rotation"] = _rotation_axis_angle(
                 check_array(rot["axis"], (3,), f"scene {kind} rotate axis", SceneError),
                 float(check_number(rot["degrees"], f"scene {kind} rotate degrees",
                                    -np.inf, error=SceneError)))
-        sizes = {name: (check_array(doc[name], (3,), f"scene {kind} {name}", SceneError)
-                        if name == "half_extents"
-                        else float(check_number(doc[name], f"scene {kind} {name}",
-                                                 -np.inf, error=SceneError)))
-                 for name in _PRIM_SIZES[prim]}
     except KeyError as e:
         raise SceneError(f"{kind} node is missing field {e}") from e
-    return prim(**sizes, **common)
+    # a JSON null is no rotation matrix: only a missing one means none
+    if doc.get("rotation", 0) is None:
+        raise SceneError(f"{prim.__name__}.rotation is null, expected a 3x3 array")
+    args.update((k, doc[k]) for k in ("translate", "rotation") if k in doc)
+    return prim(**args)
 
 
 def scene_sdf(scene: SceneSpec, x) -> float:

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, check_array, check_number
 from .field import DEFAULT_FIELD_BOUNDS
 from .geom import GRID_CHUNK, TriMesh
 from .mc_tables import EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
@@ -53,18 +53,16 @@ class GridSpec:
     hi: np.ndarray = dc_field(default_factory=DEFAULT_FIELD_BOUNDS[1].copy)
 
     def __post_init__(self):
-        if np.isscalar(self.resolution):
-            self.resolution = (int(self.resolution),) * 3
-        else:
-            self.resolution = tuple(int(r) for r in self.resolution)
-        self.lo = np.asarray(self.lo, dtype=np.float64).reshape(3)
-        self.hi = np.asarray(self.hi, dtype=np.float64).reshape(3)
-        if min(self.resolution) < MIN_RESOLUTION:
-            raise GridError(f"resolution {self.resolution} below minimum "
-                            f"{MIN_RESOLUTION}")
-        if not np.all(np.isfinite((self.lo, self.hi))):
-            raise GridError(f"grid box bounds must be finite, got lo "
-                            f"{self.lo.tolist()}, hi {self.hi.tolist()}")
+        res = self.resolution
+        res = [res] if np.ndim(res) == 0 else list(res)
+        if len(res) not in (1, 3):
+            raise GridError(f"resolution has {len(res)} entries, expected 1 or 3")
+        self.resolution = tuple(
+            check_number(r, "resolution", MIN_RESOLUTION, integer=True,
+                         error=GridError)
+            for r in (res * 3 if len(res) == 1 else res))
+        self.lo = check_array(self.lo, (3,), "grid lo", GridError)
+        self.hi = check_array(self.hi, (3,), "grid hi", GridError)
         if np.any(self.hi <= self.lo):
             raise GridError("grid box is empty")
 

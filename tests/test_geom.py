@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sdfblend.errors import SamplingError, SceneError
 from sdfblend.geom import (
     ROTATION_TOL, Box, Capsule, Cylinder, PointCloud, SampleSet, SceneSpec,
-    Sphere, Torus, _numeric_gradient, difference, farthest_point_sample,
+    Sphere, Torus, _Combine, _numeric_gradient, difference, farthest_point_sample,
     intersection, positive_points, sample_mesh_surface, sample_training_set,
     scene_sdf, surface_points, union,
 )
@@ -106,12 +106,14 @@ def test_scene_validation_errors():
     ({"type": "box", "half_extents": [0.1, 0.1, 0.1],
       "rotation": [[0.5, 0, 0], [0, 0.5, 0], [0, 0, 0.5]]},
      "Box.rotation is not orthonormal"),
+    ({"type": "sphere", "radius": 0.2, "rotation": None},
+     "Sphere.rotation is null"),
     ({"type": "union", "children": 3}, "children is a int"),
     ({"type": "union", "children": [[]]}, "scene node is a list"),
     ({"type": ["sphere"]}, "unknown scene node type"),
 ], ids=["nan_radius", "nan_translate", "extents_shape", "rotate_kind",
-        "shear_rotation", "scale_rotation", "children_kind", "node_kind",
-        "type_kind"])
+        "shear_rotation", "scale_rotation", "null_rotation", "children_kind",
+        "node_kind", "type_kind"])
 def test_scene_document_rejects_malformed_values(root, message):
     """Every malformed scene fails where it is loaded, never later as a
     non-finite or shapeless evaluation."""
@@ -182,6 +184,44 @@ def test_scenes_built_in_code_are_checked_as_loaded_ones():
     assert scene_sdf(scene, (0.0, 0.0, 0.0)) == pytest.approx(-0.1)
 
 
+@pytest.mark.parametrize("make, message, root, json_message", [
+    (lambda: Box(half_extents=[0.1, 0.1]), "Box.half_extents has shape",
+     {"type": "box", "half_extents": [0.1, 0.1]}, None),
+    (lambda: Box(half_extents=["0.1", 0.1, 0.1]),
+     "Box.half_extents holds entries that are not numbers",
+     {"type": "box", "half_extents": ["0.1", 0.1, 0.1]}, None),
+    (lambda: Sphere(radius=0.2, translate=[0, 0]), "Sphere.translate has shape",
+     {"type": "sphere", "radius": 0.2, "translate": [0, 0]}, None),
+    (lambda: Sphere(radius="0.2"),
+     "Sphere.radius must be a finite number, got '0.2'",
+     {"type": "sphere", "radius": "0.2"}, None),
+    (lambda: Sphere(radius=[0.2]), "Sphere.radius must be a finite number",
+     {"type": "sphere", "radius": [0.2]}, None),
+    (lambda: Sphere(radius=True), "Sphere.radius must be a finite number",
+     {"type": "sphere", "radius": True}, None),
+    (lambda: Sphere(radius=-0.1), "Sphere.radius must be > 0",
+     {"type": "sphere", "radius": -0.1}, None),
+    (lambda: Box(half_extents=[0.1, 0.0, 0.1]), "Box.half_extents must be > 0",
+     {"type": "box", "half_extents": [0.1, 0.0, 0.1]}, None),
+    (lambda: _Combine(children=[Sphere(radius=0.1)], kind="xor"),
+     "_Combine.kind must be one of",
+     {"type": "xor", "children": [{"type": "sphere", "radius": 0.1}]},
+     "unknown scene node type 'xor'"),
+], ids=["extents_shape", "extents_string", "translate_shape", "radius_string",
+        "radius_list", "radius_bool", "radius_negative", "extents_zero",
+        "combine_kind"])
+def test_malformed_nodes_fail_in_the_scene_however_built(make, message, root,
+                                                          json_message):
+    """A malformed node can be built, and raises SceneError naming its
+    field when it is put in a SceneSpec, as the same node read from a scene
+    document does."""
+    node = make()
+    with pytest.raises(SceneError, match=message):
+        SceneSpec(root=node)
+    with pytest.raises(SceneError, match=json_message or message):
+        SceneSpec.from_json_dict({"version": 1, "root": root})
+
+
 # ---------------------------------------------------------------------------
 # SceneSpec.box_signs
 
@@ -203,9 +243,10 @@ def _perturbed_rotation(rng):
     return q * (1.0 + rng.uniform(lo, 0.49, 3) * ROTATION_TOL)
 
 
-def _random_primitive(rng):
-    """A primitive of a random type, rotated three times in four; its
-    bounds stay inside the unit cube whatever its rotation."""
+def _random_primitive(rng, kind=None):
+    """A primitive of a random type (or of type `kind`, an index into
+    Sphere, Box, Torus, Cylinder, Capsule), rotated three times in four;
+    its bounds stay inside the unit cube whatever its rotation."""
     common = {"translate": rng.uniform(-0.15, 0.15, 3)}
     if rng.uniform() < 0.75:
         common["rotation"] = _perturbed_rotation(rng)
@@ -215,7 +256,7 @@ def _random_primitive(rng):
             Torus(major_radius=u(0.06, 0.12), minor_radius=u(0.02, 0.04), **common),
             Cylinder(radius=u(0.03, 0.12), half_height=u(0.03, 0.12), **common),
             Capsule(radius=u(0.02, 0.08), half_height=u(0.02, 0.1), **common),
-            ][rng.integers(5)]
+            ][rng.integers(5) if kind is None else kind]
 
 
 def _random_scene(rng):
@@ -227,6 +268,41 @@ def _random_scene(rng):
     outer = kinds[rng.integers(3)]
     return SceneSpec(root=outer(_random_primitive(rng), inner)
                      if rng.uniform() < 0.5 else outer(inner, _random_primitive(rng)))
+
+
+def _respelled(prim, rng):
+    """`prim` with each field given as one of the spellings that code may
+    use: a list, a tuple or an array for a vector, a nested list for a
+    rotation, a Python, float64 or float32 number for a size."""
+    for name, value in vars(prim).items():
+        if value is None:
+            continue
+        spell = rng.integers(3)
+        if np.ndim(value) == 0:
+            value = (float, np.float64, np.float32)[spell](value)
+        elif spell < 2:
+            value = (np.asarray(value).tolist(), tuple(value))[spell]
+        setattr(prim, name, value)
+    return prim
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), order=st.permutations(range(5)),
+       kinds=st.lists(st.sampled_from([union, intersection, difference]),
+                      min_size=3, max_size=3))
+def test_scenes_built_in_code_round_trip_through_json(seed, order, kinds):
+    """A scene built in code from one primitive of every type, with
+    translations, rotations and reflections and fields spelled in any way
+    code may, writes JSON that reads back to a scene writing the same JSON,
+    whose `sdf` equals the first one's bit for bit."""
+    rng = np.random.default_rng(seed)
+    prims = [_respelled(_random_primitive(rng, k), rng) for k in order]
+    scene = SceneSpec(root=kinds[2](kinds[0](*prims[:2]), kinds[1](*prims[2:])))
+    text = json.dumps(scene.to_json_dict())
+    again = SceneSpec.from_json_dict(json.loads(text))
+    assert json.dumps(again.to_json_dict()) == text
+    pts = rng.uniform(-0.6, 0.6, (512, 3))
+    assert scene.sdf(pts).tobytes() == again.sdf(pts).tobytes()
 
 
 def _scene_surface(rng, scene, n):

@@ -166,6 +166,25 @@ def test_grid_validation():
         GridSpec(16, lo=[-np.inf] * 3)
 
 
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((8, 8), {}, "resolution has 2 entries"),
+    ("16", {}, "resolution must be an integer, got '16'"),
+    (8.9, {}, "resolution must be an integer, got 8.9"),
+    (np.inf, {}, "resolution must be an integer, got inf"),
+    (True, {}, "resolution must be an integer, got True"),
+    ((16, 16, 4), {}, "resolution must be >= 8, got 4"),
+    (16, {"lo": [0, 0]}, "grid lo has shape"),
+    (16, {"hi": [0.5, "0.5", 0.5]}, "grid hi holds entries that are not numbers"),
+], ids=["two_entries", "string", "fraction", "infinite", "bool", "low_entry",
+        "lo_shape", "hi_string"])
+def test_grid_spec_refuses_malformed_inputs(args, kwargs, message):
+    """A resolution is 1 or 3 integers >= MIN_RESOLUTION, never cast, and
+    the box corners finite 3-vectors; anything else raises GridError where
+    the grid is made."""
+    with pytest.raises(GridError, match=message):
+        GridSpec(args, **kwargs)
+
+
 def test_nonfinite_field_aborts_with_coordinate():
     def bad(p):
         v = p[:, 0].copy()

@@ -7,7 +7,10 @@ its `bench/run.py` writes the benchmark's job files. Two checkouts whose
 JSON is equal write the same bytes for every artifact below:
 
 * the `fit_sphere`, `compact_chair` and `refine_sphere` benchmark jobs at
-  seed 1: checkpoint and report,
+  seed 1: checkpoint and report, and the scene files that `SceneSpec.save`
+  writes for the first two,
+* `sample` of the sphere scene with 900 near-surface and 100 uniform
+  points: the sample set,
 * a single-basis fit of the sphere: checkpoint and report,
 * `mesh` of the benchmark checkpoint at resolutions 128 and 64,
 * `eval` of it against the sphere at seeds 0 and 7,
@@ -77,9 +80,16 @@ def artifact_hashes(tree: Path) -> dict[str, str]:
             plan = bench.write_inputs(job, tmp / job, 1, False)
             for cmd in plan.commands:
                 runner.run(job, cmd.argv, cmd.outputs, streams=False)
+        for job in ("fit_sphere", "compact_chair"):
+            runner.hashes[f"{job}/scene.json"] = _sha256(
+                (tmp / job / "scene.json").read_bytes())
+
+        scene = tmp / "fit_sphere" / "scene.json"
+        out = tmp / "samples.json"
+        runner.run("sample", ["sample", str(scene), "--n-near", "900",
+                              "--n-uniform", "100", "--out", str(out)], [out])
 
         # one basis: the blend's N = 1 path, which no benchmark job takes
-        scene = tmp / "fit_sphere" / "scene.json"
         outputs = [tmp / "field.json", tmp / "report.json"]
         fit = {**bench.SPHERE_FIT, "n_bases": 1, "steps": 20, "seed": 1}
         (tmp / "single.json").write_text(json.dumps({
