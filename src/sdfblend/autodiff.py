@@ -30,6 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import FieldError
+
 __all__ = [
     "Tape",
     "Var",
@@ -255,14 +257,19 @@ def absolute(a: Var):
     return _record(a.tape, np.abs(av), [(a, lambda g: g * s)])
 
 
-def sigmoid(a: Var):
-    """Numerically stable logistic function (no overflow at any magnitude)."""
-    av = np.atleast_1d(np.asarray(a.value, dtype=np.float64))
-    out = np.empty_like(av)
-    pos = av >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
-    e = np.exp(av[~pos])
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function of a float array (no overflow
+    at any magnitude); the value of sigmoid."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
     out[~pos] = e / (1.0 + e)
+    return out
+
+
+def sigmoid(a: Var):
+    out = logistic(np.atleast_1d(np.asarray(a.value, dtype=np.float64)))
     if np.ndim(a.value) == 0:
         out = float(out[0])
     return _record(a.tape, out, [(a, lambda g: g * out * (1.0 - out))])
@@ -333,6 +340,11 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
     them otherwise. A weight gradient sums over rows; dropping rows would
     regroup that sum, so a trainable weight or bias takes every row.
 
+    The input cotangent of a 1-wide layer (the decoder's output) is the
+    outer product g * w^T, then + 0.0 in place, where a GEMM of inner
+    dimension 1 would be: BLAS's one-term products never give -0.0, and
+    the add maps -0.0 to +0.0, so the two are equal bit for bit.
+
     The backward pass multiplies each ReLU mask into the cotangent in
     place: that array is always one the pass itself computed, so neither
     the incoming cotangent nor the stored activations change, and a second
@@ -390,7 +402,11 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
                 grads[2 + last + i] = g.sum(axis=0)
             if i < stop:
                 break
-            gh = g @ ws[i].T
+            if g.shape[1] == 1:  # a 1-wide layer: the outer product (see above)
+                gh = g * ws[i].T
+                gh += 0.0
+            else:
+                gh = g @ ws[i].T
             if i in skip_at:
                 k = ins[i].shape[1] - width_x
                 g = gh[:, :k]
@@ -522,17 +538,18 @@ def decoder_input(pts: np.ndarray, centers: Var, latents: Var,
     ])
 
 
-def domain_quadratic(x: Var, b1: Var, b2: Var, b3: Var, scales: Var,
-                     idx: np.ndarray) -> Var:
+def domain_quadratic(x: Var, rot: Var, scales: Var, idx: np.ndarray) -> Var:
     """u[r] = ||diag(scales[k]) R_k d_r||^2 with k = idx[r], R_k's columns
-    b1[k], b2[k], b3[k], and d_r the first three columns of row r of `x`
-    (a decoder_input), for the first len(idx) rows of `x`: (len(idx),).
+    rot[0, k], rot[1, k], rot[2, k] (a rotation_columns), and d_r the first
+    three columns of row r of `x` (a decoder_input), for the first len(idx)
+    rows of `x`: (len(idx),).
 
     One node for the chain that computes R_k d as b1 dx + b2 dy + b3 dz
     from column slices and gathered rows, then w = scale * (R_k d) and
     sum(w * w). Its VJP computes the arrays that chain's VJPs compute:
     w * w's two equal terms added (gw + gw), each gather's gradient as its
-    scatter (see _scatter_add), and each column's as the row sum, with two
+    scatter (see _scatter_add), the rotation's as the np.stack of its three
+    columns' scatters, and each column's of `x` as the row sum, with two
     adds (_sum3). That sum equals the chain's reduce up to the sign of a
     zero, which no scatter keeps (each bin's sum starts at +0.0), so values
     and gradients equal the chain's bit for bit."""
@@ -542,13 +559,13 @@ def domain_quadratic(x: Var, b1: Var, b2: Var, b3: Var, scales: Var,
     # every (row, axis) array is held as (3, rows): each op then runs on
     # long rows, where numpy would loop over rows of 3 elements
     d = [xv[:m, k] for k in range(3)]
-    c = [np.take(b.value.T, idx, axis=1) for b in (b1, b2, b3)]
+    c = [np.take(b.T, idx, axis=1) for b in rot.value]
     sg = np.take(scales.value.T, idx, axis=1)
     rd = d[0] * c[0] + d[1] * c[1]
     rd += d[2] * c[2]
     w = sg * rd
     u = _sum3((w * w).T)
-    operands = (x, b1, b2, b3, scales)
+    operands = (x, rot, scales)
     need = [_reached(v) for v in operands]
     if not any(need):
         return Var(x.tape, u)
@@ -558,22 +575,102 @@ def domain_quadratic(x: Var, b1: Var, b2: Var, b3: Var, scales: Var,
     def backprop(g):
         gw = g * w
         gw = gw + gw
-        grads = [None] * 5
-        if need[4]:
-            grads[4] = _scatter_add((gw * rd).T, idx, n)
-        if any(need[:4]):
+        grads = [None] * 3
+        if need[2]:
+            grads[2] = _scatter_add((gw * rd).T, idx, n)
+        if need[0] or need[1]:
             grd = gw * sg
-            gx = np.zeros(x_shape) if need[0] else None
-            for k in range(3):
-                if need[1 + k]:
-                    grads[1 + k] = _scatter_add((grd * d[k]).T, idx, n)
-                if need[0]:
-                    gx[:m, k] = _sum3((grd * c[k]).T)
-            grads[0] = gx
+            if need[1]:
+                grads[1] = np.stack([_scatter_add((grd * d[k]).T, idx, n)
+                                     for k in range(3)])
+            if need[0]:
+                grads[0] = np.zeros(x_shape)
+                for k in range(3):
+                    grads[0][:m, k] = _sum3((grd * c[k]).T)
         return grads
 
     return _record(x.tape, u, [(v, lambda r, k=k: r[k])
                                for k, v in enumerate(operands)], pre=backprop)
+
+
+def _check_norms(norms: np.ndarray, what: str) -> None:
+    bad = np.flatnonzero(norms < 1e-12)
+    if bad.size:
+        raise FieldError(f"degenerate rotation at basis {bad[0]}: {what}")
+
+
+def _add_columns(acc: np.ndarray, *columns) -> np.ndarray:
+    """acc plus, in turn, the VJP of each column slice (k, g_k) of a cols
+    chain: zeros but column k, which holds g_k."""
+    for k, gk in columns:
+        full = np.zeros_like(acc)
+        full[:, k] = gk
+        acc = acc + full
+    return acc
+
+
+def rotation_columns(r: Var) -> Var:
+    """The rotation columns b1, b2 and b3 = b1 x b2 of each row of an
+    (N, 6) stack, as one (3, N, 3) value: b1 the normalized first 3-vector
+    and b2 the normalized rejection of the second. Raises FieldError,
+    naming the first such row, where a norm is below 1e-12.
+
+    One node for the 30-node chain of the 6D Gram-Schmidt: column slices,
+    a * a, row sums, square roots, quotients, the projection, and the cross
+    product from (N, 1) column slices, concatenated. Its forward pass runs
+    that chain's numpy expressions in its order, and checks the norms
+    between the same steps. Its VJP computes the arrays the chain's VJPs
+    compute and adds each slot's terms in the order backward visits the
+    chain: b1 takes the external cotangent, then the cross product's z, y
+    and x columns, then the proj * b1 term, then the b1 . a2 term; a * a
+    adds its two equal terms one after the other. So values and gradients
+    equal the chain's bit for bit."""
+    rv = r.value
+    a1, a2 = rv[:, 0:3], rv[:, 3:6]
+    n1 = np.sqrt(np.sum(a1 * a1, axis=1, keepdims=True))
+    _check_norms(n1, "first vector ~ 0")
+    b1 = a1 / n1
+    proj = np.sum(b1 * a2, axis=1, keepdims=True)
+    res = a2 - proj * b1
+    n2 = np.sqrt(np.sum(res * res, axis=1, keepdims=True))
+    _check_norms(n2, "second vector parallel to first")
+    b2 = res / n2
+    (ax, ay, az), (bx, by, bz) = b1.T, b2.T
+    b3 = np.stack([ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx],
+                  axis=1)
+    out = np.stack([b1, b2, b3])
+    if not _reached(r):
+        return Var(r.tape, out)
+
+    # the closure holds arrays only (see mlp)
+    def backprop(g):
+        gx, gy, gz = g[2].T
+        # each cross-product column is t - t' of two column products: t
+        # takes +g, t' takes -g; the products were made in the order
+        # (ay bz, az by), (az bx, ax bz), (ax by, ay bx) and are visited back
+        g_b1 = _add_columns(g[0], (2, gy * bx + -gx * by),
+                            (1, -gz * bx + gx * bz), (0, gz * by + -gy * bz))
+        g_b2 = _add_columns(g[1], (2, -gy * ax + gx * ay),
+                            (1, gz * ax + -gx * az), (0, -gz * ay + gy * az))
+        g_res = g_b2 / n2
+        g_sq = np.sum(-g_b2 * res / (n2 * n2), axis=1, keepdims=True) * (0.5 / n2)
+        g_res = g_res + g_sq * res
+        g_res = g_res + g_sq * res
+        g_pb = -g_res
+        g_proj = np.sum(g_pb * b1, axis=1, keepdims=True)
+        g_b1 = g_b1 + g_pb * proj
+        g_b1 = g_b1 + g_proj * a2
+        g_a2 = g_res + g_proj * b1
+        g_a1 = g_b1 / n1
+        g_sq = np.sum(-g_b1 * a1 / (n1 * n1), axis=1, keepdims=True) * (0.5 / n1)
+        g_a1 = g_a1 + g_sq * a1
+        g_a1 = g_a1 + g_sq * a1
+        # the two column slices' zero-padded gradients, added
+        g_r = np.concatenate([g_a1, g_a2], axis=1)
+        g_r += 0.0
+        return g_r
+
+    return _record(r.tape, out, [(r, backprop)])
 
 
 def backward(tape: Tape, output: Var) -> dict[str, np.ndarray]:

@@ -61,11 +61,10 @@ def rotation_from_6d(r_raw: np.ndarray) -> np.ndarray:
 def rotations_from_6d(r_raw: np.ndarray) -> np.ndarray:
     """Vectorized rotation_from_6d over an (N, 6) stack; errors name the row.
 
-    Runs _rotation_columns on a tape of constants, so these are the bits
+    Runs ad.rotation_columns on a tape of constants, so these are the bits
     that every FieldProgram blends and selects with."""
     r = np.asarray(r_raw, dtype=np.float64).reshape(-1, 6)
-    cols = _rotation_columns(Tape().constant(r))
-    return np.stack([c.value for c in cols], axis=2)
+    return np.stack(tuple(ad.rotation_columns(Tape().constant(r)).value), axis=2)
 
 
 IDENTITY_ROT6 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
@@ -571,7 +570,10 @@ class FieldProgram:
     Puts `field.params`, every parameter of the field, on the tape without
     a copy: as a leaf if its name is in `trainable` (None: all) and as a
     constant otherwise, so the same program serves fitting,
-    frozen-parameter refinement and plain inference.
+    frozen-parameter refinement and plain inference. Then builds the three
+    per-field values, one tape node each: the effective centers, the
+    rotations (ad.rotation_columns, a (3, N, 3) stack of their columns) and
+    the domain scales.
     """
 
     def __init__(self, tape: Tape, field: BasisField,
@@ -581,14 +583,14 @@ class FieldProgram:
         self.leaves = leaves = field.params.leaves(tape, trainable)
         # per-field values, built once per program ahead of any per-point node
         self.eff_centers = ad.add(leaves["centers"], leaves["offsets"])
-        self.rot_cols = _rotation_columns(leaves["rot6s"])
+        self.rot = ad.rotation_columns(leaves["rot6s"])
         self.scales = ad.exp(leaves["log_scales"])
         # the domain maps of selection and certification: every A_i =
         # diag(scale_i) @ R_i stacked as one (3, 3N) matrix, a_stack[j, 3n+i]
         # = A[n, i, j], and the offsets A_i c_i (N, 3), so ||A_i (x - c_i)||^2
         # of every basis is one dgemm, (X @ a_stack).reshape(B, N, 3) - offsets
-        A = self.scales.value[:, :, None] * np.stack(
-            [c.value for c in self.rot_cols], axis=2)
+        A = self.scales.value[:, :, None] * np.stack(tuple(self.rot.value),
+                                                     axis=2)
         self.maps = (A.transpose(2, 0, 1).reshape(3, -1),
                      np.einsum("nij,nj->ni", A, self.eff_centers.value))
         self.n_fallback_total = 0
@@ -622,7 +624,7 @@ class FieldProgram:
         `inp`; g = exp(-u). One tape node (ad.domain_quadratic), which
         reads x - c from the first len(idx) rows of `inp`: a decoder_input
         whose rows start with the rows of idx."""
-        return ad.domain_quadratic(inp, *self.rot_cols, self.scales, idx)
+        return ad.domain_quadratic(inp, self.rot, self.scales, idx)
 
     def select(self, pts: np.ndarray, with_nearest: bool = False) -> Top2:
         """Top-2 selection of `pts` for a blend: counts its fallbacks and
@@ -640,37 +642,23 @@ class FieldProgram:
             self.tape.note_branch(nearest)
         return top2
 
-    def blend(self, pts: np.ndarray, with_nearest: bool = False,
-              top2: tuple | None = None) -> BlendResult:
-        """Top-2 blended field value over a batch of points. `with_nearest`
-        also gives the Euclidean-nearest basis value (`f_k`) from the same
-        stacked decoder pass, which decodes each (point, basis) pair once:
-        rows of p, rows of q, then rows of the nearest basis only where it
-        is neither p nor q. `top2`: the (p, q, fallback, nearest) of `pts`
-        if the caller has already selected them through `select` (nearest
-        None without `with_nearest`).
+    def stacked(self, pts: np.ndarray, with_nearest: bool = False,
+                top2: tuple | None = None) -> tuple:
+        """The stacked pass of a blend of N > 1 bases over (B, 3) `pts`:
+        their top-2 selection (through `select`, unless `top2` gives it),
+        then one ad.decoder_input of the rows of p, of q and, `with_nearest`,
+        of the nearest basis where it is neither p nor q, which decode reads
+        whole and domain_quadratic in its p and q rows. Each (point, basis)
+        pair is decoded once.
 
-        Both stacked passes read one ad.decoder_input of the rows: the
-        decoder all of it, the domain quadratic the x - c of the p and q
-        rows."""
-        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+        Returns (top2, f_all, u2, k_row): the decoded rows (2B + extra,),
+        u of the p rows then the q rows (2B,), and the row of f_all of each
+        point's nearest basis (None without `with_nearest`)."""
         n = len(pts)
-        p, q, fallback, nearest = (self.select(pts, with_nearest)
-                                   if top2 is None else top2)
-        tape = self.tape
-        if self.field.n_bases == 1:
-            # two inputs: a shared one would add the decoder's and the
-            # domain's center gradients before its scatter, in another order
-            f_p = self.decode(self.decoder_input(pts, p))
-            g_p = ad.exp(ad.neg(self.domain_quadratic(
-                self.decoder_input(pts, p), p)))
-            one = tape.constant(np.ones(n))
-            zero = tape.constant(np.zeros(n))
-            return BlendResult(sdf=f_p, f_p=f_p, f_q=f_p, g_p=g_p, g_q=g_p,
-                               a_p=one, a_q=zero, p=p, q=q, fallback=fallback,
-                               f_k=f_p if with_nearest else None)
-        # one stacked pass through decoder and domains for all slots
+        top2 = self.select(pts, with_nearest) if top2 is None else top2
+        p, q, _, nearest = top2
         pts_r, idx_r = np.concatenate([pts, pts]), np.concatenate([p, q])
+        k_row = None
         if with_nearest:
             extra = np.flatnonzero((nearest != p) & (nearest != q))
             pts_r = np.concatenate([pts_r, pts[extra]])
@@ -678,8 +666,33 @@ class FieldProgram:
             k_row = np.where(nearest == p, 0, n) + np.arange(n)
             k_row[extra] = 2 * n + np.arange(len(extra))
         inp = self.decoder_input(pts_r, idx_r)
-        f_all = self.decode(inp)
-        u2 = self.domain_quadratic(inp, idx_r[:2 * n])
+        return (top2, self.decode(inp), self.domain_quadratic(inp, idx_r[:2 * n]),
+                k_row)
+
+    def blend(self, pts: np.ndarray, with_nearest: bool = False,
+              top2: tuple | None = None) -> BlendResult:
+        """Top-2 blended field value over a batch of points. `with_nearest`
+        also gives the Euclidean-nearest basis value (`f_k`) from the same
+        stacked pass (see `stacked`). `top2`: the (p, q, fallback, nearest)
+        of `pts` if the caller has already selected them through `select`
+        (nearest None without `with_nearest`)."""
+        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+        n = len(pts)
+        if self.field.n_bases == 1:
+            p, q, fallback, _ = (self.select(pts, with_nearest)
+                                 if top2 is None else top2)
+            # two inputs: a shared one would add the decoder's and the
+            # domain's center gradients before its scatter, in another order
+            f_p = self.decode(self.decoder_input(pts, p))
+            g_p = ad.exp(ad.neg(self.domain_quadratic(
+                self.decoder_input(pts, p), p)))
+            one = self.tape.constant(np.ones(n))
+            zero = self.tape.constant(np.zeros(n))
+            return BlendResult(sdf=f_p, f_p=f_p, f_q=f_p, g_p=g_p, g_q=g_p,
+                               a_p=one, a_q=zero, p=p, q=q, fallback=fallback,
+                               f_k=f_p if with_nearest else None)
+        (p, q, fallback, _), f_all, u2, k_row = self.stacked(pts, with_nearest,
+                                                             top2)
         g2 = ad.exp(ad.neg(u2))
         f_p, f_q = ad.rows(f_all, 0, n), ad.rows(f_all, n, 2 * n)
         f_k = ad.gather_rows(f_all, k_row) if with_nearest else None
@@ -693,37 +706,3 @@ class FieldProgram:
         return BlendResult(sdf=sdf, f_p=f_p, f_q=f_q, g_p=g_p, g_q=g_q,
                            a_p=a_p, a_q=a_q, p=p, q=q, fallback=fallback,
                            f_k=f_k)
-
-
-def _rotation_columns(r: Var) -> tuple[Var, Var, Var]:
-    """Rotation columns (b1, b2, b1 x b2), (N, 3) each, of an (N, 6) stack:
-    b1 the normalized first 3-vector and b2 the normalized rejection of the
-    second. Raises FieldError, naming the first such row, where a norm is
-    below 1e-12."""
-    a1 = ad.cols(r, 0, 3)
-    a2 = ad.cols(r, 3, 6)
-    n1 = ad.sqrt(ad.vsum(ad.mul(a1, a1), axis=1, keepdims=True))
-    _check_norms(n1, "first vector ~ 0")
-    b1 = ad.div(a1, n1)
-    proj = ad.vsum(ad.mul(b1, a2), axis=1, keepdims=True)
-    res = ad.sub(a2, ad.mul(proj, b1))
-    n2 = ad.sqrt(ad.vsum(ad.mul(res, res), axis=1, keepdims=True))
-    _check_norms(n2, "second vector parallel to first")
-    b2 = ad.div(res, n2)
-    return b1, b2, _cross_rows(b1, b2)
-
-
-def _check_norms(norms: Var, what: str) -> None:
-    bad = np.flatnonzero(norms.value < 1e-12)
-    if bad.size:
-        raise FieldError(f"degenerate rotation at basis {bad[0]}: {what}")
-
-
-def _cross_rows(a: Var, b: Var) -> Var:
-    ax, ay, az = (ad.cols(a, i, i + 1) for i in range(3))
-    bx, by, bz = (ad.cols(b, i, i + 1) for i in range(3))
-    return ad.concat([
-        ad.sub(ad.mul(ay, bz), ad.mul(az, by)),
-        ad.sub(ad.mul(az, bx), ad.mul(ax, bz)),
-        ad.sub(ad.mul(ax, by), ad.mul(ay, bx)),
-    ], axis=1)

@@ -31,10 +31,13 @@ class EvalProtocol:
     seed: int = 0
 
     def __post_init__(self):
-        check_number(self.n_iou, "n_iou", 1, integer=True)
-        check_number(self.n_surface, "n_surface", 1, integer=True)
-        check_positive(self.tau, "tau")
-        check_number(self.seed, "seed", 0, integer=True)
+        # stored as Python numbers: a numpy scalar would reach the report,
+        # whose JSON could not be written
+        self.n_iou = int(check_number(self.n_iou, "n_iou", 1, integer=True))
+        self.n_surface = int(check_number(self.n_surface, "n_surface", 1,
+                                          integer=True))
+        self.tau = float(check_positive(self.tau, "tau"))
+        self.seed = int(check_number(self.seed, "seed", 0, integer=True))
 
 
 @dataclass

@@ -136,17 +136,23 @@ def loss_reg_t(prog: FieldProgram) -> Var:
 def loss_inte_t(prog: FieldProgram, pts: np.ndarray, targets: np.ndarray,
                 weights: LossWeights, epoch: int
                 ) -> tuple[Var, dict[str, float]]:
-    """Integrated fitting objective; also returns per-term floats for
-    diagnostics."""
+    """Integrated fitting objective: the sdf term (as loss_sdf_t), the
+    nearest basis's term (loss_sdf_euc_t), the smooth term (loss_smooth_t)
+    times weights.smooth and the offset regularizer (loss_reg_t) times
+    weights.reg in epoch 0 (0.0 later); also returns per-term floats for
+    diagnostics.
+
+    At N > 1 the blend's tail and the four terms are one tape node over
+    the stacked pass (see _inte_node); a single basis composes them from
+    its blend."""
+    reg_w = weights.reg if epoch == 0 else 0.0
+    if prog.field.n_bases > 1:
+        return _inte_node(prog, pts, targets, weights.smooth, reg_w)
     blend = prog.blend(pts, with_nearest=True)
     l_sdf = _sdf_from_blend(blend, targets)
     l_euc = ad.vmean(ad.absolute(ad.sub(blend.f_k, targets)))
-    if prog.field.n_bases == 1:
-        l_smooth = prog.tape.constant(0.0)
-    else:
-        l_smooth = _smooth_from_blend(blend)
+    l_smooth = prog.tape.constant(0.0)
     l_reg = loss_reg_t(prog)
-    reg_w = weights.reg if epoch == 0 else 0.0
     total = ad.add(ad.add(l_sdf, l_euc),
                    ad.add(l_smooth * weights.smooth, l_reg * reg_w))
     parts = {
@@ -156,6 +162,85 @@ def loss_inte_t(prog: FieldProgram, pts: np.ndarray, targets: np.ndarray,
         "reg": float(l_reg.value),
     }
     return total, parts
+
+
+def _inte_node(prog: FieldProgram, pts: np.ndarray, targets: np.ndarray,
+               smooth_w: float, reg_w: float) -> tuple[Var, dict[str, float]]:
+    """loss_inte_t at N > 1 as one tape node over (f_all, u2, offsets), the
+    stacked pass's decoded rows and domain quadratic and the offsets.
+
+    It computes what the chain of the blend's tail and the four loss terms
+    computes for the total: the blend weights a_p, a_q from u_q - u_p in
+    log space, |f - t| of the p, q and nearest rows, |f_p - f_q|, |offsets|,
+    their means, and total = (sdf + sdf_euc) + (smooth * smooth_w + reg *
+    reg_w), each with that chain's numpy expression; it skips what no term
+    reads (exp(-u2), the g_p/g_q rows and the blended sdf). It notes the
+    chain's branch tokens in its order: the signs of f_p - t, f_q - t,
+    f_k - t, f_p - f_q and the offsets.
+
+    Its VJP computes the arrays the chain's VJPs compute and sums each
+    slot in the order backward visits the chain: f_p takes the smooth term
+    then the sdf term, f_all the f_k scatter, then the f_q rows, then the
+    f_p rows, and u2 the u_q rows then the u_p rows. So the total, the
+    parts and every gradient equal the chain's bit for bit."""
+    pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+    t = np.asarray(targets, dtype=np.float64)
+    n = len(pts)
+    (_, _, fallback, _), f_all, u2, k_row = prog.stacked(pts, with_nearest=True)
+    offsets = prog.leaves["offsets"]
+    fv, uv, ov = f_all.value, u2.value, offsets.value
+    f_p, f_q = fv[:n], fv[n:2 * n]
+    gap = uv[n:] - uv[:n]
+    s_p, s_q = ad.logistic(gap), ad.logistic(-gap)
+    a_p, a_q = np.where(fallback, 1.0, s_p), np.where(fallback, 0.0, s_q)
+    diffs = (f_p - t, f_q - t, np.take(fv, k_row) - t, f_p - f_q, ov)
+    signs = [np.sign(d) for d in diffs]
+    if prog.tape.record_branches:
+        for sign in signs:
+            prog.tape.note_branch(np.asarray(sign, dtype=np.int8))
+    r_p, r_q, r_k, r_pq, r_o = (np.abs(d) for d in diffs)
+    inv_n, inv_bases = 1.0 / n, 1.0 / prog.field.n_bases
+    smooth_w, reg_w = float(smooth_w), float(reg_w)
+    l_sdf = np.sum(a_p * r_p + a_q * r_q) * inv_n
+    l_euc = np.sum(r_k) * inv_n
+    l_smooth = np.sum(r_pq) * inv_n
+    l_reg = np.sum(r_o) * inv_bases
+    total = (l_sdf + l_euc) + (l_smooth * smooth_w + l_reg * reg_w)
+    parts = {"sdf": float(l_sdf), "sdf_euc": float(l_euc),
+             "smooth": float(l_smooth), "reg": float(l_reg)}
+    operands = (f_all, u2, offsets)
+    need = [ad._reached(v) for v in operands]
+    if not any(need):
+        return Var(prog.tape, total), parts
+    not_fallback, m = ~fallback, len(fv)
+
+    # the closure holds arrays only (see ad.mlp)
+    def backprop(g):
+        c = g * inv_n  # the cotangent of each row of the sdf and nearest terms
+        c_smooth, c_reg = (g * smooth_w) * inv_n, (g * reg_w) * inv_bases
+        grads = [None] * 3
+        if need[0]:
+            g_pq = c_smooth * signs[3]
+            g_p = g_pq + (c * a_p) * signs[0]
+            g_q = -g_pq + (c * a_q) * signs[1]
+            # bincount sums start at +0.0, so no row of the scatter is -0.0
+            # and adding the zero rows of the two row slices changes no bit
+            grads[0] = ad._scatter_add(c * signs[2], k_row, m)
+            grads[0][n:2 * n] += g_q
+            grads[0][:n] += g_p
+        if need[1]:
+            g_sp = (c * r_p) * not_fallback
+            g_sq = (c * r_q) * not_fallback
+            g_gap = ((g_sq * s_q) * (1.0 - s_q)) * -1.0 + (g_sp * s_p) * (1.0 - s_p)
+            grads[1] = np.concatenate([-g_gap, g_gap])
+            grads[1] += 0.0  # the other row slice's zeros: -0.0 to +0.0
+        if need[2]:
+            grads[2] = c_reg * signs[4]
+        return grads
+
+    return ad._record(prog.tape, total, [(v, lambda r, k=k: r[k])
+                                         for k, v in enumerate(operands)],
+                      pre=backprop), parts
 
 
 def loss_face_t(prog: FieldProgram, pts: np.ndarray, eps: float,

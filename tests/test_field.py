@@ -109,7 +109,7 @@ def test_rotation_orthogonality_property(seed):
 
 def numpy_rotations_from_6d(r_raw):
     """The 6D Gram-Schmidt in plain numpy: the bit-level reference of
-    field._rotation_columns, which rotations_from_6d and every
+    ad.rotation_columns, which rotations_from_6d and every
     FieldProgram run."""
     r = np.asarray(r_raw, dtype=np.float64).reshape(-1, 6)
     a1, a2 = r[:, :3], r[:, 3:]
@@ -177,7 +177,10 @@ def test_degenerate_rotations_raise_the_numpy_message(rows, message):
         r6[k] = row
     f = _field_with_rotations(rng, r6)
     for build in (numpy_rotations_from_6d, rotations_from_6d,
-                  lambda r: FieldProgram.constant(f)):
+                  lambda r: FieldProgram.constant(f),
+                  # the node on a recording tape, and the chain it replaced
+                  lambda r: ad.rotation_columns(Tape().leaf(r, "rot6s")),
+                  lambda r: _rotation_columns(Tape().leaf(r, "rot6s"))):
         with pytest.raises(FieldError) as got:
             build(r6)
         assert str(got.value) == f"degenerate rotation at {message}"
@@ -452,11 +455,50 @@ def test_nearest_pass_decodes_each_pair_once(monkeypatch, n_bases):
         rtol=0, atol=1e-12)
 
 
+def _rotation_columns(r):
+    """The chain of generic ops that ad.rotation_columns replaced: the
+    rotation columns (b1, b2, b1 x b2), (N, 3) each, of an (N, 6) stack."""
+    a1 = ad.cols(r, 0, 3)
+    a2 = ad.cols(r, 3, 6)
+    n1 = ad.sqrt(ad.vsum(ad.mul(a1, a1), axis=1, keepdims=True))
+    _check_norms(n1, "first vector ~ 0")
+    b1 = ad.div(a1, n1)
+    proj = ad.vsum(ad.mul(b1, a2), axis=1, keepdims=True)
+    res = ad.sub(a2, ad.mul(proj, b1))
+    n2 = ad.sqrt(ad.vsum(ad.mul(res, res), axis=1, keepdims=True))
+    _check_norms(n2, "second vector parallel to first")
+    b2 = ad.div(res, n2)
+    return b1, b2, _cross_rows(b1, b2)
+
+
+def _check_norms(norms, what):
+    bad = np.flatnonzero(norms.value < 1e-12)
+    if bad.size:
+        raise FieldError(f"degenerate rotation at basis {bad[0]}: {what}")
+
+
+def _cross_rows(a, b):
+    ax, ay, az = (ad.cols(a, i, i + 1) for i in range(3))
+    bx, by, bz = (ad.cols(b, i, i + 1) for i in range(3))
+    return ad.concat([
+        ad.sub(ad.mul(ay, bz), ad.mul(az, by)),
+        ad.sub(ad.mul(az, bx), ad.mul(ax, bz)),
+        ad.sub(ad.mul(ax, by), ad.mul(ay, bx)),
+    ], axis=1)
+
+
 class _ChainProgram(FieldProgram):
-    """FieldProgram over the chain of generic ops that ad.decoder_input and
-    ad.domain_quadratic replaced: the bit-level reference of both nodes.
-    decoder_input keeps x - c for domain_quadratic, which reads it through
-    a rows copy when the decoder input has more rows than it needs."""
+    """FieldProgram over the chains of generic ops that
+    ad.rotation_columns, ad.decoder_input and ad.domain_quadratic replaced:
+    the bit-level reference of the three nodes. Its rotation columns come
+    from _rotation_columns (the program's own rotation node is left
+    unread, so it gets no cotangent). decoder_input keeps x - c for
+    domain_quadratic, which reads it through a rows copy when the decoder
+    input has more rows than it needs."""
+
+    def __init__(self, tape, field, trainable=None):
+        super().__init__(tape, field, trainable)
+        self.rot_cols = _rotation_columns(self.leaves["rot6s"])
 
     def decoder_input(self, pts, idx):
         d = ad.sub(self.tape.constant(pts), ad.gather_rows(self.eff_centers, idx))
@@ -476,6 +518,43 @@ class _ChainProgram(FieldProgram):
                     ad.mul(dz, ad.gather_rows(b3, idx)))
         w = ad.mul(ad.gather_rows(self.scales, idx), rd)
         return ad.vsum(ad.mul(w, w), axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 8, 33]))
+def test_rotation_node_equals_the_chain_bit_for_bit(seed, n):
+    """ad.rotation_columns against the chain it replaced: the columns and
+    the gradient of the 6D stack bit for bit, on rows of magnitudes 1e-5
+    to 1e5, a third nearly parallel, under two consumers' cotangents that
+    span many decades and hold zeros of both signs."""
+    rng = np.random.default_rng(seed)
+    r6 = rng.normal(size=(n, 6)) * 10.0 ** rng.uniform(-5, 5, (n, 1))
+    near = rng.random(n) < 1 / 3
+    r6[near, 3:] = (r6[near, :3] * rng.uniform(-3, 3, (near.sum(), 1))
+                    + r6[near, 3:] * 10.0 ** rng.uniform(-6, -2, (near.sum(), 1)))
+    cot = rng.normal(size=(2, 3, n, 3)) * 10.0 ** rng.uniform(-6, 6, (2, 3, n, 3))
+    cot[rng.random(cot.shape) < 0.15] = 0.0
+    cot[rng.random(cot.shape) < 0.15] = -0.0
+    results = []
+    for fused in (True, False):
+        t = Tape()
+        r = t.leaf(r6, "r")
+        if fused:
+            rot = ad.rotation_columns(r)
+            terms = [ad.vsum(ad.mul(rot, c)) for c in cot]
+            value = rot.value
+        else:
+            cols = _rotation_columns(r)
+            terms = [ad.vsum(ad.mul(col, ck)) for c in cot
+                     for col, ck in zip(cols, c)]
+            value = np.stack([col.value for col in cols])
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = ad.add(loss, term)
+        results.append((value, backward(t, loss)["r"]))
+    (fv, fg), (cv, cg) = results
+    np.testing.assert_array_equal(fv.view(np.int64), cv.view(np.int64))
+    np.testing.assert_array_equal(fg.view(np.int64), cg.view(np.int64))
 
 
 @settings(max_examples=30, deadline=None)
@@ -557,9 +636,9 @@ def test_sdf_batch_holds_no_tape_node(monkeypatch):
             super().__init__(*args, **kwargs)
             tapes.append(self)
 
-    rotation_columns = field_mod._rotation_columns
+    rotation_columns = ad.rotation_columns
     monkeypatch.setattr(field_mod, "Tape", SpyTape)
-    monkeypatch.setattr(field_mod, "_rotation_columns",
+    monkeypatch.setattr(ad, "rotation_columns",
                         lambda r: n_rotations.append(1) or rotation_columns(r))
     rng = np.random.default_rng(32)
     f = random_field(rng, n_bases=5, widths=(48, 48))

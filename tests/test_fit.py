@@ -453,12 +453,23 @@ def test_a_step_tape_is_freed_by_reference_counting(monkeypatch):
 
 def test_step_tape_node_counts_are_pinned(monkeypatch):
     """The tape of a fit step at N = 8 (the fit_sphere shape) and of a
-    refine step of the refine_sphere input. Each blend is four nodes:
-    decoder_input, mlp, the sum of its output column and
-    domain_quadratic. A refactor that expands a blend back into generic
-    ops fails here: the chain those nodes replaced took 22 nodes per blend
-    in a fit step (110 a step) and 17 in each of refine's three blends
-    (152 a step)."""
+    refine step of the refine_sphere input. Each count is exact:
+
+    * a fit step holds 21 nodes: the 13 trainable leaves (the five domain
+      arrays, and a weight and a bias per layer of the 4-layer decoder),
+      3 per-field values (the effective centers, ad.rotation_columns and
+      the domain scales), the stacked pass's 4 per-point nodes
+      (decoder_input, mlp, the sum of its output column and
+      domain_quadratic) and loss_inte_t's one node;
+    * a refine step holds 113: its leaves are centers and latents only,
+      so its per-field values are constants but the effective centers,
+      and each of its three blends is the stacked pass's four nodes, then
+      the blend's tail and its loss term in generic ops.
+
+    A refactor that expands a node back into generic ops fails here: the
+    chains those nodes replaced took 30 nodes for the rotation and 43 for
+    the blend's tail and the integrated loss (92 a fit step), and a refine
+    step took 152 nodes before decoder_input and domain_quadratic."""
     counts = []
     backward = fit_mod.backward
     monkeypatch.setattr(fit_mod, "backward", lambda tape, out:
@@ -472,5 +483,5 @@ def test_step_tape_node_counts_are_pinned(monkeypatch):
                                   n_surface=256, n_positive=256)
     assert report.trace["adj"][-1] > 0.0  # the adjacency blend ran
     fit_nodes, refine_nodes = counts
-    assert fit_nodes == 92
+    assert fit_nodes == 21
     assert refine_nodes == 113

@@ -1,5 +1,6 @@
 """IoU, chamfer and F-score metrics."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,20 @@ def test_evaluate_is_deterministic():
     r1 = evaluate(scene, scene, protocol)
     r2 = evaluate(scene, scene, protocol)
     assert r1.to_json_dict() == r2.to_json_dict()
+
+
+def test_report_of_a_protocol_of_numpy_numbers_dumps_as_json():
+    """EvalProtocol stores its checked numbers as Python int and float, so
+    a protocol of numpy scalars gives the report a protocol of Python
+    numbers gives, and its JSON can be written."""
+    scene = sphere(0.35)
+    got = evaluate(scene, scene, EvalProtocol(
+        n_iou=np.int64(2000), n_surface=np.int64(2000), tau=np.float32(0.01),
+        grid=GridSpec(16), seed=np.int64(0)))
+    ref = evaluate(scene, scene, EvalProtocol(
+        n_iou=2000, n_surface=2000, tau=float(np.float32(0.01)),
+        grid=GridSpec(16), seed=0))
+    assert json.dumps(got.to_json_dict()) == json.dumps(ref.to_json_dict())
 
 
 def test_nearest_distances_on_two_workers_equal_one_worker():

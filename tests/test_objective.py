@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdfblend import autodiff as ad
 from sdfblend.autodiff import Tape, backward, finite_diff_check
@@ -9,11 +10,14 @@ from sdfblend.field import BasisField, Decoder, FieldProgram
 from sdfblend.geom import PointCloud, SampleSet
 from sdfblend.gradcheck import random_field
 from sdfblend.objective import (
-    ADJ_EXPONENT_FLOOR, ADJ_PREFILTER_SLACK, Anchor, LossWeights, RefineInputs, loss_adj,
-    loss_adj_t, loss_chamfer, loss_face, loss_inte, loss_opt, loss_opt_t,
-    loss_pos, loss_reg, loss_sdf, loss_sdf_euc, loss_smooth, loss_stable,
+    ADJ_EXPONENT_FLOOR, ADJ_PREFILTER_SLACK, Anchor, LossWeights, RefineInputs,
+    _sdf_from_blend, _smooth_from_blend, loss_adj, loss_adj_t, loss_chamfer,
+    loss_face, loss_inte, loss_inte_t, loss_opt, loss_opt_t, loss_pos, loss_reg,
+    loss_reg_t, loss_sdf, loss_sdf_euc, loss_smooth, loss_stable,
 )
-from tests.test_field import oracle_decode, oracle_g, oracle_top2
+from tests.test_field import (
+    _ChainProgram, _fallback_probe_points, oracle_decode, oracle_g, oracle_top2,
+)
 
 
 def constant_field(value: float, n_bases: int = 1, centers=None) -> BasisField:
@@ -598,3 +602,71 @@ def test_loss_inte_gradient_with_nearest_rows_outside_the_top2():
     res = finite_diff_check(objective, f.to_params(), h=1e-6)
     assert res.max_rel_err <= 1e-5
     assert res.n_checked > len(f.to_params()) // 2
+
+
+def _chain_loss_inte_t(prog, pts, targets, weights, epoch):
+    """loss_inte_t as the chain of generic ops its node replaced, composed
+    from one blend as loss_sdf_t, loss_sdf_euc_t, loss_smooth_t and
+    loss_reg_t compose theirs: the node's bit-level reference."""
+    blend = prog.blend(pts, with_nearest=True)
+    l_sdf = _sdf_from_blend(blend, targets)
+    l_euc = ad.vmean(ad.absolute(ad.sub(blend.f_k, targets)))
+    l_smooth = (prog.tape.constant(0.0) if prog.field.n_bases == 1
+                else _smooth_from_blend(blend))
+    l_reg = loss_reg_t(prog)
+    reg_w = weights.reg if epoch == 0 else 0.0
+    total = ad.add(ad.add(l_sdf, l_euc),
+                   ad.add(l_smooth * weights.smooth, l_reg * reg_w))
+    return total, {"sdf": float(l_sdf.value), "sdf_euc": float(l_euc.value),
+                   "smooth": float(l_smooth.value), "reg": float(l_reg.value)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_bases=st.sampled_from([1, 2, 8, 33]),
+       trainable=st.sampled_from([None, ("centers", "latents"), ("rot6s",),
+                                  ("offsets",), ("dec_w1", "dec_b2"), "none"]),
+       epoch=st.sampled_from([0, 1]))
+def test_loss_inte_node_equals_the_chain_bit_for_bit(seed, n_bases, trainable,
+                                                     epoch):
+    """loss_inte_t (one node over the stacked pass at N > 1, with the
+    rotation node) against the chain of generic ops it replaced: the total,
+    the four parts, every leaf gradient and the branch signature are equal
+    in bytes. The points include fallback rows and, at N = 33, points whose
+    nearest basis is neither p nor q (rows beyond 2n); some domains are
+    sharpened, so one of the two weights underflows; "none" is a tape of
+    constants, as a central-difference probe uses."""
+    rng = np.random.default_rng(seed)
+    f = random_field(rng, n_bases=n_bases, d_z=5, widths=(12, 12))
+    f.log_scales[rng.random(n_bases) < 0.3] += np.log(8.0)
+    X = _fallback_probe_points(rng, 200)
+    y = rng.normal(0.0, 0.3, len(X))
+    w = LossWeights(smooth=float(rng.uniform(0.1, 2.0)),
+                    reg=float(rng.uniform(0.001, 0.1)))
+    scale = float(rng.uniform(0.5, 2.0))
+    results = []
+    for cls, loss in ((FieldProgram, loss_inte_t), (_ChainProgram, _chain_loss_inte_t)):
+        if trainable == "none":
+            tape, names = ad._ConstantTape(record_branches=True), None
+        else:
+            tape = Tape(record_branches=True)
+            names = None if trainable is None else set(trainable)
+        total, parts = loss(cls(tape, f, names), X, y, w, epoch)
+        # a cotangent other than 1.0 reaches the loss
+        scaled = ad.mul(total, scale)
+        results.append((np.float64(total.value), parts, backward(tape, scaled),
+                        tape.branch_signature()))
+    (ft, fp, fg, fsig), (ct, cp, cg, csig) = results
+    assert ft.tobytes() == ct.tobytes()
+    assert fp.keys() == cp.keys() == {"sdf", "sdf_euc", "smooth", "reg"}
+    for k in fp:
+        assert np.float64(fp[k]).tobytes() == np.float64(cp[k]).tobytes(), k
+    expected = (set(f.params.names()) if trainable is None
+                else set() if trainable == "none" else set(trainable))
+    assert fg.keys() == cg.keys() == expected
+    for name in fg:
+        np.testing.assert_array_equal(fg[name].view(np.int64),
+                                      cg[name].view(np.int64), err_msg=name)
+    assert fsig == csig and len(fsig) > 0
+    p, q, fallback, nearest = f.select_top2_nearest(X)
+    assert n_bases == 1 or fallback.any()
+    assert n_bases < 33 or np.any((nearest != p) & (nearest != q))
