@@ -257,19 +257,14 @@ def absolute(a: Var):
     return _record(a.tape, np.abs(av), [(a, lambda g: g * s)])
 
 
-def logistic(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function of a float array (no overflow
-    at any magnitude); the value of sigmoid."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def sigmoid(a: Var):
-    out = logistic(np.atleast_1d(np.asarray(a.value, dtype=np.float64)))
+    """Numerically stable logistic function (no overflow at any magnitude)."""
+    av = np.atleast_1d(np.asarray(a.value, dtype=np.float64))
+    out = np.empty_like(av)
+    pos = av >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-av[pos]))
+    e = np.exp(av[~pos])
+    out[~pos] = e / (1.0 + e)
     if np.ndim(a.value) == 0:
         out = float(out[0])
     return _record(a.tape, out, [(a, lambda g: g * out * (1.0 - out))])
@@ -340,11 +335,6 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
     them otherwise. A weight gradient sums over rows; dropping rows would
     regroup that sum, so a trainable weight or bias takes every row.
 
-    The input cotangent of a 1-wide layer (the decoder's output) is the
-    outer product g * w^T, then + 0.0 in place, where a GEMM of inner
-    dimension 1 would be: BLAS's one-term products never give -0.0, and
-    the add maps -0.0 to +0.0, so the two are equal bit for bit.
-
     The backward pass multiplies each ReLU mask into the cotangent in
     place: that array is always one the pass itself computed, so neither
     the incoming cotangent nor the stored activations change, and a second
@@ -402,11 +392,7 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
                 grads[2 + last + i] = g.sum(axis=0)
             if i < stop:
                 break
-            if g.shape[1] == 1:  # a 1-wide layer: the outer product (see above)
-                gh = g * ws[i].T
-                gh += 0.0
-            else:
-                gh = g @ ws[i].T
+            gh = g @ ws[i].T
             if i in skip_at:
                 k = ins[i].shape[1] - width_x
                 g = gh[:, :k]

@@ -564,6 +564,25 @@ class BlendResult:
     f_k: Var | None  # Euclidean-nearest basis value, with_nearest only
 
 
+def blend_weights(u_p: Var, u_q: Var, fallback: np.ndarray
+                  ) -> tuple[Var, Var, Var, Var]:
+    """The blend weights of the p and q rows from their domain quadratics
+    u = -log g: s_p = g_p / (g_p + g_q) = sigmoid(u_q - u_p), computed in
+    log space so it is stable when both g underflow, and s_q = sigmoid(u_p
+    - u_q); a_p and a_q are s_p and s_q, but 1 and 0 on fallback rows.
+    Returns (s_p, s_q, a_p, a_q), from six generic ops.
+
+    The one rule of the top-2 blend: FieldProgram.blend composes it on its
+    tape, and the integrated loss's node (objective.loss_inte_t) takes its
+    values on a tape of constants."""
+    gap = ad.sub(u_q, u_p)
+    s_p = ad.sigmoid(gap)
+    a_p = ad.where(fallback, 1.0, s_p)
+    s_q = ad.sigmoid(ad.neg(gap))
+    a_q = ad.where(fallback, 0.0, s_q)
+    return s_p, s_q, a_p, a_q
+
+
 class FieldProgram:
     """Builds the field's forward computation on a tape.
 
@@ -698,10 +717,7 @@ class FieldProgram:
         f_k = ad.gather_rows(f_all, k_row) if with_nearest else None
         g_p, g_q = ad.rows(g2, 0, n), ad.rows(g2, n, 2 * n)
         u_p, u_q = ad.rows(u2, 0, n), ad.rows(u2, n, 2 * n)
-        # g_p/(g_p+g_q) computed in log space: stable when both g underflow
-        gap = ad.sub(u_q, u_p)
-        a_p = ad.where(fallback, 1.0, ad.sigmoid(gap))
-        a_q = ad.where(fallback, 0.0, ad.sigmoid(ad.neg(gap)))
+        _, _, a_p, a_q = blend_weights(u_p, u_q, fallback)
         sdf = ad.add(ad.mul(a_p, f_p), ad.mul(a_q, f_q))
         return BlendResult(sdf=sdf, f_p=f_p, f_q=f_q, g_p=g_p, g_q=g_q,
                            a_p=a_p, a_q=a_q, p=p, q=q, fallback=fallback,

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Var
+from .autodiff import Tape, Var
 from .errors import FieldError, check_document, check_number
-from .field import BasisField, FieldProgram
+from .field import BasisField, FieldProgram, blend_weights
 from .geom import PointCloud, SampleSet
 from .metrics import nearest_distances
 
@@ -170,13 +170,13 @@ def _inte_node(prog: FieldProgram, pts: np.ndarray, targets: np.ndarray,
     stacked pass's decoded rows and domain quadratic and the offsets.
 
     It computes what the chain of the blend's tail and the four loss terms
-    computes for the total: the blend weights a_p, a_q from u_q - u_p in
-    log space, |f - t| of the p, q and nearest rows, |f_p - f_q|, |offsets|,
-    their means, and total = (sdf + sdf_euc) + (smooth * smooth_w + reg *
-    reg_w), each with that chain's numpy expression; it skips what no term
-    reads (exp(-u2), the g_p/g_q rows and the blended sdf). It notes the
-    chain's branch tokens in its order: the signs of f_p - t, f_q - t,
-    f_k - t, f_p - f_q and the offsets.
+    computes for the total: the blend weights (field.blend_weights, run on
+    a tape of constants), |f - t| of the p, q and nearest rows, |f_p -
+    f_q|, |offsets|, their means, and total = (sdf + sdf_euc) + (smooth *
+    smooth_w + reg * reg_w), each with that chain's numpy expression; it
+    skips what no term reads (exp(-u2), the g_p/g_q rows and the blended
+    sdf). It notes the chain's branch tokens in its order: the signs of
+    f_p - t, f_q - t, f_k - t, f_p - f_q and the offsets.
 
     Its VJP computes the arrays the chain's VJPs compute and sums each
     slot in the order backward visits the chain: f_p takes the smooth term
@@ -190,9 +190,9 @@ def _inte_node(prog: FieldProgram, pts: np.ndarray, targets: np.ndarray,
     offsets = prog.leaves["offsets"]
     fv, uv, ov = f_all.value, u2.value, offsets.value
     f_p, f_q = fv[:n], fv[n:2 * n]
-    gap = uv[n:] - uv[:n]
-    s_p, s_q = ad.logistic(gap), ad.logistic(-gap)
-    a_p, a_q = np.where(fallback, 1.0, s_p), np.where(fallback, 0.0, s_q)
+    const = Tape()
+    s_p, s_q, a_p, a_q = (w.value for w in blend_weights(
+        const.constant(uv[:n]), const.constant(uv[n:]), fallback))
     diffs = (f_p - t, f_q - t, np.take(fv, k_row) - t, f_p - f_q, ov)
     signs = [np.sign(d) for d in diffs]
     if prog.tape.record_branches:

@@ -229,40 +229,6 @@ def test_mlp_with_a_skip_layer_equals_unfused_chain_bit_for_bit():
     _mlp_against_chain([5, 7, 6, 1], skip_at=(2,), trained=("w",))
 
 
-@pytest.mark.parametrize("rows, width", [(1, 1), (7, 3), (256, 48), (4100, 48)])
-def test_one_wide_layer_product_equals_the_gemm_bit_for_bit(rows, width):
-    """mlp's input cotangent of a 1-wide layer, g * w^T then + 0.0 in
-    place, against BLAS's k = 1 GEMM g @ w^T: equal in bytes on
-    cotangents and weights that hold +-0.0, zero rows, infinities and NaN.
-    Without the + 0.0 the product keeps the -0.0s the GEMM never gives."""
-    rng = np.random.default_rng(16 + rows)
-    g = rng.normal(size=(rows, 1)) * 10.0 ** rng.uniform(-300, 300, (rows, 1))
-    w = rng.normal(size=(width, 1)) * 10.0 ** rng.uniform(-8, 8, (width, 1))
-    for a in (g, w):
-        pick = rng.random(a.shape)
-        a[pick < 0.2] = 0.0
-        a[(pick >= 0.2) & (pick < 0.4)] = -0.0
-    g[rows // 2] = 0.0  # a zero row
-    g[3::11] = np.nan
-    g[5::13] = -np.inf
-    w[-1] = -0.0
-    if width > 1:
-        w[0] = np.inf
-    with np.errstate(invalid="ignore"):
-        gemm = g @ w.T
-        product = g * w.T
-        signed_zero = (product == 0.0) & np.signbit(product)
-        assert signed_zero.any() and not np.any((gemm == 0.0) & np.signbit(gemm))
-        product += 0.0
-        np.testing.assert_array_equal(product.view(np.int64), gemm.view(np.int64))
-        # the node's own VJP, on every row (its weight is trained)
-        t = Tape()
-        x = t.leaf(rng.normal(size=(rows, width)), "x")
-        out = ad.mlp(x, [t.leaf(w, "w")], [t.leaf(np.zeros(1), "b")])
-        gx = t.nodes[out.idx].vjp(g)[0]
-    np.testing.assert_array_equal(gx.view(np.int64), gemm.view(np.int64))
-
-
 @pytest.mark.parametrize("skip_at", [(), (2,)])
 def test_mlp_rows_with_zero_cotangent_skip_the_backward_bit_for_bit(skip_at):
     """Frozen weights: the backward pass runs on the 40 live rows padded to
