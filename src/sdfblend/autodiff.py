@@ -335,6 +335,21 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
     them otherwise. A weight gradient sums over rows; dropping rows would
     regroup that sum, so a trainable weight or bias takes every row.
 
+    The node keeps exactly what its backward pass reads, decided by which
+    operands a trainable leaf reaches:
+
+    * a weight or bias: every layer's input and float activation, since
+      the weight gradients read them and the masks are their signs;
+    * the input only (frozen decoder): one bool mask per hidden layer,
+      `h > 0.0` right after the fmax, 1 byte per unit instead of 8; the
+      backward reads nothing else, and a skip layer's input width is the
+      weight's fan-in;
+    * nothing (a tape of constants): nothing at all.
+
+    A mask is the same compare on the same array that the backward pass
+    would make on a stored activation, and the branch token is that
+    compare too, so gradients and tokens keep their bits on every path.
+
     The backward pass multiplies each ReLU mask into the cotangent in
     place: that array is always one the pass itself computed, so neither
     the incoming cotangent nor the stored activations change, and a second
@@ -343,23 +358,31 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
     xv = x.value
     ws = [w.value for w in weights]
     last = len(ws) - 1
-    ins, outs = [], []
+    operands = [x, *weights, *biases]
+    need = [_reached(v) for v in operands]
+    trained = any(need[1:])
+    # trained: layer inputs and float activations; input only: bool masks
+    ins, masks = [], []
     h = xv
     for i, (wv, b) in enumerate(zip(ws, biases)):
         if i in skip_at:
             h = np.concatenate([h, xv], axis=1)
-        ins.append(h)
+        if trained:
+            ins.append(h)
         h = h @ wv
         h += b.value
         if i < last:
-            # fmax(x, 0) equals where(x > 0, x, 0) bit for bit (NaN and -0.0
-            # give +0.0) without where's data-dependent branch per element
+            # fmax(x, 0) is where(x > 0, x, 0) without where's branch per
+            # element: NaN gives +0.0 in both, and only a -0.0, which fmax
+            # keeps, would differ; a BLAS sum that starts at +0.0 plus a
+            # bias is never -0.0, and h > 0.0 is False for either zero
             np.fmax(h, 0.0, out=h)
             if tape.record_branches:
                 tape.note_branch(np.asarray(h > 0.0, dtype=np.int8))
-        outs.append(h)
-    operands = [x, *weights, *biases]
-    need = [_reached(v) for v in operands]
+            if trained:
+                masks.append(h)
+            elif need[0]:
+                masks.append(h > 0.0)
     if not any(need):
         return Var(tape, h)
     need_w, need_b = need[1:last + 2], need[last + 2:]
@@ -372,7 +395,7 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
     # reference cycle that keeps every step's activations until a collection
     def backprop(g):
         sub = None  # rows the pass runs on; None: all of them
-        if not any(need[1:]):
+        if not trained:
             live = np.any(g != 0.0, axis=1)
             n_live = int(np.count_nonzero(live))
             height = -(-n_live // ROW_BLOCK) * ROW_BLOCK
@@ -384,8 +407,11 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
         gx = None
         for i in range(last, -1, -1):
             if i < last:  # g is this pass's own array here: mask in place
-                live_out = outs[i] if sub is None else np.take(outs[i], sub, axis=0)
-                np.multiply(g, live_out > 0.0, out=g)
+                if trained:  # each mask dies before the GEMMs below
+                    np.multiply(g, masks[i] > 0.0, out=g)
+                else:
+                    np.multiply(g, masks[i] if sub is None
+                                else np.take(masks[i], sub, axis=0), out=g)
             if need_w[i]:
                 grads[1 + i] = ins[i].T @ g
             if need_b[i]:
@@ -394,7 +420,7 @@ def mlp(x: Var, weights: Sequence[Var], biases: Sequence[Var],
                 break
             gh = g @ ws[i].T
             if i in skip_at:
-                k = ins[i].shape[1] - width_x
+                k = ws[i].shape[0] - width_x
                 g = gh[:, :k]
                 if i == 0:  # concat(x, x): its first part is x's too
                     gx = g if gx is None else gx + g

@@ -1,6 +1,7 @@
 """Tape engine, Adam and the finite-difference checker."""
 
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -229,11 +230,13 @@ def test_mlp_with_a_skip_layer_equals_unfused_chain_bit_for_bit():
     _mlp_against_chain([5, 7, 6, 1], skip_at=(2,), trained=("w",))
 
 
-@pytest.mark.parametrize("skip_at", [(), (2,)])
+@pytest.mark.parametrize("skip_at", [(), (2,), (0, 2)])
 def test_mlp_rows_with_zero_cotangent_skip_the_backward_bit_for_bit(skip_at):
     """Frozen weights: the backward pass runs on the 40 live rows padded to
     one ROW_BLOCK of a 1024-row batch, and still gives the full chain's
-    input gradient, zero on every other row."""
+    input gradient, zero on every other row. At skip_at (0, 2) x is read
+    twice, and a frozen node stores no layer input, so each skip layer's
+    split of its cotangent takes its width from the weight's fan-in."""
     live = np.arange(3, 1024, 26)
     grads = _mlp_against_chain([19, 48, 48, 1], skip_at, trained=("x",),
                                n_rows=1024, live_rows=live)
@@ -246,6 +249,51 @@ def test_mlp_rows_with_zero_cotangent_skip_the_backward_bit_for_bit(skip_at):
     grads = _mlp_against_chain([19, 48, 1], skip_at[:0], trained=("x",),
                                n_rows=512, live_rows=[])
     assert np.all(grads["x"] == 0.0)
+
+
+def test_mlp_node_holds_masks_when_the_decoder_is_frozen():
+    """What an mlp node over 4,096 rows of the benchmark decoder shape
+    [19, 48, 48, 48, 1] holds once its forward pass has returned
+    (tracemalloc counts numpy's buffers; x and the weights exist before):
+
+    * frozen decoder, x trainable: one bool mask per hidden layer, 4,096 x
+      48 x 1 B each, and the float64 output, 4,096 x 8 B: in all 4,096 x
+      (3 * 48 + 8) B = 622,592 B (0.62 MB). The bound adds 16 KiB for the
+      node's Python objects. Keeping the three float activations instead,
+      4,096 x 48 x 8 B each, holds 4,751,360 B (4.75 MB);
+    * a trained decoder keeps those activations, since the weight
+      gradients read them;
+    * a tape of constants keeps the output only."""
+    rng = np.random.default_rng(16)
+    widths, n = [19, 48, 48, 48, 1], 4096
+    x0 = rng.normal(size=(n, widths[0]))
+    w0 = [rng.normal(size=s) / np.sqrt(s[0]) for s in zip(widths, widths[1:])]
+    b0 = [rng.normal(size=k) for k in widths[1:]]
+    out_bytes, masks, acts = n * 8, 3 * n * 48, 3 * n * 48 * 8
+    slack = 16 * 1024
+
+    def held(train_x, train_decoder):
+        t = Tape()
+        x = t.leaf(x0, "x") if train_x else t.constant(x0)
+        var = t.leaf if train_decoder else (lambda v, name: t.constant(v))
+        ws = [var(w, f"w{i}") for i, w in enumerate(w0)]
+        bs = [var(b, f"b{i}") for i, b in enumerate(b0)]
+        tracemalloc.start()
+        try:
+            out = ad.mlp(x, ws, bs)
+            return tracemalloc.get_traced_memory()[0], out
+        finally:
+            tracemalloc.stop()
+
+    frozen, out = held(True, False)
+    assert out.idx is not None and out.shape == (n, 1)
+    assert masks + out_bytes <= frozen <= masks + out_bytes + slack
+    trained, out = held(False, True)
+    assert out.idx is not None
+    assert acts + out_bytes <= trained <= acts + out_bytes + slack
+    constant, out = held(False, False)
+    assert out.idx is None
+    assert out_bytes <= constant <= out_bytes + slack
 
 
 def test_dense_finite_difference():
@@ -665,30 +713,57 @@ def test_blend_nodes_equal_the_unfused_chain_bit_for_bit(trained, n_bases, extra
 def test_mlp_backward_leaves_its_cotangent_and_activations_unchanged(trained):
     """The ReLU masks go into the pass's own arrays in place: the incoming
     cotangent is not written, and a second backward over the same tape
-    (and a second call of the node's VJP) gives the same gradients."""
+    (and a second call of the node's VJP) gives the same gradients.
+
+    The second batch's first layer has NaN pre-activations (a NaN bias)
+    and zero ones (a zero weight column, bias -0.0). fmax turns NaN into
+    +0.0 and keeps a zero's sign, and `h > 0.0` is False for NaN and both
+    zeros, so their masks are False whether the node stores activations
+    (trained weights) or bool masks (frozen), and the gradients equal the
+    unfused chain's bit for bit. A GEMM whose sums start at +0.0, as
+    OpenBLAS's do, gives +0.0 for x @ 0, so -0.0 + that is +0.0 here."""
     rng = np.random.default_rng(14)
-    t = Tape()
-    x0 = rng.normal(size=(300, 6))
-    x = t.leaf(x0, "x")
-    ws = [rng.normal(size=s) for s in ((6, 8), (14, 8), (8, 1))]
-    bs = [rng.normal(size=s[1]) for s in ((6, 8), (14, 8), (8, 1))]
-    wv = [t.leaf(w, f"w{i}") if "w" in trained else t.constant(w)
-          for i, w in enumerate(ws)]
-    bv = [t.leaf(b, f"b{i}") if "b" in trained else t.constant(b)
-          for i, b in enumerate(bs)]
-    out = ad.mlp(x, wv, bv, skip_at=(1,))
-    r = rng.normal(size=(300, 1))
-    r[::3] = 0.0  # frozen weights: the pass runs on the live rows only
-    loss = ad.vsum(ad.mul(out, r))
-    first, second = backward(t, loss), backward(t, loss)
-    assert first.keys() == second.keys()
-    assert len(first) == (7 if "w" in trained else 1)
-    for name in first:
-        np.testing.assert_array_equal(first[name].view(np.int64),
-                                      second[name].view(np.int64), err_msg=name)
-    g = r.copy()
-    vjp = t.nodes[out.idx].vjp
-    once, twice = vjp(g), vjp(g)
-    np.testing.assert_array_equal(g.view(np.int64), r.view(np.int64))
-    for a, b in zip(once, twice):
-        np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+    shapes = ((6, 8), (14, 8), (8, 1))
+    for n_rows, special in ((300, False), (512, True)):
+        x0 = rng.normal(size=(n_rows, 6))
+        ws = [rng.normal(size=s) for s in shapes]
+        bs = [rng.normal(size=s[1]) for s in shapes]
+        r = rng.normal(size=(n_rows, 1))
+        if special:
+            bs[0][2] = np.nan
+            ws[0][:, 5], bs[0][5] = 0.0, -0.0
+            pre = x0 @ ws[0] + bs[0]
+            assert np.isnan(pre[:, 2]).all() and np.all(pre[:, 5] == 0.0)
+            r[np.arange(n_rows) % 4 != 0] = 0.0  # frozen: one ROW_BLOCK runs
+        else:
+            r[::3] = 0.0  # frozen weights: the pass runs on the live rows only
+        runs = []
+        for layer in (ad.mlp, _unfused_mlp):
+            t = Tape()
+            x = t.leaf(x0, "x")
+            wv = [t.leaf(w, f"w{i}") if "w" in trained else t.constant(w)
+                  for i, w in enumerate(ws)]
+            bv = [t.leaf(b, f"b{i}") if "b" in trained else t.constant(b)
+                  for i, b in enumerate(bs)]
+            out = layer(x, wv, bv, (1,))
+            runs.append((t, out, ad.vsum(ad.mul(out, r))))
+        t, out, loss = runs[0]
+        first, second = backward(t, loss), backward(t, loss)
+        assert first.keys() == second.keys()
+        assert len(first) == (7 if "w" in trained else 1)
+        for name in first:
+            np.testing.assert_array_equal(first[name].view(np.int64),
+                                          second[name].view(np.int64), err_msg=name)
+            assert np.all(np.isfinite(first[name])), name
+        if special:
+            chain = backward(runs[1][0], runs[1][2])
+            for name in first:
+                np.testing.assert_array_equal(first[name].view(np.int64),
+                                              chain[name].view(np.int64),
+                                              err_msg=name)
+        g = r.copy()
+        vjp = t.nodes[out.idx].vjp
+        once, twice = vjp(g), vjp(g)
+        np.testing.assert_array_equal(g.view(np.int64), r.view(np.int64))
+        for a, b in zip(once, twice):
+            np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))

@@ -16,11 +16,19 @@ file); its `src/` is the program timed. It runs, in this process:
 Each step does what `fit._optimize` does: build the FieldProgram, the loss
 forward, backward, Adam. The tool wraps `BasisField.select_top2_nearest`
 and `autodiff.mlp` (the decoder node, whose VJP it wraps too) from outside
-and changes nothing in the program. For every phase it prints the median
-over STEPS steps, after WARMUP steps, in ms: `program`, `forward`,
-`backward`, `adam` and `step`, with `select` (inside forward) and
-`decoder_forward`/`decoder_backward` (inside forward and backward), and
-the tape nodes of a step.
+and changes nothing in the program; while the decoder's VJP runs it also
+wraps `numpy.take`, which there gathers the ReLU masks of the live rows
+(frozen decoder only). For every phase it prints the median over STEPS
+steps, after WARMUP steps, in ms: `program`, `forward`, `backward`,
+`adam` and `step`, with `select` (inside forward),
+`decoder_forward`/`decoder_backward` (inside forward and backward) and
+`decoder_gathers` (inside the decoder's backward), and the tape nodes of a
+step. Then MEMORY_STEPS more steps run under tracemalloc, which slows
+them, so they are not timed: `held_after_forward_mb` is the memory that
+the step's allocations still hold once the loss forward has returned (the
+tape, its VJP closures included), and `step_peak_mb` the most that they
+held at once during the step; each is the median over those steps, in MB
+of 10^6 bytes.
 """
 
 from __future__ import annotations
@@ -31,12 +39,14 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 WARMUP = 5
 STEPS = 60
+MEMORY_STEPS = 3
 BATCH = 2048
 
 
@@ -71,17 +81,28 @@ class Timer:
 
 def profile(mods, field_obj, trainable, step_loss) -> dict:
     """Median phase times (ms) and tape nodes of STEPS steps of Adam on
-    `field_obj`, as fit._optimize runs them."""
+    `field_obj`, as fit._optimize runs them, then the median traced memory
+    (MB) of MEMORY_STEPS more steps."""
     ad, fmod = mods[0], mods[1]
-    select, dec_fwd, dec_bwd = Timer(), Timer(), Timer()
-    orig_select, orig_mlp = fmod.BasisField.select_top2_nearest, ad.mlp
+    select, dec_fwd, dec_bwd, gathers = Timer(), Timer(), Timer(), Timer()
+    orig_select, orig_mlp, orig_take = (fmod.BasisField.select_top2_nearest,
+                                        ad.mlp, np.take)
 
     def mlp(x, *args, **kwargs):
         out = dec_fwd.wrap(orig_mlp)(x, *args, **kwargs)
         if out.idx is not None:
             node = x.tape.nodes[out.idx]
-            node.vjp = dec_bwd.wrap(node.vjp)
+            node.vjp = dec_bwd.wrap(gathering(node.vjp))
         return out
+
+    def gathering(vjp):
+        def run(g):
+            np.take = gathers.wrap(orig_take)
+            try:
+                return vjp(g)
+            finally:
+                np.take = orig_take
+        return run
 
     fmod.BasisField.select_top2_nearest = select.wrap(orig_select)
     ad.mlp = mlp
@@ -89,13 +110,17 @@ def profile(mods, field_obj, trainable, step_loss) -> dict:
         pv = field_obj.to_params()
         state = ad.AdamState.init(len(pv), lr=1e-3)
         rows: dict[str, list[float]] = {}
-        for step in range(WARMUP + STEPS):
+        for step in range(WARMUP + STEPS + MEMORY_STEPS):
+            traced = step >= WARMUP + STEPS
+            if traced:
+                tracemalloc.start()
             t0 = time.perf_counter()
             tape = ad.Tape()
             prog = fmod.FieldProgram(tape, field_obj.with_params(pv), trainable)
             t1 = time.perf_counter()
             total, _ = step_loss(prog, step)
             t2 = time.perf_counter()
+            held = tracemalloc.get_traced_memory()[0]
             grads = pv.flatten_grads(ad.backward(tape, total))
             t3 = time.perf_counter()
             pv.data, state = ad.adam_step(pv.data, grads, state)
@@ -103,14 +128,22 @@ def profile(mods, field_obj, trainable, step_loss) -> dict:
             times = {"program": t1 - t0, "forward": t2 - t1,
                      "backward": t3 - t2, "adam": t4 - t3, "step": t4 - t0,
                      "select": select.take(), "decoder_forward": dec_fwd.take(),
-                     "decoder_backward": dec_bwd.take()}
-            if step >= WARMUP:
+                     "decoder_backward": dec_bwd.take(),
+                     "decoder_gathers": gathers.take()}
+            if traced:
+                rows.setdefault("held_after_forward_mb", []).append(held / 1e6)
+                rows.setdefault("step_peak_mb", []).append(
+                    tracemalloc.get_traced_memory()[1] / 1e6)
+                tracemalloc.stop()
+            elif step >= WARMUP:
                 for k, v in times.items():
                     rows.setdefault(k, []).append(1e3 * v)
                 rows.setdefault("tape_nodes", []).append(len(tape.nodes))
+            del tape, prog, total, grads
     finally:
         fmod.BasisField.select_top2_nearest = orig_select
         ad.mlp = orig_mlp
+        tracemalloc.stop()
     return {k: round(statistics.median(v), 3) for k, v in rows.items()}
 
 
