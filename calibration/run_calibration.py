@@ -94,13 +94,12 @@ def refinement_efficacy(fitted):
     perturbed.latents += rng.normal(0.0, 0.05, perturbed.latents.shape)
     probe = surface_points(scene, 10_000, seed=77).points
     before = float(np.mean(np.abs(perturbed.sdf_batch(probe))))
-    cfg = FitConfig(n_bases=perturbed.n_bases, d_z=perturbed.d_z,
-                    refine_steps=1000, refine_lr=1e-3, seed=9,
-                    weights=LossWeights())
+    weights = LossWeights()
     surf = surface_points(scene, 2048, seed=5)
-    pos = positive_points(scene, 2048, margin=cfg.weights.hinge_eps, seed=6)
+    pos = positive_points(scene, 2048, margin=weights.hinge_eps, seed=6)
     t0 = time.perf_counter()
-    refined, _ = refine(perturbed, surf, pos, Anchor.from_field(perturbed), cfg)
+    refined, _ = refine(perturbed, surf, pos, Anchor.from_field(perturbed),
+                        steps=1000, lr=1e-3, seed=9, weights=weights)
     after = float(np.mean(np.abs(refined.sdf_batch(probe))))
     return {"mean_abs_sdf_perturbed": before, "mean_abs_sdf_refined": after,
             "reduction": 1.0 - after / before,

@@ -117,11 +117,10 @@ def cmd_refine(args) -> int:
     check_number(args.seed, "--seed", 0, integer=True)
     field = BasisField.load(args.checkpoint)
     scene = SceneSpec.load(args.scene)
-    config = FitConfig(refine_steps=args.steps, refine_lr=args.lr,
-                       seed=args.seed, weights=LossWeights(hinge_eps=args.eps))
-    refined, report = refine_from_scene(field, scene, config,
-                                        n_surface=args.n_surface,
-                                        n_positive=args.n_positive)
+    refined, report = refine_from_scene(
+        field, scene, steps=args.steps, lr=args.lr, seed=args.seed,
+        weights=LossWeights(hinge_eps=args.eps), n_surface=args.n_surface,
+        n_positive=args.n_positive)
     refined.save(args.out)
     if args.report:
         _dump_json(report.to_json_dict(), args.report)
@@ -169,7 +168,7 @@ def cmd_gradcheck(args) -> int:
     check_positive(args.h, "--h")
     check_positive(args.tolerance, "--tolerance")
     report = run_gradcheck(seed=args.seed, fixtures_per_loss=args.fixtures,
-                           h=args.h, corrupt=args.corrupt)
+                           h=args.h)
     for name, res in report.results.items():
         _log(f"{name}: max rel err {res.max_rel_err:.3e} "
              f"({res.n_checked} coords, {len(res.excluded)} excluded)")
@@ -257,8 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random fixtures per loss")
     s.add_argument("--h", type=float, default=1e-6)
     s.add_argument("--tolerance", type=float, default=1e-5)
-    s.add_argument("--corrupt", action="store_true",
-                   help="bias gradients to exercise the failure path")
     s.set_defaults(fn=cmd_gradcheck)
 
     return p

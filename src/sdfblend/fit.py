@@ -2,9 +2,9 @@
 compact it by domain-based downsampling, and refine centers/latents with
 the post-fit objective.
 
-Every loop is a pure function of (inputs, config.seed): batches, noise and
-initialization all derive from one seed sequence, so reruns are
-bit-identical.
+Every loop is a pure function of its inputs and its seed (config.seed for
+a fit, `seed` for a refinement): batches, noise and initialization all
+derive from one seed sequence, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -26,6 +26,11 @@ from .geom import (
 )
 from .objective import Anchor, LossWeights, RefineInputs, loss_inte_t, loss_opt_t
 
+# Refinement's adjacency points (adjacency_points); constants, not settings,
+# since no command or job has ever set another value.
+N_REFINE_ADJ = 4096  # the refine command's default surface + free-space counts
+ADJ_SPREAD = 0.05    # std. dev. around an effective center, on shapes ~1 across
+
 
 @dataclass
 class FitConfig:
@@ -46,24 +51,16 @@ class FitConfig:
     n_near: int = 18000
     n_uniform: int = 2000
     noise_stds: tuple[float, float] = (0.01, 0.003)
-    # refinement loop
-    refine_steps: int = 1000
-    refine_lr: float = 1e-3
-    n_refine_adj: int = 4096
-    adj_spread: float = 0.05
     # parameter names to optimize; None trains everything
     trainable: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        for name in ("n_bases", "steps", "batch_size", "refine_steps",
-                     "n_refine_adj"):
+        for name in ("n_bases", "steps", "batch_size"):
             check_number(getattr(self, name), name, 1, integer=True)
         for name in ("d_z", "seed", "n_near", "n_uniform"):
             check_number(getattr(self, name), name, 0, integer=True)
-        for name in ("reg_boundary_frac", "adj_spread"):
-            check_number(getattr(self, name), name, 0.0)
-        for name in ("lr", "refine_lr"):
-            check_positive(getattr(self, name), name)
+        check_number(self.reg_boundary_frac, "reg_boundary_frac", 0.0)
+        check_positive(self.lr, "lr")
         if self.n_init is not None:
             check_number(self.n_init, "n_init", self.n_bases, integer=True)
         if not isinstance(self.weights, LossWeights):
@@ -288,30 +285,41 @@ def adjacency_points(field: BasisField, n: int, spread: float, seed: int
 
 
 def refine(field: BasisField, surface_pts: PointCloud, pos_pts: PointCloud,
-           anchor: Anchor, config: FitConfig
+           anchor: Anchor, *, steps: int = 1000, lr: float = 1e-3,
+           seed: int = 0, weights: LossWeights | None = None
            ) -> tuple[BasisField, FitReport]:
-    """Post-fit refinement: Adam on centers and latents only.
+    """Post-fit refinement: `steps` Adam steps of rate `lr` on centers and
+    latents only, against loss_opt_t under `weights` (None: LossWeights()),
+    with N_REFINE_ADJ adjacency points drawn from `seed`.
 
     All other parameters are frozen by construction (their gradients are
     exactly zero, so their values are bit-identical afterwards).
     """
+    check_number(steps, "steps", 1, integer=True)
+    check_positive(lr, "lr")
+    check_number(seed, "seed", 0, integer=True)
+    weights = LossWeights() if weights is None else weights
     anchor.check_matches(field)
-    (s_adj,) = spawn_seeds(config.seed, 1)
-    adj = adjacency_points(field, config.n_refine_adj, config.adj_spread, s_adj)
+    (s_adj,) = spawn_seeds(seed, 1)
+    adj = adjacency_points(field, N_REFINE_ADJ, ADJ_SPREAD, s_adj)
     inputs = RefineInputs(surface=surface_pts, positive=pos_pts, adjacency=adj)
-    return _optimize(field, {"centers", "latents"}, config.refine_lr,
-                     config.refine_steps,
-                     lambda prog, step: loss_opt_t(prog, inputs, config.weights,
+    return _optimize(field, {"centers", "latents"}, lr, steps,
+                     lambda prog, step: loss_opt_t(prog, inputs, weights,
                                                    anchor))
 
 
-def refine_from_scene(field: BasisField, scene: SceneSpec, config: FitConfig,
+def refine_from_scene(field: BasisField, scene: SceneSpec, *,
+                      steps: int = 1000, lr: float = 1e-3, seed: int = 0,
+                      weights: LossWeights | None = None,
                       n_surface: int = 2048, n_positive: int = 2048
                       ) -> tuple[BasisField, FitReport]:
-    """Convenience wrapper: draw refinement inputs from the scene oracle."""
-    s_surf, s_pos = spawn_seeds(config.seed + 1, 2)
+    """Convenience wrapper: draw refinement inputs from the scene oracle
+    (from `seed + 1`, so they are independent of the adjacency points)."""
+    weights = LossWeights() if weights is None else weights
+    s_surf, s_pos = spawn_seeds(seed + 1, 2)
     surf = surface_points(scene, n_surface, s_surf)
-    pos = positive_points(scene, n_positive, margin=config.weights.hinge_eps,
+    pos = positive_points(scene, n_positive, margin=weights.hinge_eps,
                           seed=s_pos)
     anchor = Anchor.from_field(field)
-    return refine(field, surf, pos, anchor, config)
+    return refine(field, surf, pos, anchor, steps=steps, lr=lr, seed=seed,
+                  weights=weights)

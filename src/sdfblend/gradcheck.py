@@ -64,12 +64,8 @@ class GradCheckReport:
 
 
 def run_gradcheck(seed: int = 0, fixtures_per_loss: int = 11,
-                  h: float = 1e-6, corrupt: bool = False) -> GradCheckReport:
-    """Check every loss gradient on `fixtures_per_loss` random fixtures.
-
-    `corrupt` deliberately biases the analytic gradient (to exercise failure
-    reporting paths).
-    """
+                  h: float = 1e-6) -> GradCheckReport:
+    """Check every loss gradient on `fixtures_per_loss` random fixtures."""
     rng = np.random.default_rng(seed)
     weights = LossWeights()
     results: dict[str, FdCheckResult] = {}
@@ -88,10 +84,6 @@ def run_gradcheck(seed: int = 0, fixtures_per_loss: int = 11,
                 adj_pts=_fixture_points(rng, field, N_POINTS))
             res = finite_diff_check(_objective(LOSSES[loss_name], field, fx),
                                     field.to_params(), h=h)
-            if corrupt:
-                res = FdCheckResult(max_rel_err=res.max_rel_err + 1.0,
-                                    n_checked=res.n_checked,
-                                    excluded=res.excluded)
             worst = FdCheckResult(
                 max_rel_err=max(worst.max_rel_err, res.max_rel_err),
                 n_checked=worst.n_checked + res.n_checked,

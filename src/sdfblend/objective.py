@@ -6,10 +6,11 @@ wrapper with the documented operation signature. The float wrappers
 evaluate on a throwaway constant tape, so both forms share one
 implementation of the math.
 
-Hinge conventions: the surface and free-space hinges default to punishing
-violations *outside* the margin (loss is zero whenever the constraint holds
-within eps). The alternative ``"paper-min"`` convention, which activates
-inside the margin instead, is selectable for comparison.
+The surface and free-space hinges punish violations outside the margin
+(the loss is zero whenever the constraint holds within eps): the paper's
+equation literally reads ``min()``, which would activate inside the margin,
+while its prose penalises violations outside it, and the code follows the
+prose.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .field import BasisField, FieldProgram, blend_weights
 from .geom import PointCloud, SampleSet
 from .metrics import nearest_distances
 
-HINGE_CONVENTIONS = ("outside", "paper-min")
-
 
 @dataclass
 class LossWeights:
@@ -41,14 +40,11 @@ class LossWeights:
     hinge_eps: float = 0.005
     adj_sharp_surface: float = 10000.0
     adj_sharp_balance: float = 1000.0
-    hinge_convention: str = "outside"
 
     def __post_init__(self):
         for name in ("smooth", "reg", "face", "pos", "adj", "stable",
                      "hinge_eps", "adj_sharp_surface", "adj_sharp_balance"):
             check_number(getattr(self, name), f"LossWeights.{name}", 0.0)
-        if self.hinge_convention not in HINGE_CONVENTIONS:
-            raise ValueError(f"unknown hinge convention {self.hinge_convention!r}")
 
     def to_json_dict(self) -> dict:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -243,23 +239,17 @@ def _inte_node(prog: FieldProgram, pts: np.ndarray, targets: np.ndarray,
                       pre=backprop), parts
 
 
-def loss_face_t(prog: FieldProgram, pts: np.ndarray, eps: float,
-                convention: str = "outside") -> Var:
+def loss_face_t(prog: FieldProgram, pts: np.ndarray, eps: float) -> Var:
     """Squared hinge keeping |sdf| within eps on surface points."""
     s = prog.blend(pts).sdf
-    t = ad.sub(ad.absolute(s), eps)
-    h = ad.maximum(t, 0.0) if convention == "outside" else ad.minimum(t, 0.0)
+    h = ad.maximum(ad.sub(ad.absolute(s), eps), 0.0)
     return ad.vmean(ad.mul(h, h))
 
 
-def loss_pos_t(prog: FieldProgram, pts: np.ndarray, eps: float,
-               convention: str = "outside") -> Var:
+def loss_pos_t(prog: FieldProgram, pts: np.ndarray, eps: float) -> Var:
     """Squared hinge keeping sdf positive (with margin) on free-space points."""
     s = prog.blend(pts).sdf
-    if convention == "outside":
-        h = ad.maximum(ad.sub(eps, s), 0.0)
-    else:
-        h = ad.minimum(ad.sub(ad.neg(s), eps), 0.0)
+    h = ad.maximum(ad.sub(eps, s), 0.0)
     return ad.vmean(ad.mul(h, h))
 
 
@@ -367,9 +357,8 @@ def loss_opt_t(prog: FieldProgram, inputs: RefineInputs, weights: LossWeights,
                anchor: Anchor) -> tuple[Var, dict[str, float]]:
     """Refinement objective: surface + free-space hinges, adjacency
     agreement, and drift control."""
-    conv = weights.hinge_convention
-    l_face = loss_face_t(prog, inputs.surface.points, weights.hinge_eps, conv)
-    l_pos = loss_pos_t(prog, inputs.positive.points, weights.hinge_eps, conv)
+    l_face = loss_face_t(prog, inputs.surface.points, weights.hinge_eps)
+    l_pos = loss_pos_t(prog, inputs.positive.points, weights.hinge_eps)
     l_adj = loss_adj_t(prog, inputs.adjacency.points, weights)
     l_stable = loss_stable_t(prog, anchor)
     total = ad.add(ad.add(l_face * weights.face, l_pos * weights.pos),
@@ -414,16 +403,14 @@ def loss_inte(field: BasisField, samples: SampleSet, weights: LossWeights,
     return float(total.value)
 
 
-def loss_face(field: BasisField, surface_pts: PointCloud, eps: float,
-              convention: str = "outside") -> float:
-    return float(loss_face_t(FieldProgram.constant(field), surface_pts.points, eps,
-                             convention).value)
+def loss_face(field: BasisField, surface_pts: PointCloud, eps: float) -> float:
+    return float(loss_face_t(FieldProgram.constant(field), surface_pts.points,
+                             eps).value)
 
 
-def loss_pos(field: BasisField, pos_pts: PointCloud, eps: float,
-             convention: str = "outside") -> float:
-    return float(loss_pos_t(FieldProgram.constant(field), pos_pts.points, eps,
-                            convention).value)
+def loss_pos(field: BasisField, pos_pts: PointCloud, eps: float) -> float:
+    return float(loss_pos_t(FieldProgram.constant(field), pos_pts.points,
+                            eps).value)
 
 
 def loss_adj(field: BasisField, samples: PointCloud,

@@ -192,14 +192,12 @@ def test_criterion_7_post_optimization_efficacy(sphere_benchmark):
     probe = surface_points(scene, 10_000, seed=77).points
     before = float(np.mean(np.abs(perturbed.sdf_batch(probe))))
 
-    cfg = FitConfig(n_bases=perturbed.n_bases, d_z=perturbed.d_z,
-                    refine_steps=1000, refine_lr=1e-3, seed=9,
-                    weights=LossWeights(face=1.0, pos=10.0, adj=10.0,
-                                        stable=0.1, adj_sharp_surface=10000.0,
-                                        adj_sharp_balance=1000.0))
+    weights = LossWeights(face=1.0, pos=10.0, adj=10.0, stable=0.1,
+                          adj_sharp_surface=10000.0, adj_sharp_balance=1000.0)
     surf = surface_points(scene, 2048, seed=5)
-    pos = positive_points(scene, 2048, margin=cfg.weights.hinge_eps, seed=6)
-    refined, _ = refine(perturbed, surf, pos, Anchor.from_field(perturbed), cfg)
+    pos = positive_points(scene, 2048, margin=weights.hinge_eps, seed=6)
+    refined, _ = refine(perturbed, surf, pos, Anchor.from_field(perturbed),
+                        steps=1000, lr=1e-3, seed=9, weights=weights)
 
     after = float(np.mean(np.abs(refined.sdf_batch(probe))))
     assert after <= 0.5 * before

@@ -115,9 +115,11 @@ def test_subgradient_conventions():
 
 
 def _relu_layer(t, x, trainable=False):
-    """mlp(x) of a ReLU layer x * 1 + -0.0, then a linear layer r * 1 + -0.0:
-    adding -0.0 keeps every value, -0.0 too, so the output is the ReLU's.
-    With `trainable`, x is a trainable leaf, so the node records a VJP."""
+    """mlp(x) of a ReLU layer x @ 1 + -0.0, then a linear layer r @ 1 + -0.0.
+    Adding -0.0 keeps every value, but the GEMM x @ 1 may not: OpenBLAS
+    sums from +0.0, so a -0.0 input reaches the ReLU as +0.0 (asserted in
+    test_dense_relu_special_values_bit_for_bit). With `trainable`, x is a
+    trainable leaf, so the node records a VJP."""
     h = np.reshape(x, (-1, 1))
     one, zero = np.ones((1, 1)), np.array([-0.0])
     return ad.mlp(t.leaf(h, "h") if trainable else t.constant(h),
@@ -126,9 +128,18 @@ def _relu_layer(t, x, trainable=False):
 
 
 def test_dense_relu_special_values_bit_for_bit():
-    # NaN and -0.0 map to +0.0, as np.where(x > 0, x, 0) does
+    # NaN maps to +0.0, as np.where(x > 0, x, 0) does. A -0.0 would stay
+    # -0.0 through ad.mlp's fmax, where np.where gives +0.0; the two agree
+    # only because the GEMM turns a -0.0 input into a +0.0 pre-activation,
+    # which ad.mlp's fmax comment relies on, so a BLAS that returns -0.0
+    # fails here by name
     x = np.tile([-0.0, 0.0, np.nan, np.inf, -np.inf, 1e-310, -1e-310, -1.5, 2.5],
                 50)
+    negative_zero = (x == 0.0) & np.signbit(x)
+    assert negative_zero.any()
+    pre = (np.reshape(x, (-1, 1)) @ np.ones((1, 1)) + np.array([-0.0]))[:, 0]
+    assert not np.signbit(pre[negative_zero]).any(), \
+        "the BLAS GEMM keeps -0.0, so fmax would pass -0.0 through the ReLU"
     expected = np.where(x > 0.0, x, 0.0)
     for trainable in (False, True):
         out = _relu_layer(Tape(), x, trainable).value[:, 0]

@@ -166,11 +166,22 @@ def test_fit_rejects_bad_batch_size(tmp_path, scene_path, capsys, batch_size):
     ("noise_stds", [0.01, 0.0], "noise_stds entries must be > 0"),
     ("noise_stds", [-1.0, 0.003], "noise_stds entries must be > 0, got -1.0"),
     ("lr", -1.0, "lr must be > 0, got -1.0"),
-    ("refine_lr", 0.0, "refine_lr must be > 0, got 0.0"),
+    # refinement's settings are refine's own: a fit job naming one fails
+    ("refine_lr", 0.0, "unknown fit config fields: ['refine_lr']"),
     ("trainable", [], "trainable must name at least one parameter"),
+    ("refine_steps", 1000, "unknown fit config fields: ['refine_steps']"),
+    ("n_refine_adj", 4096, "unknown fit config fields: ['n_refine_adj']"),
+    ("adj_spread", 0.05, "unknown fit config fields: ['adj_spread']"),
+    ("weights", {"hinge_convention": "outside"},
+     "unknown loss weights fields: ['hinge_convention']"),
 ])
 def test_fit_rejects_malformed_config_fields(tmp_path, scene_path, capsys,
-                                             field, value, message):
+                                             monkeypatch, field, value,
+                                             message):
+    """Each field is refused where the config is loaded, before the scene."""
+    import sdfblend.cli as cli
+    monkeypatch.setattr(cli.SceneSpec, "load", lambda *a: pytest.fail(
+        "read the scene despite a malformed fit config"))
     cfg_path = tmp_path / "fit.json"
     cfg_path.write_text(json.dumps({
         "version": 1, "scene": str(scene_path),
@@ -626,14 +637,21 @@ def test_refine_non_finite_loss_exits_2(tmp_path, scene_path, capsys):
     assert not out.exists()
 
 
-def test_gradcheck_cli_pass_and_corrupt(capsys):
+def test_gradcheck_cli_pass_and_corrupt(capsys, monkeypatch):
     rc = main(["gradcheck", "--fixtures", "1", "--seed", "4"])
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert all(v["max_rel_err"] <= 1e-5 for v in payload.values())
 
-    rc = main(["gradcheck", "--fixtures", "1", "--seed", "4", "--corrupt"])
+    # a corrupted gradient: its error is above the tolerance
+    import sdfblend.cli as cli
+    from sdfblend.autodiff import FdCheckResult
+    from sdfblend.gradcheck import GradCheckReport
+    monkeypatch.setattr(cli, "run_gradcheck", lambda **kw: GradCheckReport(
+        {"sdf": FdCheckResult(max_rel_err=2e-5, n_checked=4)}))
+    rc = main(["gradcheck", "--tolerance", "1e-5"])
     assert rc == 3
+    assert "FAIL: max rel err 2.000e-05 > 1e-05" in capsys.readouterr().err
 
 
 def test_gradcheck_cli_deterministic(capsys):

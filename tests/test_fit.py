@@ -46,9 +46,15 @@ def test_config_validation():
     for bad in (0, -3):
         with pytest.raises(ValueError, match="batch_size"):
             FitConfig(batch_size=bad)
+    # refinement's settings are refine's arguments, checked there
+    f, cloud = plane_field(), PointCloud(np.zeros((4, 3)))
     for bad in (0, -1):
-        with pytest.raises(ValueError, match="refine_steps"):
-            FitConfig(refine_steps=bad)
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            refine(f, cloud, cloud, Anchor.from_field(f), steps=bad)
+    with pytest.raises(ValueError, match="lr must be > 0, got 0.0"):
+        refine(f, cloud, cloud, Anchor.from_field(f), lr=0.0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        refine(f, cloud, cloud, Anchor.from_field(f), seed=-1)
 
 
 def test_config_json_round_trip():
@@ -165,14 +171,14 @@ def overflowing_field():
 
 def test_fit_and_refine_stop_at_non_finite_loss():
     f = overflowing_field()
-    cfg = small_config(n_bases=3, steps=5, n_refine_adj=64, refine_steps=5)
+    cfg = small_config(n_bases=3, steps=5)
     samples = sample_training_set(SPHERE, 90, 10, cfg.noise_stds, seed=1)
     cloud = PointCloud(np.random.default_rng(2).uniform(-0.4, 0.4, (32, 3)))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteError, match="non-finite loss at step 0$"):
             fit_field(f, samples, cfg)
         with pytest.raises(NonFiniteError, match="non-finite loss at step 0$"):
-            refine(f, cloud, cloud, Anchor.from_field(f), cfg)
+            refine(f, cloud, cloud, Anchor.from_field(f), steps=5)
 
 
 def test_fit_loss_decreases_on_small_problem():
@@ -239,9 +245,8 @@ def test_refine_noop_when_objective_already_zero():
     surf[:, 2] = 0.0  # on the plane: |sdf| = 0 <= eps
     pos = rng.uniform(-0.4, 0.4, (64, 3))
     pos[:, 2] = np.abs(pos[:, 2]) + 0.1  # sdf >= 0.1 >= eps
-    cfg = FitConfig(n_bases=1, d_z=1, refine_steps=50, seed=1)
     refined, report = refine(f, PointCloud(surf), PointCloud(pos),
-                             Anchor.from_field(f), cfg)
+                             Anchor.from_field(f), steps=50, seed=1)
     assert max(np.max(np.abs(refined.centers - f.centers)),
                np.max(np.abs(refined.latents - f.latents))) <= 1e-6
     assert report.trace["total"][-1] == 0.0
@@ -258,8 +263,7 @@ def test_refine_counts_underflow_fallbacks():
     rng = np.random.default_rng(6)
     surf = PointCloud(rng.uniform(-0.4, 0.4, (16, 3)))
     pos = PointCloud(rng.uniform(-0.4, 0.4, (16, 3)))
-    cfg = FitConfig(n_bases=2, d_z=1, refine_steps=3, seed=1, n_refine_adj=16)
-    _, report = refine(f, surf, pos, Anchor.from_field(f), cfg)
+    _, report = refine(f, surf, pos, Anchor.from_field(f), steps=3, seed=1)
     # every surface and positive point is far from both domains, every step
     assert report.diagnostics["underflow_fallbacks"] >= 3 * (16 + 16)
 
@@ -270,9 +274,7 @@ def test_refine_freezes_everything_but_centers_and_latents():
     f = random_field(rng, n_bases=3)
     surf = PointCloud(rng.uniform(-0.4, 0.4, (32, 3)))
     pos = PointCloud(rng.uniform(-0.4, 0.4, (32, 3)))
-    cfg = FitConfig(n_bases=3, d_z=4, refine_steps=30, seed=2,
-                    n_refine_adj=64)
-    refined, _ = refine(f, surf, pos, Anchor.from_field(f), cfg)
+    refined, _ = refine(f, surf, pos, Anchor.from_field(f), steps=30, seed=2)
     # frozen: bit-identical
     np.testing.assert_array_equal(refined.log_scales, f.log_scales)
     np.testing.assert_array_equal(refined.rot6s, f.rot6s)
@@ -333,8 +335,7 @@ def test_refine_requires_matching_anchor():
     f2 = random_field(rng, n_bases=2)
     cloud = PointCloud(rng.uniform(-0.3, 0.3, (8, 3)))
     with pytest.raises(FieldError):
-        refine(f3, cloud, cloud, Anchor.from_field(f2),
-               FitConfig(n_bases=3, d_z=4, refine_steps=1))
+        refine(f3, cloud, cloud, Anchor.from_field(f2), steps=1)
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +396,8 @@ def test_refine_of_a_converged_fit_stays_out_of_subnormals(subnormal_vjp_entries
     field = BasisField.load(BENCH_CHECKPOINT)
     field.latents += np.random.default_rng(123).normal(0.0, 0.05,
                                                        field.latents.shape)
-    cfg = FitConfig(refine_steps=3, seed=7, n_refine_adj=256)
-    _, report = refine_from_scene(field, SPHERE, cfg, n_surface=64,
-                                  n_positive=64)
+    _, report = refine_from_scene(field, SPHERE, steps=3, seed=7,
+                                  n_surface=64, n_positive=64)
     assert report.trace["adj"][-1] > 0.0
     assert subnormal_vjp_entries[0] == 0
 
@@ -436,15 +436,14 @@ def test_a_step_tape_is_freed_by_reference_counting(monkeypatch):
             refs.append(weakref.ref(self))
 
     monkeypatch.setattr(fit_mod, "Tape", WatchedTape)
-    cfg = small_config(n_bases=4, steps=1, refine_steps=1, n_refine_adj=256,
-                       seed=5)
+    cfg = small_config(n_bases=4, steps=1, seed=5)
     samples = sample_training_set(SPHERE, 900, 100, seed=6)
     start = init_field(SPHERE, cfg)
     gc.disable()
     try:
         fit_field(start, samples, cfg)
-        refine_from_scene(_perturbed_bench_field(), SPHERE, cfg, n_surface=64,
-                          n_positive=64)
+        refine_from_scene(_perturbed_bench_field(), SPHERE, steps=1, seed=5,
+                          n_surface=64, n_positive=64)
         assert len(refs) == 2
         assert [ref() for ref in refs] == [None, None]
     finally:
@@ -475,12 +474,11 @@ def test_step_tape_node_counts_are_pinned(monkeypatch):
     monkeypatch.setattr(fit_mod, "backward", lambda tape, out:
                         counts.append(len(tape.nodes)) or backward(tape, out))
     cfg = FitConfig(n_bases=8, d_z=16, decoder_widths=(48, 48, 48),
-                    batch_size=256, steps=1, refine_steps=1, n_refine_adj=512,
-                    seed=1)
+                    batch_size=256, steps=1, seed=1)
     samples = sample_training_set(SPHERE, 900, 100, seed=6)
     fit_field(init_field(SPHERE, cfg), samples, cfg)
-    _, report = refine_from_scene(_perturbed_bench_field(), SPHERE, cfg,
-                                  n_surface=256, n_positive=256)
+    _, report = refine_from_scene(_perturbed_bench_field(), SPHERE, steps=1,
+                                  seed=1, n_surface=256, n_positive=256)
     assert report.trace["adj"][-1] > 0.0  # the adjacency blend ran
     fit_nodes, refine_nodes = counts
     assert fit_nodes == 21

@@ -249,16 +249,6 @@ def test_loss_face_monotone_decreasing_in_eps():
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
-def test_loss_face_paper_min_convention_activates_inside():
-    f = constant_field(0.02)
-    pts = PointCloud(np.zeros((1, 3)))
-    # |sdf| > eps: literal min() formula gives zero, prose convention doesn't
-    assert loss_face(f, pts, eps=0.005, convention="paper-min") == 0.0
-    f2 = constant_field(0.001)
-    assert loss_face(f2, pts, eps=0.005, convention="paper-min") \
-        == pytest.approx(0.004 ** 2)
-
-
 def test_loss_pos_satisfied_zero():
     f = constant_field(0.5)
     pts = PointCloud(np.zeros((4, 3)))
@@ -560,8 +550,6 @@ def test_losses_nonnegative_and_order_invariant():
 def test_loss_weights_validation():
     with pytest.raises(ValueError):
         LossWeights(smooth=-0.1)
-    with pytest.raises(ValueError):
-        LossWeights(hinge_convention="bogus")
     w = LossWeights()
     assert LossWeights.from_json_dict(w.to_json_dict()) == w
 

@@ -170,18 +170,16 @@ def refine_case(mods, tree: Path, seed: int) -> dict:
     field_obj = fmod.BasisField.load(tree / "bench" / "data" / "sphere_fit.json")
     field_obj.latents += np.random.default_rng(123).normal(
         0.0, 0.05, field_obj.latents.shape)
-    scene, config = fixtures.sphere_scene(), fit.FitConfig()
+    scene, weights = fixtures.sphere_scene(), objective.LossWeights()
     inputs = objective.RefineInputs(
         surface=geom.surface_points(scene, 2048, seed),
-        positive=geom.positive_points(scene, 2048,
-                                      margin=config.weights.hinge_eps,
+        positive=geom.positive_points(scene, 2048, margin=weights.hinge_eps,
                                       seed=seed + 1),
-        adjacency=fit.adjacency_points(field_obj, config.n_refine_adj,
-                                       config.adj_spread, seed + 2))
+        adjacency=fit.adjacency_points(field_obj, 4096, 0.05, seed + 2))
     anchor = objective.Anchor.from_field(field_obj)
     return profile(mods, field_obj, {"centers", "latents"},
                    lambda prog, step: objective.loss_opt_t(
-                       prog, inputs, config.weights, anchor))
+                       prog, inputs, weights, anchor))
 
 
 def main(argv: list[str]) -> None:
