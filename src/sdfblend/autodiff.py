@@ -20,6 +20,11 @@ selection indices noted by callers). Two evaluations with equal token streams
 took the same smooth piece of the function, which is what makes central
 finite differences trustworthy; :func:`finite_diff_check` uses this to
 exclude coordinates whose +h/-h probes crossed a kink.
+
+The generic ops here are the ones the program runs. The fused nodes
+(:func:`mlp`, :func:`decoder_input`, :func:`domain_quadratic`,
+:func:`rotation_columns`) compute what a chain of generic ops computed, bit
+for bit; those chains, and the ops only they use, are in `tests/chains.py`.
 """
 
 from __future__ import annotations
@@ -228,25 +233,12 @@ def mul(a, b):
     return _binary(a, b, lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x)
 
 
-def div(a, b):
-    return _binary(
-        a, b,
-        lambda x, y: x / y,
-        lambda g, x, y: g / y,
-        lambda g, x, y: -g * x / (y * y),
-    )
-
-
 def neg(a: Var):
     return _unary(a, lambda x: -x, lambda x, o: -1.0)
 
 
 def exp(a: Var):
     return _unary(a, np.exp, lambda x, o: o)
-
-
-def sqrt(a: Var):
-    return _unary(a, np.sqrt, lambda x, o: 0.5 / o)
 
 
 def absolute(a: Var):
@@ -303,15 +295,6 @@ def where(mask, a, b):
         lambda x, y: np.where(mask, x, y),
         lambda g, x, y: g * mask,
         lambda g, x, y: g * ~mask,
-    )
-
-
-def matmul(a, b):
-    return _binary(
-        a, b,
-        lambda x, y: x @ y,
-        lambda g, x, y: g @ y.T,
-        lambda g, x, y: x.T @ g,
     )
 
 
@@ -458,29 +441,6 @@ def vmean(a: Var, axis=None, keepdims: bool = False):
     av = a.value
     n = av.size if axis is None else av.shape[axis]
     return vsum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
-def concat(parts: Sequence[Var], axis: int = 1) -> Var:
-    values = [p.value for p in parts]
-    out = np.concatenate(values, axis=axis)
-    lead = (slice(None),) * (axis % out.ndim)
-    offsets = np.cumsum([0] + [v.shape[axis] for v in values])
-    return _record(parts[0].tape, out, [
-        (p, lambda g, part=lead + (slice(lo, hi),): g[part])
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:])
-    ])
-
-
-def cols(a: Var, start: int, stop: int) -> Var:
-    """Column slice [:, start:stop] of a 2-D array."""
-    av = a.value
-
-    def grad(g):
-        full = np.zeros_like(av)
-        full[:, start:stop] = g
-        return full
-
-    return _record(a.tape, av[:, start:stop].copy(), [(a, grad)])
 
 
 def rows(a: Var, start: int, stop: int) -> Var:

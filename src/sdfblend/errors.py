@@ -48,7 +48,7 @@ def check_document(doc, version: int | None, what: str,
     """`doc` if it is a JSON object whose "version" is `version` (None: a
     document without one) and whose keys, if `fields` is given, are all in
     `fields`; else `error` naming `what`."""
-    check_json(doc, dict, f"{what} document" if version is None else
+    check_type(doc, dict, f"{what} document" if version is None else
                f"unsupported {what} version: {what} document", error)
     if version is not None and doc.get("version") != version:
         raise error(f"unsupported {what} version {doc.get('version')!r}")
@@ -80,13 +80,23 @@ def check_positive(value, what: str):
     return value
 
 
-def check_json(value, kind: type, what: str, error: type[Exception]):
-    """`value` if it is a `kind` (dict: JSON object, or list), else `error`
-    naming `what`."""
+def check_type(value, kind: type, what: str,
+               error: type[Exception] = ValueError):
+    """`value` if it is a `kind` (dict: a JSON object), else `error` naming
+    `what`."""
     if not isinstance(value, kind):
         raise error(f"{what} is a {type(value).__name__}, expected a "
-                    f"{'JSON object' if kind is dict else 'list'}")
+                    f"{'JSON object' if kind is dict else kind.__name__}")
     return value
+
+
+def check_points(value, what: str) -> np.ndarray:
+    """`value` as a float64 array of n points, shape (n, 3) (n may be 0),
+    else ValueError naming `what`."""
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError(f"{what} has shape {arr.shape}, expected (n, 3)")
+    return arr
 
 
 def check_array(value, shape: tuple[int, ...], what: str,

@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParamVector, Tape, Var, _sum3
 from .errors import (CheckpointError, FieldError, check_array, check_document,
-                     check_json, check_number, read_json)
+                     check_number, check_points, check_type, read_json)
 
 CHECKPOINT_SCHEMA_VERSION = 1
 
@@ -339,9 +339,10 @@ class BasisField:
         `inference_block()` points at a time (sized to stay in cache). The
         last block is padded with copies of its last point to whole
         ad.ROW_BLOCKs, so every point gets the value it gets in any other
-        call, bit for bit (see inference_block).
+        call, bit for bit (see inference_block). Raises ValueError unless
+        `pts` has shape (B, 3).
         """
-        pts = np.asarray(pts, dtype=np.float64).reshape(-1, 3)
+        pts = check_points(pts, "pts")
         chunk = self.inference_block()
         out = np.empty(len(pts))
         n_fallback = 0
@@ -412,9 +413,9 @@ class BasisField:
         """
         check_document(doc, CHECKPOINT_SCHEMA_VERSION, "checkpoint",
                        CheckpointError)
-        dd = check_json(doc["decoder"], dict, "checkpoint decoder", CheckpointError)
+        dd = check_type(doc["decoder"], dict, "checkpoint decoder", CheckpointError)
         for key in ("widths", "skip_at", "weights", "biases"):
-            check_json(dd.get(key, []), list, f"checkpoint decoder {key}",
+            check_type(dd.get(key, []), list, f"checkpoint decoder {key}",
                        CheckpointError)
         # checked before any array of these sizes exists
         d_z = check_number(doc["d_z"], "checkpoint d_z", 0, integer=True,
@@ -447,9 +448,9 @@ class BasisField:
             for k, (b, o) in enumerate(zip(dd["biases"], layer_out))
         ]
         dec = Decoder(d_z, widths, skip_at, weights, biases)
-        bases = check_json(doc["bases"], list, "checkpoint bases", CheckpointError)
+        bases = check_type(doc["bases"], list, "checkpoint bases", CheckpointError)
         for k, b in enumerate(bases):
-            check_json(b, dict, f"checkpoint bases[{k}]", CheckpointError)
+            check_type(b, dict, f"checkpoint bases[{k}]", CheckpointError)
         n = len(bases)
         arrays = [
             check_array([b[key] for b in bases], (n, width),

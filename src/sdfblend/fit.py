@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .autodiff import AdamState, NonFiniteError, Tape, adam_step, backward
-from .errors import check_document, check_number, check_positive
+from .errors import check_document, check_number, check_positive, check_type
 from .field import (
     DOMAIN_PARAM_NAMES, IDENTITY_ROT6, BasisField, Decoder, FieldProgram,
 )
@@ -222,6 +222,7 @@ def fit_field(field: BasisField, samples: SampleSet, config: FitConfig
               ) -> tuple[BasisField, FitReport]:
     """Adam over the field parameters minimizing the integrated objective
     on shuffled minibatches. Aborts with the step index on non-finite loss."""
+    check_type(config, FitConfig, "config")
     if len(samples) == 0:
         raise ValueError("samples must be nonempty")
     trainable = set(config.trainable) if config.trainable is not None else None
@@ -298,7 +299,8 @@ def refine(field: BasisField, surface_pts: PointCloud, pos_pts: PointCloud,
     check_number(steps, "steps", 1, integer=True)
     check_positive(lr, "lr")
     check_number(seed, "seed", 0, integer=True)
-    weights = LossWeights() if weights is None else weights
+    weights = (LossWeights() if weights is None
+               else check_type(weights, LossWeights, "weights"))
     anchor.check_matches(field)
     (s_adj,) = spawn_seeds(seed, 1)
     adj = adjacency_points(field, N_REFINE_ADJ, ADJ_SPREAD, s_adj)
@@ -315,7 +317,8 @@ def refine_from_scene(field: BasisField, scene: SceneSpec, *,
                       ) -> tuple[BasisField, FitReport]:
     """Convenience wrapper: draw refinement inputs from the scene oracle
     (from `seed + 1`, so they are independent of the adjacency points)."""
-    weights = LossWeights() if weights is None else weights
+    weights = (LossWeights() if weights is None
+               else check_type(weights, LossWeights, "weights"))
     s_surf, s_pos = spawn_seeds(seed + 1, 2)
     surf = surface_points(scene, n_surface, s_surf)
     pos = positive_points(scene, n_positive, margin=weights.hinge_eps,

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (CheckpointError, SamplingError, SceneError, check_array,
-                     check_document, check_json, check_number, read_json)
+                     check_document, check_number, check_points, check_type,
+                     read_json)
 
 SAMPLE_TAGS = ("near-surface", "uniform", "surface", "positive")
 
@@ -48,12 +49,13 @@ SURFACE_GRAD_STEP = 1e-6
 
 @dataclass
 class PointCloud:
-    """Ordered set of 3-D points, shape (n, 3)."""
+    """Ordered set of 3-D points, shape (n, 3); any other shape raises
+    ValueError."""
 
     points: np.ndarray
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        self.points = check_points(self.points, "points")
         if not np.all(np.isfinite(self.points)):
             raise ValueError("point cloud contains non-finite coordinates")
 
@@ -120,7 +122,7 @@ class SampleSet:
         missing = sorted({"points", "targets", "tags"} - set(doc))
         if missing:
             raise CheckpointError(f"sample-set document has no {missing}")
-        tags = check_json(doc["tags"], list, "sample-set tags", CheckpointError)
+        tags = check_type(doc["tags"], list, "sample-set tags", CheckpointError)
         unknown = [t for t in tags if t not in SAMPLE_TAGS]
         if unknown:
             raise CheckpointError(f"sample-set tag {unknown[0]!r} is not one "
@@ -478,10 +480,10 @@ class SceneSpec:
 def _node_from_json(doc: dict) -> Primitive | _Combine:
     """The node of a scene document, built as code would build it: its
     fields are checked where SceneSpec._validate checks the whole tree."""
-    check_json(doc, dict, "scene node", SceneError)
+    check_type(doc, dict, "scene node", SceneError)
     kind = doc.get("type")
     if kind in _COMBINE_KINDS:
-        children = check_json(doc.get("children", []), list,
+        children = check_type(doc.get("children", []), list,
                               f"scene {kind} children", SceneError)
         return _Combine(children=[_node_from_json(c) for c in children], kind=kind)
     if not isinstance(kind, str) or kind not in _PRIM_TYPES:
@@ -490,7 +492,7 @@ def _node_from_json(doc: dict) -> Primitive | _Combine:
     try:
         args = {name: doc[name] for name in _PRIM_SIZES[prim]}
         if "rotate" in doc and "rotation" not in doc:
-            rot = check_json(doc["rotate"], dict, f"scene {kind} rotate", SceneError)
+            rot = check_type(doc["rotate"], dict, f"scene {kind} rotate", SceneError)
             args["rotation"] = _rotation_axis_angle(
                 check_array(rot["axis"], (3,), f"scene {kind} rotate axis", SceneError),
                 float(check_number(rot["degrees"], f"scene {kind} rotate degrees",
@@ -598,6 +600,8 @@ def sample_training_set(scene: SceneSpec, n_near: int, n_uniform: int,
                         noise_stds: tuple[float, float] = (0.01, 0.003),
                         seed: int = 0) -> SampleSet:
     """Near-surface + uniform query points with exact oracle targets."""
+    check_number(n_near, "n_near", 0, integer=True)
+    check_number(n_uniform, "n_uniform", 0, integer=True)
     if n_near + n_uniform < 1:
         raise ValueError("need at least one sample")
     if noise_stds[0] <= 0 or noise_stds[1] <= 0:

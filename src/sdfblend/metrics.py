@@ -11,7 +11,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import check_number, check_positive
+from .errors import check_number, check_positive, check_type
 from .geom import PointCloud, sample_mesh_surface, spawn_seeds
 from .surface import CellSigns, GridSpec, marching_cubes
 
@@ -166,7 +166,8 @@ def evaluate(subject, reference, protocol: EvalProtocol | None = None) -> Metric
     the two fields, reading the subject's certified cells. Deterministic
     per protocol seed.
     """
-    protocol = protocol or EvalProtocol()
+    protocol = (EvalProtocol() if protocol is None
+                else check_type(protocol, EvalProtocol, "protocol"))
     s_a, s_b, s_iou = spawn_seeds(protocol.seed, 3)
     mesh_a, cells_a = marching_cubes(subject, protocol.grid, with_cells=True)
     mesh_b = marching_cubes(reference, protocol.grid)

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import GridError, check_array, check_number
+from .errors import GridError, check_array, check_number, check_type
 from .field import DEFAULT_FIELD_BOUNDS
 from .geom import GRID_CHUNK, TriMesh
 from .mc_tables import EDGE_AXIS, EDGE_ORIGIN, TRI_TABLE
@@ -188,9 +188,10 @@ def marching_cubes(evaluable, grid: GridSpec, with_cells: bool = False):
 
     Returns an empty mesh when the field has no sign change on the grid;
     with `with_cells`, returns (mesh, CellSigns of the grid). Raises
-    GridError if any grid corner evaluates non-finite.
+    GridError if any grid corner evaluates non-finite, and ValueError if
+    `grid` is not a GridSpec.
     """
-    vals, cells = _sample_grid(evaluable, grid)
+    vals, cells = _sample_grid(evaluable, check_type(grid, GridSpec, "grid"))
     mesh = _extract(vals, grid)
     return (mesh, cells) if with_cells else mesh
 

@@ -12,6 +12,10 @@ from sdfblend.autodiff import (
     AdamState, NonFiniteError, ParamVector, Tape, adam_step, backward,
     finite_diff_check,
 )
+from tests.chains import (
+    _chain_decoder_input, _chain_domain_quadratic, _stacked, _unfused_mlp,
+    concat, cols, div, matmul, sqrt,
+)
 
 
 def test_square_gradient():
@@ -44,7 +48,7 @@ def _mlp_objective(widths):
         leaves = params.leaves(tape)
         h = tape.constant(x)
         for i in range(len(dims) - 1):
-            h = ad.add(ad.matmul(h, leaves[f"w{i}"]), leaves[f"b{i}"])
+            h = ad.add(matmul(h, leaves[f"w{i}"]), leaves[f"b{i}"])
             if i < len(dims) - 2:
                 h = ad.sigmoid(h)
         return ad.vmean(ad.mul(h, h))
@@ -161,21 +165,6 @@ def test_dense_relu_has_derivative_zero_at_the_kink():
         if train_weights:
             np.testing.assert_array_equal(g["w"], [[2.0]])
             np.testing.assert_array_equal(g["b"], [1.0])
-
-
-def _unfused_mlp(x, weights, biases, skip_at=()):
-    """The chain the mlp node replaced: concat at skip layers, then matmul,
-    add and a where-ReLU, as separate nodes."""
-    h = x
-    for i, (w, b) in enumerate(zip(weights, biases)):
-        if i in skip_at:
-            h = ad.concat([h, x], axis=1)
-        h = ad.add(ad.matmul(h, w), b)
-        if i < len(weights) - 1:
-            mask = h.value > 0.0
-            h.tape.note_branch(np.asarray(mask, dtype=np.int8))
-            h = ad.where(mask, h, 0.0)
-    return h
 
 
 def _mlp_against_chain(widths, skip_at=(), trained=("x", "w", "b"),
@@ -433,14 +422,14 @@ def _all_ops(t, u, v, m):
     (3, 2) matrix m."""
     mask = np.array([[True, False, True]] * 4)
     return [
-        ad.add(u, v), ad.sub(u, v), ad.mul(u, v), ad.div(u, v),
+        ad.add(u, v), ad.sub(u, v), ad.mul(u, v), div(u, v),
         ad.maximum(u, v), ad.minimum(u, v), ad.where(mask, u, v),
-        ad.matmul(u, m), ad.mlp(u, [m], [ad.vsum(m, axis=0)]),
-        ad.concat([u, v], axis=1),
+        matmul(u, m), ad.mlp(u, [m], [ad.vsum(m, axis=0)]),
+        concat([u, v], axis=1),
     ] + [
-        op(u) for op in (ad.neg, ad.exp, ad.sqrt, ad.absolute,
+        op(u) for op in (ad.neg, ad.exp, sqrt, ad.absolute,
                          ad.sigmoid, ad.vsum,
-                         lambda x: ad.cols(x, 1, 3), lambda x: ad.rows(x, 0, 2),
+                         lambda x: cols(x, 1, 3), lambda x: ad.rows(x, 0, 2),
                          lambda x: ad.gather_rows(x, [3, 0, 3]))
     ]
 
@@ -577,7 +566,7 @@ def test_fd_check_rejects_nonfinite_objective():
     def objective(tape, params):
         leaves = params.leaves(tape)
         with np.errstate(divide="ignore"):
-            return ad.div(leaves["x"], tape.constant(0.0))
+            return div(leaves["x"], tape.constant(0.0))
 
     with pytest.raises(NonFiniteError):
         finite_diff_check(objective, pv, h=1e-5)
@@ -638,31 +627,6 @@ def test_a_dropped_tape_is_freed_without_the_cycle_collector():
 
 # ---------------------------------------------------------------------------
 # The blend's fused nodes against the chains they replaced
-
-
-def _chain_decoder_input(t, pts, centers, latents, idx):
-    """The chain ad.decoder_input replaced; returns x - c and the input."""
-    d = ad.sub(t.constant(pts), ad.gather_rows(centers, idx))
-    return d, ad.concat([d, ad.gather_rows(latents, idx)], axis=1)
-
-
-def _stacked(parts):
-    """np.stack of the values of `parts` as one node, in the layout of
-    ad.rotation_columns: its VJP hands each part its slice."""
-    return ad._record(parts[0].tape, np.stack([p.value for p in parts]),
-                      [(p, lambda g, k=k: g[k]) for k, p in enumerate(parts)])
-
-
-def _chain_domain_quadratic(d, b1, b2, b3, scales, idx):
-    """The chain ad.domain_quadratic replaced, on the x - c rows `d`."""
-    if len(idx) < d.shape[0]:
-        d = ad.rows(d, 0, len(idx))
-    dx, dy, dz = (ad.cols(d, k, k + 1) for k in range(3))
-    rd = ad.add(ad.add(ad.mul(dx, ad.gather_rows(b1, idx)),
-                       ad.mul(dy, ad.gather_rows(b2, idx))),
-                ad.mul(dz, ad.gather_rows(b3, idx)))
-    w = ad.mul(ad.gather_rows(scales, idx), rd)
-    return ad.vsum(ad.mul(w, w), axis=1)
 
 
 @pytest.mark.parametrize("trained", [

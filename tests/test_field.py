@@ -15,7 +15,9 @@ from sdfblend.field import (
     domain_downsample, domain_transform, rbf_weight, rotation_from_6d,
     rotations_from_6d, sdf_eval, top2,
 )
+from sdfblend.geom import PointCloud
 from sdfblend.gradcheck import random_field
+from tests.chains import _ChainProgram, _rotation_columns
 
 # ---------------------------------------------------------------------------
 # independent scalar oracles
@@ -455,71 +457,6 @@ def test_nearest_pass_decodes_each_pair_once(monkeypatch, n_bases):
         rtol=0, atol=1e-12)
 
 
-def _rotation_columns(r):
-    """The chain of generic ops that ad.rotation_columns replaced: the
-    rotation columns (b1, b2, b1 x b2), (N, 3) each, of an (N, 6) stack."""
-    a1 = ad.cols(r, 0, 3)
-    a2 = ad.cols(r, 3, 6)
-    n1 = ad.sqrt(ad.vsum(ad.mul(a1, a1), axis=1, keepdims=True))
-    _check_norms(n1, "first vector ~ 0")
-    b1 = ad.div(a1, n1)
-    proj = ad.vsum(ad.mul(b1, a2), axis=1, keepdims=True)
-    res = ad.sub(a2, ad.mul(proj, b1))
-    n2 = ad.sqrt(ad.vsum(ad.mul(res, res), axis=1, keepdims=True))
-    _check_norms(n2, "second vector parallel to first")
-    b2 = ad.div(res, n2)
-    return b1, b2, _cross_rows(b1, b2)
-
-
-def _check_norms(norms, what):
-    bad = np.flatnonzero(norms.value < 1e-12)
-    if bad.size:
-        raise FieldError(f"degenerate rotation at basis {bad[0]}: {what}")
-
-
-def _cross_rows(a, b):
-    ax, ay, az = (ad.cols(a, i, i + 1) for i in range(3))
-    bx, by, bz = (ad.cols(b, i, i + 1) for i in range(3))
-    return ad.concat([
-        ad.sub(ad.mul(ay, bz), ad.mul(az, by)),
-        ad.sub(ad.mul(az, bx), ad.mul(ax, bz)),
-        ad.sub(ad.mul(ax, by), ad.mul(ay, bx)),
-    ], axis=1)
-
-
-class _ChainProgram(FieldProgram):
-    """FieldProgram over the chains of generic ops that
-    ad.rotation_columns, ad.decoder_input and ad.domain_quadratic replaced:
-    the bit-level reference of the three nodes. Its rotation columns come
-    from _rotation_columns (the program's own rotation node is left
-    unread, so it gets no cotangent). decoder_input keeps x - c for
-    domain_quadratic, which reads it through a rows copy when the decoder
-    input has more rows than it needs."""
-
-    def __init__(self, tape, field, trainable=None):
-        super().__init__(tape, field, trainable)
-        self.rot_cols = _rotation_columns(self.leaves["rot6s"])
-
-    def decoder_input(self, pts, idx):
-        d = ad.sub(self.tape.constant(pts), ad.gather_rows(self.eff_centers, idx))
-        x = ad.concat([d, ad.gather_rows(self.leaves["latents"], idx)], axis=1)
-        self.chain_input = (x, d)
-        return x
-
-    def domain_quadratic(self, inp, idx):
-        assert inp is self.chain_input[0]
-        d = self.chain_input[1]
-        if len(idx) < d.shape[0]:
-            d = ad.rows(d, 0, len(idx))
-        b1, b2, b3 = self.rot_cols
-        dx, dy, dz = (ad.cols(d, k, k + 1) for k in range(3))
-        rd = ad.add(ad.add(ad.mul(dx, ad.gather_rows(b1, idx)),
-                           ad.mul(dy, ad.gather_rows(b2, idx))),
-                    ad.mul(dz, ad.gather_rows(b3, idx)))
-        w = ad.mul(ad.gather_rows(self.scales, idx), rd)
-        return ad.vsum(ad.mul(w, w), axis=1)
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([1, 2, 8, 33]))
 def test_rotation_node_equals_the_chain_bit_for_bit(seed, n):
@@ -667,6 +604,20 @@ def test_sdf_batch_values_do_not_depend_on_the_call():
                                           ref[lo:lo + n].view(np.int64))
             # the padding copies are not counted
             assert n_fallback == f.select_top2_nearest(X[lo:lo + n])[2].sum()
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (4, 2), (2, 4), (3,), (0,), (2, 3, 1)])
+def test_points_of_the_wrong_shape_fail_by_name(shape):
+    """sdf_batch and PointCloud take (n, 3) arrays, n = 0 included; any
+    other shape raises ValueError naming the argument, where a reshape to
+    (-1, 3) would have read its values as other points."""
+    f = random_field(np.random.default_rng(33), n_bases=2)
+    assert f.sdf_batch(np.zeros((0, 3))).shape == (0,)
+    assert len(PointCloud(np.zeros((0, 3)))) == 0
+    with pytest.raises(ValueError, match=r"^pts has shape .*, expected \(n, 3\)$"):
+        f.sdf_batch(np.zeros(shape))
+    with pytest.raises(ValueError, match=r"^points has shape .*, expected \(n, 3\)$"):
+        PointCloud(np.zeros(shape))
 
 
 def test_inference_block_follows_decoder_width():

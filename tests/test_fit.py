@@ -91,6 +91,22 @@ def test_init_field_well_conditioned_blending():
     assert n_fallback == 0
 
 
+def test_fit_field_rejects_a_config_that_is_not_a_fit_config():
+    samples = sample_training_set(SPHERE, 9, 1, seed=2)
+    with pytest.raises(ValueError, match="^config is a dict, expected a FitConfig$"):
+        fit_field(plane_field(), samples, {"steps": 1})
+
+
+def test_refine_rejects_weights_that_are_not_loss_weights():
+    f, cloud = plane_field(), PointCloud(np.zeros((4, 3)))
+    message = "^weights is a dict, expected a LossWeights$"
+    with pytest.raises(ValueError, match=message):
+        refine(f, cloud, cloud, Anchor.from_field(f), steps=1,
+               weights={"face": 1.0})
+    with pytest.raises(ValueError, match=message):
+        refine_from_scene(f, SPHERE, steps=1, weights={"face": 1.0})
+
+
 def test_fit_field_rejects_empty_samples():
     from sdfblend.geom import SampleSet
     cfg = small_config(n_bases=2, steps=2)

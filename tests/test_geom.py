@@ -536,6 +536,15 @@ def test_training_set_validates_inputs():
         sample_training_set(sphere_scene(), 10, 0, noise_stds=(0.0, 0.01), seed=0)
 
 
+@pytest.mark.parametrize("n_near, n_uniform, name", [
+    (-1, 10, "n_near"), (10, -1, "n_uniform"), (-3, -2, "n_near"),
+    (10.0, 10, "n_near")])
+def test_training_set_rejects_counts_that_are_not_natural(n_near, n_uniform,
+                                                          name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        sample_training_set(sphere_scene(), n_near, n_uniform, seed=0)
+
+
 def test_sample_set_json_round_trip():
     ss = sample_training_set(sphere_scene(), 50, 50, seed=1)
     again = SampleSet.from_json_dict(ss.to_json_dict())

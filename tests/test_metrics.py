@@ -185,6 +185,13 @@ def test_report_of_a_protocol_of_numpy_numbers_dumps_as_json():
     assert json.dumps(got.to_json_dict()) == json.dumps(ref.to_json_dict())
 
 
+def test_evaluate_rejects_a_protocol_that_is_not_an_eval_protocol():
+    scene = sphere(0.35)
+    with pytest.raises(ValueError,
+                       match="^protocol is a dict, expected a EvalProtocol$"):
+        evaluate(scene, scene, {"n_iou": 10})
+
+
 def test_nearest_distances_on_two_workers_equal_one_worker():
     rng = np.random.default_rng(3)
     a = PointCloud(rng.normal(size=(20000, 3)))

@@ -11,12 +11,13 @@ from sdfblend.geom import PointCloud, SampleSet
 from sdfblend.gradcheck import random_field
 from sdfblend.objective import (
     ADJ_EXPONENT_FLOOR, ADJ_PREFILTER_SLACK, Anchor, LossWeights, RefineInputs,
-    _sdf_from_blend, _smooth_from_blend, loss_adj, loss_adj_t, loss_chamfer,
-    loss_face, loss_inte, loss_inte_t, loss_opt, loss_opt_t, loss_pos, loss_reg,
-    loss_reg_t, loss_sdf, loss_sdf_euc, loss_smooth, loss_stable,
+    loss_adj, loss_adj_t, loss_chamfer, loss_face, loss_inte, loss_inte_t,
+    loss_opt, loss_opt_t, loss_pos, loss_reg, loss_sdf, loss_sdf_euc,
+    loss_smooth, loss_stable,
 )
+from tests.chains import _ChainProgram, _chain_loss_inte_t
 from tests.test_field import (
-    _ChainProgram, _fallback_probe_points, oracle_decode, oracle_g, oracle_top2,
+    _fallback_probe_points, oracle_decode, oracle_g, oracle_top2,
 )
 
 
@@ -590,23 +591,6 @@ def test_loss_inte_gradient_with_nearest_rows_outside_the_top2():
     res = finite_diff_check(objective, f.to_params(), h=1e-6)
     assert res.max_rel_err <= 1e-5
     assert res.n_checked > len(f.to_params()) // 2
-
-
-def _chain_loss_inte_t(prog, pts, targets, weights, epoch):
-    """loss_inte_t as the chain of generic ops its node replaced, composed
-    from one blend as loss_sdf_t, loss_sdf_euc_t, loss_smooth_t and
-    loss_reg_t compose theirs: the node's bit-level reference."""
-    blend = prog.blend(pts, with_nearest=True)
-    l_sdf = _sdf_from_blend(blend, targets)
-    l_euc = ad.vmean(ad.absolute(ad.sub(blend.f_k, targets)))
-    l_smooth = (prog.tape.constant(0.0) if prog.field.n_bases == 1
-                else _smooth_from_blend(blend))
-    l_reg = loss_reg_t(prog)
-    reg_w = weights.reg if epoch == 0 else 0.0
-    total = ad.add(ad.add(l_sdf, l_euc),
-                   ad.add(l_smooth * weights.smooth, l_reg * reg_w))
-    return total, {"sdf": float(l_sdf.value), "sdf_euc": float(l_euc.value),
-                   "smooth": float(l_smooth.value), "reg": float(l_reg.value)}
 
 
 @settings(max_examples=60, deadline=None)

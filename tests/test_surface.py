@@ -185,6 +185,11 @@ def test_grid_spec_refuses_malformed_inputs(args, kwargs, message):
         GridSpec(args, **kwargs)
 
 
+def test_marching_cubes_rejects_a_grid_that_is_not_a_grid_spec():
+    with pytest.raises(ValueError, match="^grid is a int, expected a GridSpec$"):
+        marching_cubes(sphere_scene(), 16)
+
+
 def test_nonfinite_field_aborts_with_coordinate():
     def bad(p):
         v = p[:, 0].copy()

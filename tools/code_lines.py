@@ -1,11 +1,13 @@
-"""Count the code lines of the package sources.
+"""Count the code lines of the package sources and of its tests.
 
-    python3 tools/code_lines.py [SRC]
+    python3 tools/code_lines.py [DIR]
 
-SRC defaults to this checkout's `src/`. A code line is a line that is
-neither blank nor comment-only (its first non-blank character is `#`)
-and not part of a docstring: the leading string of a module, class or
-function. Prints the count of each file and the total.
+A code line is a line that is neither blank nor comment-only (its first
+non-blank character is `#`) and not part of a docstring: the leading
+string of a module, class or function. Prints the count of each file
+under DIR and their total. Without DIR, does so for this checkout's
+`src/` and then its `tests/`, and prints the two totals' sum, so that
+code moved from the program into the tests shows as a move.
 """
 
 from __future__ import annotations
@@ -36,14 +38,26 @@ def code_lines(source: str) -> int:
                and i not in docstrings)
 
 
-def main(argv: list[str]) -> int:
-    src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
+def _table(root: Path) -> int:
+    """Print the count of each file under `root` and their total; return it."""
     total = 0
-    for path in sorted(src.rglob("*.py")):
+    for path in sorted(root.rglob("*.py")):
         n = code_lines(path.read_text())
         total += n
-        print(f"{n:6d}  {path.relative_to(src)}")
+        print(f"{n:6d}  {path.relative_to(root)}")
     print(f"{total:6d}  total")
+    return total
+
+
+def main(argv: list[str]) -> int:
+    if argv:
+        _table(Path(argv[0]))
+        return 0
+    repo = Path(__file__).resolve().parents[1]
+    src = _table(repo / "src")
+    print()
+    tests = _table(repo / "tests")
+    print(f"\n{src + tests:6d}  src + tests")
     return 0
 
 
